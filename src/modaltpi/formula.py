@@ -11,6 +11,8 @@ equal, so formulas can be used in sets, dicts and sorted containers.
 
 from __future__ import annotations
 
+import string
+
 from .errors import FormulaSyntaxError, NotAClauseError, NotATermError
 
 __all__ = [
@@ -20,13 +22,21 @@ __all__ = [
     "parse", "format_formula", "nnf", "classify",
     "ClauseParts", "TermParts", "decompose_clause", "decompose_term",
     "variables", "modal_depth", "canonical_key", "sort_formulas",
+    "conjuncts",
 ]
 
 
 class Formula:
-    """Immutable formula node; identity is the canonical printed form."""
+    """Immutable formula node; identity is the canonical printed form.
+
+    `in_nnf` tells whether the node is in negation normal form (negation
+    only on variables).  Variables and constants are; every other node
+    sets it from its children when it is built, so `nnf` returns a node
+    already in that form itself, in O(1).
+    """
 
     __slots__ = ("key", "_hash")
+    in_nnf = True
 
     def __init__(self, key: str):
         self.key = key
@@ -71,42 +81,47 @@ class FalseF(Formula):
 
 
 class Not(Formula):
-    __slots__ = ("child",)
+    __slots__ = ("child", "in_nnf")
 
     def __init__(self, child: Formula):
         self.child = child
+        self.in_nnf = isinstance(child, Var)
         super().__init__("~" + child.key)
 
 
 class And(Formula):
-    __slots__ = ("children",)
+    __slots__ = ("children", "in_nnf")
 
     def __init__(self, children: tuple):
         self.children = children
-        super().__init__("(" + " & ".join(c.key for c in children) + ")")
+        self.in_nnf = all([c.in_nnf for c in children])
+        super().__init__("(" + " & ".join([c.key for c in children]) + ")")
 
 
 class Or(Formula):
-    __slots__ = ("children",)
+    __slots__ = ("children", "in_nnf")
 
     def __init__(self, children: tuple):
         self.children = children
-        super().__init__("(" + " | ".join(c.key for c in children) + ")")
+        self.in_nnf = all([c.in_nnf for c in children])
+        super().__init__("(" + " | ".join([c.key for c in children]) + ")")
 
 
 class Box(Formula):
-    __slots__ = ("child",)
+    __slots__ = ("child", "in_nnf")
 
     def __init__(self, child: Formula):
         self.child = child
+        self.in_nnf = child.in_nnf
         super().__init__("[]" + child.key)
 
 
 class Dia(Formula):
-    __slots__ = ("child",)
+    __slots__ = ("child", "in_nnf")
 
     def __init__(self, child: Formula):
         self.child = child
+        self.in_nnf = child.in_nnf
         super().__init__("<>" + child.key)
 
 
@@ -133,18 +148,26 @@ def var(name: str) -> Var:
     return v
 
 
-def land(*items) -> Formula:
-    """Conjunction; accepts formulas or a single iterable of formulas."""
-    if len(items) == 1 and not isinstance(items[0], Formula):
-        items = tuple(items[0])
+def conjuncts(items):
+    """The children `land(items)` would have: flattened, deduplicated and
+    in canonical order; None when one of them is false."""
     seen = {}
     for f in items:
         for c in (f.children if isinstance(f, And) else (f,)):
             if isinstance(c, FalseF):
-                return FALSE
+                return None
             if not isinstance(c, TrueF):
                 seen[c.key] = c
-    children = sort_formulas(seen.values())
+    return sort_formulas(seen.values())
+
+
+def land(*items) -> Formula:
+    """Conjunction; accepts formulas or a single iterable of formulas."""
+    if len(items) == 1 and not isinstance(items[0], Formula):
+        items = items[0]
+    children = conjuncts(items)
+    if children is None:
+        return FALSE
     if not children:
         return TRUE
     if len(children) == 1:
@@ -207,6 +230,8 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 
 _TOKEN_CHARS = {"(": "(", ")": ")", "&": "&", "|": "|", "~": "~"}
+_ATOM_START = frozenset(string.ascii_letters)
+_ATOM_CHARS = frozenset(string.ascii_letters + string.digits + "_")
 
 
 class _Token:
@@ -239,6 +264,16 @@ def _tokenize(text: str, source=None):
             i += 1
             col += 1
             continue
+        if ch in _ATOM_START:
+            j = i + 1
+            while j < n and text[j] in _ATOM_CHARS:
+                j += 1
+            word = text[i:j]
+            kind = word if word in ("true", "false") else "atom"
+            tokens.append(_Token(kind, word, line, col))
+            col += j - i
+            i = j
+            continue
         if text.startswith("<->", i):
             tokens.append(_Token("<->", "<->", line, col))
             i += 3
@@ -258,16 +293,6 @@ def _tokenize(text: str, source=None):
             tokens.append(_Token("<>", "<>", line, col))
             i += 2
             col += 2
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in ("true", "false") else "atom"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
             continue
         raise FormulaSyntaxError(f"unexpected character {ch!r}", line, col, source)
     tokens.append(_Token("end", "", line, col))
@@ -377,8 +402,11 @@ def parse(text: str, source=None) -> Formula:
 # ---------------------------------------------------------------------------
 
 def nnf(f: Formula) -> Formula:
-    """Push negations down to variables using De Morgan and []~/<>~ duality."""
-    if isinstance(f, (Var, TrueF, FalseF)):
+    """Push negations down to variables using De Morgan and []~/<>~ duality.
+
+    A formula already in negation normal form is returned itself.
+    """
+    if f.in_nnf:
         return f
     if isinstance(f, And):
         return land(nnf(c) for c in f.children)
@@ -388,10 +416,8 @@ def nnf(f: Formula) -> Formula:
         return box(nnf(f.child))
     if isinstance(f, Dia):
         return dia(nnf(f.child))
-    # Not
+    # Not of anything but a variable
     g = f.child
-    if isinstance(g, Var):
-        return f
     if isinstance(g, TrueF):
         return FALSE
     if isinstance(g, FalseF):
@@ -409,24 +435,13 @@ def nnf(f: Formula) -> Formula:
     raise TypeError(f"unknown node {f!r}")
 
 
-def _in_nnf_fragment(f: Formula) -> bool:
-    # the formula grammar F: negation only on atoms
-    if isinstance(f, (Var, TrueF, FalseF)):
-        return True
-    if isinstance(f, Not):
-        return isinstance(f.child, Var)
-    if isinstance(f, (And, Or)):
-        return all(_in_nnf_fragment(c) for c in f.children)
-    return _in_nnf_fragment(f.child)
-
-
 def is_literal(f: Formula) -> bool:
     if isinstance(f, Var):
         return True
     if isinstance(f, Not):
         return isinstance(f.child, Var)
     if isinstance(f, (Box, Dia)):
-        return _in_nnf_fragment(f.child)
+        return f.child.in_nnf
     return False
 
 

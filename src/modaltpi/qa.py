@@ -10,9 +10,7 @@ from .formula import (
     Formula, TRUE, box, classify, land, lnot, nnf, parse, sort_formulas,
 )
 from .pi import CompilationResult
-from .semantics import (
-    DEFAULT_NODE_BUDGET, System, entails_mod, find_model,
-)
+from .semantics import DEFAULT_NODE_BUDGET, System, entails_mod, find_model
 
 __all__ = [
     "QueryVerdict", "KnowledgeBaseFile", "answer_query",
@@ -44,29 +42,26 @@ def answer_query(comp: CompilationResult, q: Formula, strict: bool = False,
     """
     if classify(nnf(q)) not in ("literal", "clause"):
         raise NonClausalQueryError(f"not a clausal query: {q}")
-    pool = comp.omega()
-    hits = []
+    # an empty omega compiles the knowledge base true; read it as the one
+    # clause true so that neither reading answers vacuously
+    pool = comp.omega() or (TRUE,)
     for pi in pool:
         if entails_mod(pi, comp.box_y, q, comp.system, node_budget):
-            hits.append(pi)
             if not strict:
                 return QueryVerdict(q, True, pi, "compiled")
         elif strict:
             return QueryVerdict(q, False, None, "compiled")
-    if strict and len(hits) == len(pool):
-        return QueryVerdict(q, True, hits[0] if hits else None, "compiled")
+    if strict:
+        return QueryVerdict(q, True, pool[0], "compiled")
     return QueryVerdict(q, False, None, "compiled")
 
 
 def answer_query_direct(x: Formula, y: Formula, q: Formula, system: System,
                         node_budget: int = DEFAULT_NODE_BUDGET) -> QueryVerdict:
-    """Baseline: decide x |= q modulo []y with the tableau directly."""
-    by = box(y)
-    answer = entails_mod(x, by, q, system, node_budget)
-    witness = None
-    if not answer:
-        witness = find_model(land(x, by, nnf(lnot(q))), system, node_budget)
-    return QueryVerdict(q, answer, witness, "direct")
+    """Baseline: decide x |= q modulo []y with the tableau directly; a
+    false answer carries a countermodel (model, world)."""
+    found = find_model((x, box(y), lnot(q)), system, node_budget)
+    return QueryVerdict(q, found is None, found, "direct")
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +133,43 @@ def load_compilation(path: str) -> CompilationResult:
             payload = json.load(fh)
         except json.JSONDecodeError as err:
             raise SchemaError(f"{path}: not valid JSON ({err})") from None
-    if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: top level is a JSON "
+                          f"{type(payload).__name__}, expected an object")
+    if payload.get("schema") != SCHEMA_VERSION:
         raise SchemaError(
             f"{path}: unsupported schema {payload.get('schema')!r}, "
             f"expected {SCHEMA_VERSION}")
+
+    def field(name, kind=object):
+        if name not in payload:
+            raise SchemaError(f"{path}: missing field {name!r}")
+        value = payload[name]
+        if not isinstance(value, kind):
+            raise SchemaError(f"{path}: field {name!r} holds {value!r}, "
+                              f"expected a {kind.__name__}")
+        return value
+
+    def formula(text, name):
+        if not isinstance(text, str):
+            raise SchemaError(f"{path}: field {name!r} holds {text!r}, "
+                              "expected formula text")
+        return parse(text, source=f"{path}, field {name!r}")
+
+    def clauses(name):
+        return sort_formulas(formula(t, name) for t in field(name, list))
+
     try:
-        return CompilationResult(
-            x=parse(payload["x"]),
-            y=parse(payload["y"]),
-            system=System.from_name(payload["system"]),
-            candidates=sort_formulas(parse(s) for s in payload["candidates"]),
-            theta=sort_formulas(parse(s) for s in payload["theta"]),
-            box_y=parse(payload["box_y"]),
-            horn_advisory=bool(payload["horn_advisory"]),
-            stats=dict(payload["stats"]),
-        )
-    except KeyError as err:
-        raise SchemaError(f"{path}: missing field {err}") from None
+        system = System.from_name(field("system", str))
+    except ValueError as err:
+        raise SchemaError(f"{path}: {err}") from None
+    return CompilationResult(
+        x=formula(field("x"), "x"),
+        y=formula(field("y"), "y"),
+        system=system,
+        candidates=clauses("candidates"),
+        theta=clauses("theta"),
+        box_y=formula(field("box_y"), "box_y"),
+        horn_advisory=bool(field("horn_advisory")),
+        stats=dict(field("stats", dict)),
+    )

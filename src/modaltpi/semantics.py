@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError
 from .formula import (
     And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var,
-    FALSE, land, lnot, nnf, sort_formulas,
+    conjuncts, lnot, nnf, sort_formulas,
 )
 
 __all__ = [
@@ -123,7 +123,7 @@ class _Witness:
         return 1 + sum(c.world_count() for c in self.children)
 
 
-# cache: (frozenset of formula keys, system) -> _Witness | None
+# cache: (formula keys of a world, system) -> _Witness | None
 _sat_cache: dict = {}
 _CACHE_LIMIT = 400_000
 
@@ -184,9 +184,17 @@ def _branches(pending, seen, pos, neg, dias, boxes, system, budget):
     yield (frozenset(pos), dias, boxes)
 
 
-def _solve(formulas: frozenset, system: System, budget: _Budget):
-    """Witness for a world satisfying all formulas, or None."""
-    key = (frozenset(f.key for f in formulas), system)
+def _solve(formulas, system: System, budget: _Budget):
+    """Witness for a world satisfying all formulas, or None.
+
+    `formulas` is the canonically ordered tuple of a root world (see
+    `_root`) or the frozenset of a successor world; the tableau expands
+    them last to first.  A root world is cached under the tuple of its
+    keys, which is canonical and smaller than a frozenset of five or more.
+    """
+    keys = [f.key for f in formulas]
+    key = (tuple(keys) if isinstance(formulas, tuple) else frozenset(keys),
+           system)
     if key in _sat_cache:
         return _sat_cache[key]
     result = None
@@ -232,24 +240,33 @@ def _witness_to_model(w: _Witness, system: System):
     return model, root
 
 
-def is_satisfiable(f: Formula, system: System,
+def _root(f):
+    """The NNF conjuncts the root world starts from, in the order `land`
+    gives them; None when one is false.  `f` is a formula or an iterable
+    of formulas read conjunctively."""
+    return conjuncts(nnf(g) for g in ((f,) if isinstance(f, Formula) else f))
+
+
+def is_satisfiable(f, system: System,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Decide satisfiability; raises BudgetExceededError when out of nodes."""
-    g = nnf(f)
-    if isinstance(g, FalseF):
+    """Decide satisfiability of a formula, or of an iterable of formulas
+    read conjunctively; raises BudgetExceededError when out of nodes."""
+    start = _root(f)
+    if start is None:
         return False
-    if isinstance(g, TrueF):
+    if not start:
         return True
-    return _solve(frozenset((g,)), system, _Budget(node_budget)) is not None
+    return _solve(start, system, _Budget(node_budget)) is not None
 
 
-def find_model(f: Formula, system: System,
+def find_model(f, system: System,
                node_budget: int = DEFAULT_NODE_BUDGET):
-    """(model, world) satisfying f, or None when f is unsatisfiable."""
-    g = nnf(f)
-    if isinstance(g, FalseF):
+    """(model, world) satisfying f, or None when f is unsatisfiable; f is
+    a formula or an iterable of formulas read conjunctively."""
+    start = _root(f)
+    if start is None:
         return None
-    witness = _solve(frozenset((g,)), system, _Budget(node_budget))
+    witness = _solve(start, system, _Budget(node_budget))
     if witness is None:
         return None
     return _witness_to_model(witness, system)
@@ -257,14 +274,14 @@ def find_model(f: Formula, system: System,
 
 def entails(premise: Formula, conclusion: Formula, system: System,
             node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    return not is_satisfiable(land(premise, nnf(lnot(conclusion))),
-                              system, node_budget)
+    return not is_satisfiable((premise, lnot(conclusion)), system, node_budget)
 
 
 def entails_mod(premise: Formula, theory: Formula, conclusion: Formula,
                 system: System, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Consequence modulo a theory: premise & theory |= conclusion."""
-    return entails(land(premise, theory), conclusion, system, node_budget)
+    return not is_satisfiable((premise, theory, lnot(conclusion)), system,
+                              node_budget)
 
 
 def equivalent(f: Formula, g: Formula, system: System,

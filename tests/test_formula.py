@@ -55,6 +55,15 @@ class TestParse:
         with pytest.raises(FormulaSyntaxError):
             parse("p ? q")
 
+    def test_atoms_are_ascii(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse("é | p")
+        assert (err.value.line, err.value.column) == (1, 1)
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse("p\u00b2")
+        assert err.value.column == 2
+        assert parse("a_1 | Zz9") == lor(var("a_1"), var("Zz9"))
+
 
 class TestPrint:
     def test_modal_chain(self):
@@ -113,6 +122,24 @@ class TestNnf:
             f = rand_formula(rng, depth=3, size=12)
             g = nnf(f)
             assert nnf(g) == g
+            assert nnf(g) is g
+            h = nnf(lnot(land(f, lnot(rand_formula(rng, depth=2, size=6)))))
+            assert nnf(h) is h
+
+    def test_flag_matches_grammar(self, rng):
+        def negation_on_atoms_only(f):
+            if isinstance(f, Not):
+                return isinstance(f.child, Var)
+            if isinstance(f, (And, Or)):
+                return all(negation_on_atoms_only(c) for c in f.children)
+            if isinstance(f, (Box, Dia)):
+                return negation_on_atoms_only(f.child)
+            return True
+
+        for _ in range(200):
+            f = rand_formula(rng, depth=3, size=12)
+            for g in (f, lnot(f), box(lnot(f)), lor(f, lnot(dia(f)))):
+                assert g.in_nnf == negation_on_atoms_only(g)
 
     def test_equivalence_random(self, rng):
         for _ in range(60):

@@ -6,13 +6,16 @@ from modaltpi.cli import main
 from modaltpi.errors import (
     FormulaSyntaxError, NonClausalQueryError, SchemaError,
 )
-from modaltpi.formula import TRUE, land, parse, var
+from modaltpi.formula import TRUE, box, land, lnot, nnf, parse, var
 from modaltpi.pi import compile_kb
 from modaltpi.qa import (
     KnowledgeBaseFile, answer_query, answer_query_direct, load_compilation,
     load_kb, save_compilation,
 )
-from modaltpi.semantics import System, entails_mod, evaluate
+from modaltpi.oracle import clause_vocabulary
+from modaltpi.semantics import System, entails_mod, evaluate, is_satisfiable
+
+from conftest import rand_instance
 
 
 X_GOLDEN = "(p1 | p2) & <>[]~p3 & []<>p2"
@@ -64,6 +67,16 @@ class TestAnswerQuery:
         with pytest.raises(NonClausalQueryError):
             answer_query(golden_k, parse("p1 & p2"))
 
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_empty_compilation_is_the_clause_true(self, system):
+        comp = compile_kb(TRUE, TRUE, system)
+        assert comp.omega() == ()
+        for text in ("p | ~p", "p", "<>p | []~p", "[](p | ~p)", "<>p"):
+            q = parse(text)
+            direct = answer_query_direct(TRUE, TRUE, q, system).answer
+            assert answer_query(comp, q).answer == direct, text
+            assert answer_query(comp, q, strict=True).answer == direct, text
+
 
 class TestAnswerQueryDirect:
     def test_trivial(self):
@@ -81,6 +94,21 @@ class TestAnswerQueryDirect:
         model, world = verdict.witness
         assert evaluate(model, world, parse(f"({X_GOLDEN}) & [](p1 | p2)"))
         assert not evaluate(model, world, parse("[]p1"))
+
+    def test_answers_match_built_conjunction(self, rng):
+        queries = list(clause_vocabulary(("a", "b")))[::7]
+        for _ in range(8):
+            x, y = rand_instance(rng, names=("a", "b"))
+            for system in (System.K, System.T):
+                for q in queries:
+                    verdict = answer_query_direct(x, y, q, system)
+                    built = land(x, box(y), nnf(lnot(q)))
+                    assert verdict.answer == (not is_satisfiable(built, system))
+                    if verdict.answer:
+                        assert verdict.witness is None
+                    else:
+                        model, world = verdict.witness
+                        assert evaluate(model, world, built)
 
 
 class TestKbFiles:
@@ -144,6 +172,28 @@ class TestPersistence:
         path.write_text('{"schema": 99}')
         with pytest.raises(SchemaError):
             load_compilation(str(path))
+
+    @pytest.mark.parametrize("change", [
+        "[1, 2]", '"text"', {"x": 5}, {"candidates": [1]}, {"theta": "p"},
+        {"system": 5}, {"system": "S5"}, {"stats": 3}, {"box_y": "[]("},
+    ])
+    def test_malformed_fields_exit_2(self, tmp_path, golden_t, capsys,
+                                     change):
+        path = tmp_path / "comp.json"
+        if isinstance(change, str):
+            path.write_text(change)
+        else:
+            save_compilation(golden_t, str(path))
+            path.write_text(json.dumps({**json.loads(path.read_text()),
+                                        **change}))
+        with pytest.raises(SchemaError if change != {"box_y": "[]("}
+                           else FormulaSyntaxError):
+            load_compilation(str(path))
+        assert main(["query", "--compilation", str(path),
+                     "--query", "p1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}")
+        assert "Traceback" not in err
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "comp.json"

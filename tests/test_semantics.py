@@ -2,7 +2,7 @@ import pytest
 
 from modaltpi.errors import BudgetExceededError
 from modaltpi.formula import (
-    FALSE, box, dia, land, lnot, lor, nnf, parse, var,
+    FALSE, TRUE, box, dia, land, lnot, lor, nnf, parse, var,
 )
 from modaltpi.semantics import (
     KripkeModel, System, entails, entails_mod, equivalent, equivalent_mod,
@@ -95,6 +95,42 @@ class TestFindModel:
                 if got is not None:
                     m, w = got
                     assert evaluate(m, w, nnf(f))
+
+
+class TestFormulaSets:
+    """An iterable of formulas reads as their conjunction."""
+
+    def test_agrees_with_built_conjunction(self, rng):
+        for _ in range(150):
+            fs = [rand_formula(rng, depth=2, size=6)
+                  for _ in range(rng.randrange(0, 4))]
+            fs += rng.sample([TRUE, FALSE, TRUE], rng.randrange(0, 2))
+            fs.append(lnot(rand_formula(rng, depth=2, size=5)))
+            rng.shuffle(fs)
+            for system in (System.K, System.T):
+                sat = is_satisfiable(fs, system)
+                assert sat == is_satisfiable(land(fs), system)
+                got = find_model(iter(fs), system)
+                assert (got is not None) == sat
+                if got is not None:
+                    m, w = got
+                    assert all(evaluate(m, w, f) for f in fs)
+
+    def test_constants(self):
+        assert is_satisfiable([], System.K)
+        assert is_satisfiable((TRUE, TRUE), System.T)
+        assert not is_satisfiable((var("p"), FALSE), System.K)
+        assert find_model((TRUE, FALSE), System.T) is None
+        m, w = find_model((), System.K)
+        assert evaluate(m, w, TRUE)
+
+    def test_entailment_unchanged(self, rng):
+        for _ in range(100):
+            p, t, c = (rand_formula(rng, depth=2, size=5) for _ in range(3))
+            for system in (System.K, System.T):
+                built = not is_satisfiable(land(land(p, t), nnf(lnot(c))),
+                                           system)
+                assert entails_mod(p, t, c, system) == built
 
 
 class TestEntailment:
