@@ -2,7 +2,8 @@
 
 Compiles a modal knowledge base X and a propositional theory Y entailed
 by it into the theory prime implicates of X modulo []Y, and answers
-clausal queries against the compilation.
+clausal queries against the compilation.  This namespace holds the API
+the README documents; the modules hold the rest.
 """
 
 from .errors import (
@@ -11,26 +12,15 @@ from .errors import (
     NotAClauseError, NotATermError, PreconditionError, SchemaError,
 )
 from .formula import (
-    Formula, TRUE, FALSE, parse, format_formula, nnf, classify,
-    ClauseParts, TermParts, decompose_clause, decompose_term,
-    variables, modal_depth, var, land, lor, lnot, box, dia,
+    Formula, TRUE, FALSE, parse, nnf, var, land, lor, lnot, box, dia,
 )
 from .semantics import (
     System, KripkeModel, evaluate, is_satisfiable, find_model,
-    entails, entails_mod, equivalent, equivalent_mod,
+    entails, entails_mod, equivalent, equivalent_mod, clear_cache,
 )
-from .normal_forms import Cnf, Dnf, to_cnf, to_dnf, nb_cl
-from .pi import (
-    CompilationResult, term_candidates, candidates, residue,
-    prime_implicates, theory_prime_implicates, compile_kb,
-    is_horn, default_theory,
-)
-from .oracle import (
-    OracleBounds, EnumerationOutcome, sufficient_bounds,
-    sat_by_enumeration, enumerate_implicates, check_decomposition,
-)
+from .pi import CompilationResult, compile_kb, prime_implicates
 from .qa import (
-    QueryVerdict, KnowledgeBaseFile, answer_query, answer_query_direct,
+    QueryVerdict, answer_query, answer_query_direct,
     load_kb, save_compilation, load_compilation,
 )
 

@@ -31,10 +31,6 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
-def _system(name: str) -> System:
-    return System.from_name(name)
-
-
 def _resolve_theory(args, kb, system):
     if getattr(args, "theory", None):
         tf = load_kb(args.theory)
@@ -48,7 +44,7 @@ def _resolve_theory(args, kb, system):
 
 def _cmd_compile(args) -> int:
     kb = load_kb(args.kb)
-    system = _system(args.system)
+    system = System.from_name(args.system)
     x = kb.kb_formula()
     y = _resolve_theory(args, kb, system)
     comp = compile_kb(x, y, system,
@@ -82,7 +78,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_pi(args) -> int:
     kb = load_kb(args.kb)
-    system = _system(args.system)
+    system = System.from_name(args.system)
     for clause in prime_implicates(kb.kb_formula(), system,
                                    max_clauses=args.max_terms,
                                    node_budget=args.node_budget):
@@ -92,7 +88,7 @@ def _cmd_pi(args) -> int:
 
 def _cmd_check(args) -> int:
     kb = load_kb(args.kb)
-    system = _system(args.system)
+    system = System.from_name(args.system)
     x = kb.kb_formula()
     y = _resolve_theory(args, kb, system)
     comp = compile_kb(x, y, system, node_budget=args.node_budget)
@@ -122,7 +118,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_oracle(args) -> int:
     f = parse(args.formula)
-    system = _system(args.system)
+    system = System.from_name(args.system)
     suff = sufficient_bounds(f)
     depth = args.max_depth if args.max_depth is not None else suff.max_depth
     branching = (args.max_branching if args.max_branching is not None

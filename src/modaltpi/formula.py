@@ -19,10 +19,10 @@ __all__ = [
     "Formula", "Var", "TrueF", "FalseF", "Not", "And", "Or", "Box", "Dia",
     "TRUE", "FALSE",
     "var", "land", "lor", "lnot", "box", "dia",
-    "parse", "format_formula", "nnf", "classify",
-    "ClauseParts", "TermParts", "decompose_clause", "decompose_term",
+    "parse", "nnf", "classify", "contradictory",
+    "Parts", "decompose_clause", "decompose_term",
     "variables", "modal_depth", "canonical_key", "sort_formulas",
-    "conjuncts",
+    "conjuncts", "MAX_NESTING",
 ]
 
 
@@ -216,18 +216,19 @@ def dia(f: Formula) -> Formula:
     return Dia(f)
 
 
-def format_formula(f: Formula) -> str:
-    """Canonical text; the inverse of `parse` up to canonicalization."""
-    return f.key
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 #
 # Grammar (ASCII):  atoms [a-zA-Z][a-zA-Z0-9_]*, `~` negation, `&`, `|`,
 # `->`, `<->`, `[]`, `<>`, `true`, `false`, parentheses.  Unary binds
-# tightest, then `&`, `|`, `->` (right associative), `<->`.
+# tightest, then `&`, `|`, `->` (right associative), `<->`.  Each `(` and
+# each unary operator opens one nesting level; text nested deeper than
+# MAX_NESTING levels is rejected, so that neither the parser nor the
+# recursive walks over the tree it builds run out of stack.
 # ---------------------------------------------------------------------------
+
+MAX_NESTING = 100
+_UNARY = {"~": lnot, "[]": box, "<>": dia}
 
 _TOKEN_CHARS = {"(": "(", ")": ")", "&": "&", "|": "|", "~": "~"}
 _ATOM_START = frozenset(string.ascii_letters)
@@ -304,6 +305,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.source = source
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -316,6 +318,11 @@ class _Parser:
     def fail(self, message, tok=None):
         tok = tok or self.peek()
         raise FormulaSyntaxError(message, tok.line, tok.col, self.source)
+
+    def nest(self, tok):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nested deeper than {MAX_NESTING} levels", tok)
 
     def parse(self) -> Formula:
         f = self.iff()
@@ -333,12 +340,14 @@ class _Parser:
         return left
 
     def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind == "->":
+        parts = [self.disj()]
+        while self.peek().kind == "->":
             self.take()
-            right = self.imp()
-            return lor(lnot(left), right)
-        return left
+            parts.append(self.disj())
+        f = parts.pop()
+        for left in reversed(parts):
+            f = lor(lnot(left), f)
+        return f
 
     def disj(self) -> Formula:
         parts = [self.conj()]
@@ -355,17 +364,13 @@ class _Parser:
         return land(parts) if len(parts) > 1 else parts[0]
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.take()
-            return lnot(self.unary())
-        if tok.kind == "[]":
-            self.take()
-            return box(self.unary())
-        if tok.kind == "<>":
-            self.take()
-            return dia(self.unary())
-        return self.atom()
+        op = _UNARY.get(self.peek().kind)
+        if op is None:
+            return self.atom()
+        self.nest(self.take())
+        f = op(self.unary())
+        self.depth -= 1
+        return f
 
     def atom(self) -> Formula:
         tok = self.take()
@@ -376,10 +381,12 @@ class _Parser:
         if tok.kind == "false":
             return FALSE
         if tok.kind == "(":
+            self.nest(tok)
             f = self.iff()
             close = self.take()
             if close.kind != ")":
                 self.fail("expected ')'", close)
+            self.depth -= 1
             return f
         if tok.kind == "end":
             self.fail("unexpected end of input", tok)
@@ -460,39 +467,29 @@ def classify(f: Formula) -> str:
     return "general"
 
 
-class ClauseParts:
-    """A clause split into propositional literals, <>-bodies and []-bodies."""
+def contradictory(literals) -> bool:
+    """Whether the literals include false or a complementary pair of
+    propositional literals."""
+    pos = {l.name for l in literals if isinstance(l, Var)}
+    neg = {l.child.name for l in literals if isinstance(l, Not)}
+    return bool(pos & neg) or FALSE in literals
 
-    __slots__ = ("prop", "dia", "box")
 
-    def __init__(self, prop, dia_bodies, box_bodies):
+class Parts:
+    """A clause (`join` is `lor`) or a term (`join` is `land`) split into
+    propositional literals, <>-bodies and []-bodies."""
+
+    __slots__ = ("join", "prop", "dia", "box")
+
+    def __init__(self, join, prop, dia_bodies, box_bodies):
+        self.join = join
         self.prop = frozenset(prop)
         self.dia = sort_formulas(dia_bodies)
         self.box = sort_formulas(box_bodies)
 
     def formula(self) -> Formula:
-        return lor(list(self.prop) + [dia(b) for b in self.dia]
-                   + [box(b) for b in self.box])
-
-
-class TermParts:
-    """A term split into propositional literals, <>-bodies and []-bodies."""
-
-    __slots__ = ("prop", "dia", "box")
-
-    def __init__(self, prop, dia_bodies, box_bodies):
-        self.prop = frozenset(prop)
-        self.dia = sort_formulas(dia_bodies)
-        self.box = sort_formulas(box_bodies)
-
-    def formula(self) -> Formula:
-        return land(list(self.prop) + [dia(b) for b in self.dia]
-                    + [box(b) for b in self.box])
-
-    def prop_consistent(self) -> bool:
-        names = {f.name for f in self.prop if isinstance(f, Var)}
-        negated = {f.child.name for f in self.prop if isinstance(f, Not)}
-        return not (names & negated) and FALSE not in self.prop
+        return self.join(list(self.prop) + [dia(b) for b in self.dia]
+                         + [box(b) for b in self.box])
 
 
 def _split(literals):
@@ -507,20 +504,20 @@ def _split(literals):
     return prop, dias, boxes
 
 
-def decompose_clause(c: Formula) -> ClauseParts:
+def decompose_clause(c: Formula) -> Parts:
     kind = classify(c)
     if kind not in ("literal", "clause"):
         raise NotAClauseError(f"not a clause: {c}")
     literals = c.children if isinstance(c, Or) else (c,)
-    return ClauseParts(*_split(literals))
+    return Parts(lor, *_split(literals))
 
 
-def decompose_term(t: Formula) -> TermParts:
+def decompose_term(t: Formula) -> Parts:
     kind = classify(t)
     if kind not in ("literal", "term"):
         raise NotATermError(f"not a term: {t}")
     literals = t.children if isinstance(t, And) else (t,)
-    return TermParts(*_split(literals))
+    return Parts(land, *_split(literals))
 
 
 def variables(f: Formula) -> frozenset:

@@ -1,7 +1,10 @@
-"""Outer-level CNF/DNF and the clause-count measure.
+"""Outer-level CNF/DNF and the distribution routine.
 
 Distribution happens only at the outermost boolean level; bodies under
-[] and <> are opaque literals here and are never rewritten.
+[] and <> are opaque literals here and are never rewritten.  `distribute`
+picks one member of each group in every way; the normal forms use it on
+the clauses or terms of subformulas, and `pi.candidates` on the
+candidates of the terms.
 """
 
 from __future__ import annotations
@@ -10,11 +13,11 @@ from dataclasses import dataclass
 
 from .errors import CapacityError
 from .formula import (
-    And, FalseF, Formula, Not, Or, TrueF, Var, TRUE, FALSE,
-    land, lor, nnf, sort_formulas,
+    And, Formula, Or, FALSE, TRUE, contradictory, land, lor, nnf,
+    sort_formulas,
 )
 
-__all__ = ["Cnf", "Dnf", "to_cnf", "to_dnf", "nb_cl", "DEFAULT_SIZE_CAP"]
+__all__ = ["Cnf", "Dnf", "to_cnf", "to_dnf", "distribute", "DEFAULT_SIZE_CAP"]
 
 DEFAULT_SIZE_CAP = 10_000
 
@@ -39,8 +42,9 @@ class Dnf:
         return lor(self.terms)
 
 
-def _cross(groups, combine, cap):
-    """Distribute: pick one member from each group and combine."""
+def distribute(groups, combine, cap) -> list:
+    """Pick one member from each group in every way and combine each pick;
+    raises CapacityError when more than `cap` picks are distinct."""
     acc = {frozenset()}
     for group in groups:
         nxt = set()
@@ -53,80 +57,41 @@ def _cross(groups, combine, cap):
     return [combine(parts) for parts in acc]
 
 
+# (outer node, inner node, unit of the outer node, combine for the inner)
+_CNF = (And, Or, TRUE, lor)
+_DNF = (Or, And, FALSE, land)
+
+
+def _outer(g: Formula, form, cap) -> set:
+    """The clauses (form `_CNF`) or terms (form `_DNF`) of an NNF formula."""
+    outer, inner, unit, combine = form
+    if g == unit:
+        out = set()
+    elif isinstance(g, outer):
+        out = set().union(*[_outer(c, form, cap) for c in g.children])
+    elif isinstance(g, inner):
+        out = set(distribute([_outer(c, form, cap) for c in g.children],
+                             combine, cap))
+    else:  # a literal, a modal literal or the other constant
+        out = {g}
+    if len(out) > cap:
+        raise CapacityError(f"size cap {cap} exceeded")
+    return out
+
+
 def to_cnf(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> Cnf:
     """Clausal form of the outer boolean level, preserving equivalence."""
-    g = nnf(f)
-    clauses = _cnf_clauses(g, max_clauses)
-    if len(clauses) > max_clauses:
-        raise CapacityError(f"size cap {max_clauses} exceeded")
-    return Cnf(sort_formulas(clauses))
-
-
-def _cnf_clauses(g: Formula, cap) -> set:
-    if isinstance(g, TrueF):
-        return set()
-    if isinstance(g, And):
-        out = set()
-        for c in g.children:
-            out |= _cnf_clauses(c, cap)
-            if len(out) > cap:
-                raise CapacityError(f"size cap {cap} exceeded")
-        return out
-    if isinstance(g, Or):
-        groups = [sorted(_cnf_clauses(c, cap), key=lambda x: x.key)
-                  or [FALSE] for c in g.children]
-        merged = _cross(groups, lambda parts: lor(
-            [d for p in parts for d in (p.children if isinstance(p, Or) else (p,))]
-        ), cap)
-        return set(merged)
-    # literal, modal literal, false: a unit clause
-    return {g}
+    return Cnf(sort_formulas(_outer(nnf(f), _CNF, max_clauses)))
 
 
 def to_dnf(f: Formula, max_terms: int = DEFAULT_SIZE_CAP) -> Dnf:
     """Term form of the outer boolean level; contradictory terms dropped.
 
-    A term is dropped when its propositional literals contain a
+    A term is dropped when its propositional literals contain false or a
     complementary pair (a cheap syntactic test; deeper pruning is the
     business of the minimization stage).
     """
-    g = nnf(f)
-    terms = _dnf_terms(g, max_terms)
-    kept = [t for t in terms if not _prop_contradictory(t)]
-    if len(kept) > max_terms:
-        raise CapacityError(f"size cap {max_terms} exceeded")
-    return Dnf(sort_formulas(kept))
-
-
-def _dnf_terms(g: Formula, cap) -> set:
-    if isinstance(g, FalseF):
-        return set()
-    if isinstance(g, Or):
-        out = set()
-        for c in g.children:
-            out |= _dnf_terms(c, cap)
-            if len(out) > cap:
-                raise CapacityError(f"size cap {cap} exceeded")
-        return out
-    if isinstance(g, And):
-        groups = [sorted(_dnf_terms(c, cap), key=lambda x: x.key)
-                  or [TRUE] for c in g.children]
-        merged = _cross(groups, lambda parts: land(
-            [d for p in parts for d in (p.children if isinstance(p, And) else (p,))]
-        ), cap)
-        return set(merged)
-    return {g}
-
-
-def _prop_contradictory(t: Formula) -> bool:
-    lits = t.children if isinstance(t, And) else (t,)
-    pos = {l.name for l in lits if isinstance(l, Var)}
-    neg = {l.child.name for l in lits if isinstance(l, Not)}
-    return bool(pos & neg) or any(isinstance(l, FalseF) for l in lits)
-
-
-def nb_cl(c) -> int:
-    """Number of clauses of a CNF (or length of any clause collection)."""
-    if isinstance(c, Cnf):
-        return len(c.clauses)
-    return len(tuple(c))
+    terms = _outer(nnf(f), _DNF, max_terms)
+    return Dnf(sort_formulas(
+        t for t in terms
+        if not contradictory(t.children if isinstance(t, And) else (t,))))

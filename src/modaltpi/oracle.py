@@ -20,7 +20,7 @@ from .formula import (
     And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var, FALSE,
     box, dia, lnot, lor, land, nnf, modal_depth, sort_formulas, var, variables,
 )
-from .semantics import KripkeModel, System, entails_mod, evaluate
+from .semantics import KripkeModel, System, entails_mod, evaluate, tree_model
 
 __all__ = [
     "OracleBounds", "EnumerationOutcome", "sufficient_bounds",
@@ -209,7 +209,7 @@ def sat_by_enumeration(f: Formula, system: System, bounds: OracleBounds,
             raise BudgetExceededError("oracle enumeration budget exhausted")
 
     def found(vec, tree):
-        model, root = _tree_to_model(tree, reflexive)
+        model, root = tree_model(tree, system)
         if not evaluate(model, root, g):
             raise AssertionError("oracle witness failed evaluation")
         return EnumerationOutcome(True, True, model, root)
@@ -243,26 +243,6 @@ def sat_by_enumeration(f: Formula, system: System, bounds: OracleBounds,
         if not new_types:
             break  # fixpoint: deeper trees add no new root types
     return EnumerationOutcome(False, definitive, None, None)
-
-
-def _tree_to_model(tree: _Tree, reflexive: bool):
-    worlds = []
-    relation = set()
-    valuation = {}
-
-    def build(node):
-        wid = len(worlds)
-        worlds.append(wid)
-        valuation[wid] = frozenset(node.atoms)
-        for child in node.children:
-            relation.add((wid, build(child)))
-        return wid
-
-    root = build(tree)
-    model = KripkeModel(tuple(worlds), frozenset(relation), valuation)
-    if reflexive:
-        model = model.reflexive_closure()
-    return model, root
 
 
 # ---------------------------------------------------------------------------

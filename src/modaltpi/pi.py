@@ -11,20 +11,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import CapacityError, InconsistentTermError, PreconditionError
+from .errors import InconsistentTermError, PreconditionError
 from .formula import (
     Formula, Or, TrueF, Var, FALSE, TRUE,
-    TermParts, box, decompose_term, dia, land, lor, modal_depth, nnf,
+    box, contradictory, decompose_term, dia, land, lor, modal_depth, nnf,
     sort_formulas,
 )
-from .normal_forms import DEFAULT_SIZE_CAP, to_cnf, to_dnf
+from .normal_forms import DEFAULT_SIZE_CAP, distribute, to_cnf, to_dnf
 from .semantics import (
     DEFAULT_NODE_BUDGET, System, entails, entails_mod, equivalent_mod,
 )
 
 __all__ = [
     "CompilationResult", "term_candidates", "candidates", "residue",
-    "prime_implicates", "theory_prime_implicates", "compile_kb",
+    "prime_implicates", "compile_kb",
     "is_horn", "default_theory",
 ]
 
@@ -51,17 +51,17 @@ class CompilationResult:
         return sort_formulas(set(self.theta) | extra)
 
 
-def term_candidates(parts, system: System = System.T) -> tuple:
-    """Candidate implicate clauses of a single term.
+def term_candidates(parts) -> tuple:
+    """Candidate implicate clauses of a single term, given as a formula or
+    as its `Parts`.
 
     Propositional literals pass through; each <>-body is bundled with the
     conjunction of all []-bodies under <>; the []-bodies are bundled under
-    a single [].  The system parameter is accepted for interface symmetry;
-    the construction itself is syntactic.
+    a single [].  The construction is syntactic, the same in K and T.
     """
     if isinstance(parts, Formula):
         parts = decompose_term(parts)
-    if not parts.prop_consistent():
+    if contradictory(parts.prop):
         raise InconsistentTermError(f"term {parts.formula()} is contradictory")
     out = list(parts.prop)
     boxed = land(parts.box)
@@ -72,8 +72,7 @@ def term_candidates(parts, system: System = System.T) -> tuple:
     return sort_formulas(set(out))
 
 
-def candidates(f: Formula, system: System = System.T,
-               max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
+def candidates(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
     """Candidate implicates of a formula: distribute per-term candidates.
 
     Returns (false,) when the formula has no satisfiable terms at the
@@ -85,17 +84,8 @@ def candidates(f: Formula, system: System = System.T,
         return (FALSE,)
     if len(terms) == 1 and isinstance(terms[0], TrueF):
         return ()
-    per_term = [term_candidates(t, system) for t in terms]
-    acc = {frozenset()}
-    for cands in per_term:
-        nxt = set()
-        for chosen in acc:
-            for c in cands:
-                nxt.add(chosen | {c})
-                if len(nxt) > max_clauses:
-                    raise CapacityError(f"size cap {max_clauses} exceeded")
-        acc = nxt
-    return sort_formulas({lor(s) for s in acc})
+    per_term = [term_candidates(t) for t in terms]
+    return sort_formulas(set(distribute(per_term, lor, max_clauses)))
 
 
 def _disjuncts(c: Formula) -> frozenset:
@@ -155,7 +145,7 @@ def prime_implicates(x: Formula, system: System = System.T,
                      max_clauses: int = DEFAULT_SIZE_CAP,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> tuple:
     """Entailment-minimal implicates of x (theory-free minimization)."""
-    return residue(candidates(x, system, max_clauses), TRUE, system, node_budget)
+    return residue(candidates(x, max_clauses), TRUE, system, node_budget)
 
 
 def is_horn(y: Formula) -> bool:
@@ -178,11 +168,11 @@ def default_theory(x: Formula, system: System = System.T) -> Formula:
     return y
 
 
-def theory_prime_implicates(x: Formula, y: Formula,
-                            system: System = System.T,
-                            max_clauses: int = DEFAULT_SIZE_CAP,
-                            node_budget: int = DEFAULT_NODE_BUDGET) -> CompilationResult:
-    """Compile x against the boxed propositional theory y.
+def compile_kb(x: Formula, y: Formula, system: System = System.T,
+               max_clauses: int = DEFAULT_SIZE_CAP,
+               node_budget: int = DEFAULT_NODE_BUDGET) -> CompilationResult:
+    """Compile x against the boxed propositional theory y: the theory
+    prime implicates of x, ready for queries together with []y.
 
     Requires y propositional and x |= y; candidates are computed for
     x & []y and minimized modulo []y.
@@ -193,7 +183,7 @@ def theory_prime_implicates(x: Formula, y: Formula,
         raise PreconditionError("knowledge base does not entail the theory")
     started = time.perf_counter()
     by = box(y)
-    cands = candidates(land(x, by), system, max_clauses)
+    cands = candidates(land(x, by), max_clauses)
     theta, calls = _minimize(cands, by, system, node_budget)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return CompilationResult(
@@ -208,9 +198,3 @@ def theory_prime_implicates(x: Formula, y: Formula,
         },
     )
 
-
-def compile_kb(x: Formula, y: Formula, system: System = System.T,
-               max_clauses: int = DEFAULT_SIZE_CAP,
-               node_budget: int = DEFAULT_NODE_BUDGET) -> CompilationResult:
-    """The query-ready compilation: theory prime implicates plus []y."""
-    return theory_prime_implicates(x, y, system, max_clauses, node_budget)

@@ -22,7 +22,7 @@ __all__ = [
     "System", "KripkeModel", "evaluate",
     "is_satisfiable", "find_model",
     "entails", "entails_mod", "equivalent", "equivalent_mod",
-    "DEFAULT_NODE_BUDGET", "clear_cache",
+    "DEFAULT_NODE_BUDGET", "clear_cache", "tree_model",
 ]
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -118,9 +118,6 @@ class _Witness:
     def __init__(self, atoms, children):
         self.atoms = atoms
         self.children = children
-
-    def world_count(self):
-        return 1 + sum(c.world_count() for c in self.children)
 
 
 # cache: (formula keys of a world, system) -> _Witness | None
@@ -219,7 +216,11 @@ def _solve(formulas, system: System, budget: _Budget):
     return result
 
 
-def _witness_to_model(w: _Witness, system: System):
+def tree_model(tree, system: System):
+    """(model, root) for a witness tree: a node with `atoms` (its true
+    variables) and `children` (its successor subtrees).  Worlds are
+    numbered in preorder from the root 0; under T every world also sees
+    itself."""
     worlds = []
     relation = set()
     valuation = {}
@@ -229,11 +230,10 @@ def _witness_to_model(w: _Witness, system: System):
         worlds.append(wid)
         valuation[wid] = frozenset(node.atoms)
         for child in node.children:
-            cid = build(child)
-            relation.add((wid, cid))
+            relation.add((wid, build(child)))
         return wid
 
-    root = build(w)
+    root = build(tree)
     model = KripkeModel(tuple(worlds), frozenset(relation), valuation)
     if system is System.T:
         model = model.reflexive_closure()
@@ -269,7 +269,7 @@ def find_model(f, system: System,
     witness = _solve(start, system, _Budget(node_budget))
     if witness is None:
         return None
-    return _witness_to_model(witness, system)
+    return tree_model(witness, system)
 
 
 def entails(premise: Formula, conclusion: Formula, system: System,

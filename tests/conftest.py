@@ -4,10 +4,22 @@ import random
 
 import pytest
 
-from modaltpi.formula import TRUE, box, dia, land, lnot, lor, var
+from modaltpi.formula import MAX_NESTING, TRUE, box, dia, land, lnot, lor, var
 
 
 NAMES = ("a", "b", "c")
+
+# formula text nested exactly as deep as the parser allows
+AT_NESTING_LIMIT = (
+    "(" * MAX_NESTING + "p" + ")" * MAX_NESTING,
+    "~" * MAX_NESTING + "p",
+    "~[]" * (MAX_NESTING // 2) + "p",
+    "[]<>" * (MAX_NESTING // 2) + "p",
+    "<>" * (MAX_NESTING % 3)
+    + "~(p | <>" * (MAX_NESTING // 3) + "q" + ")" * (MAX_NESTING // 3),
+)
+# formula text far past it
+TOO_DEEP = ("(" * 500 + "p" + ")" * 500, "~" * 5000 + "p")
 
 
 def rand_literal(rng, names=NAMES):

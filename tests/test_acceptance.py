@@ -16,12 +16,11 @@ from modaltpi.errors import CapacityError
 from modaltpi.formula import (
     TRUE, box, dia, land, lnot, lor, nnf, parse, var, variables,
 )
-from modaltpi.normal_forms import nb_cl
 from modaltpi.oracle import (
     check_decomposition, clause_vocabulary, sat_by_enumeration,
     sufficient_bounds,
 )
-from modaltpi.pi import prime_implicates, theory_prime_implicates
+from modaltpi.pi import compile_kb, prime_implicates
 from modaltpi.qa import answer_query, answer_query_direct, load_compilation
 from modaltpi.semantics import (
     System, clear_cache, entails, entails_mod, equivalent, equivalent_mod,
@@ -71,7 +70,7 @@ def compiled_pool():
     pool = []
     for x, y in _instances(2024, 220):
         try:
-            pool.append(theory_prime_implicates(x, y, System.T))
+            pool.append(compile_kb(x, y, System.T))
         except CapacityError:
             continue
         if len(pool) == 200:
@@ -102,8 +101,7 @@ def test_criterion_1_golden_example(tmp_path, report):
                                land(parse(s) for s in PAPER_THETA),
                                by, System.T)
 
-    comp_k = theory_prime_implicates(parse(X_GOLDEN), parse(Y_GOLDEN),
-                                     System.K)
+    comp_k = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.K)
     k_exact = set(comp_k.theta) == {parse(s) for s in PAPER_THETA}
 
     ok = candidates_ok and set_equiv and k_exact and elapsed < 10.0
@@ -123,8 +121,7 @@ def test_criterion_1_golden_example(tmp_path, report):
            "clause modulo the boxed theory, so the minimal set under T "
            "drops it; the published three-clause set is the K result")
 def test_criterion_1_golden_theta_member_wise_in_t(report):
-    comp = theory_prime_implicates(parse(X_GOLDEN), parse(Y_GOLDEN),
-                                   System.T)
+    comp = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.T)
     paper = [parse(s) for s in PAPER_THETA]
     by = comp.box_y
     member_wise = (
@@ -143,8 +140,7 @@ def test_criterion_1_golden_theta_member_wise_in_t(report):
 # -------------------------------------------------------------------------
 
 def test_criterion_2_compilation_equivalence(compiled_pool, report):
-    golden = theory_prime_implicates(parse(X_GOLDEN), parse(Y_GOLDEN),
-                                     System.T)
+    golden = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.T)
     failures = 0
     for comp in [golden] + compiled_pool:
         theta = land(comp.theta)
@@ -168,8 +164,7 @@ def test_criterion_2_compilation_equivalence(compiled_pool, report):
            "the unqualified equality needs the global reading of "
            "consequence")
 def test_criterion_2_plain_omega_equality(report):
-    comp = theory_prime_implicates(parse(X_GOLDEN), parse(Y_GOLDEN),
-                                   System.T)
+    comp = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.T)
     omega = land(list(comp.theta) + [comp.box_y])
     ok = equivalent(parse(X_GOLDEN), omega, System.T)
     report(f"ACCEPTANCE 2 (plain omega == X): "
@@ -197,10 +192,8 @@ def _qa_agreement(comp, system):
 
 def test_criterion_3_qa_agreement(compiled_pool, report):
     total = mismatches = 0
-    golden_t = theory_prime_implicates(parse(X_GOLDEN), parse(Y_GOLDEN),
-                                       System.T)
-    golden_k = theory_prime_implicates(parse(X_GOLDEN), parse(Y_GOLDEN),
-                                       System.K)
+    golden_t = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.T)
+    golden_k = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.K)
     t, m = _qa_agreement(golden_t, System.T)
     total, mismatches = total + t, mismatches + m
     t, m = _qa_agreement(golden_k, System.K)
@@ -208,7 +201,7 @@ def test_criterion_3_qa_agreement(compiled_pool, report):
 
     instances = 2
     for x, y in _instances(77, 40):
-        comp = theory_prime_implicates(x, y, System.K)
+        comp = compile_kb(x, y, System.K)
         t, m = _qa_agreement(comp, System.K)
         total, mismatches = total + t, mismatches + m
         instances += 1
@@ -227,7 +220,7 @@ def test_criterion_3_qa_agreement(compiled_pool, report):
            "a & [](~a | c) entails c but no single compiled clause does")
 def test_criterion_3_qa_agreement_t_crosstalk(report):
     x = parse("a & [](~a | c)")
-    comp = theory_prime_implicates(x, TRUE, System.T)
+    comp = compile_kb(x, TRUE, System.T)
     compiled = answer_query(comp, var("c")).answer
     direct = answer_query_direct(x, TRUE, var("c"), System.T).answer
     ok = compiled == direct
@@ -242,12 +235,11 @@ def test_criterion_3_qa_agreement_t_crosstalk(report):
 # -------------------------------------------------------------------------
 
 def test_criterion_4_size_vs_plain_prime_implicates(compiled_pool, report):
-    golden = theory_prime_implicates(parse(X_GOLDEN), parse(Y_GOLDEN),
-                                     System.T)
+    golden = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.T)
     violations = 0
     for comp in [golden] + compiled_pool:
         plain = prime_implicates(land(comp.x, comp.box_y), System.T)
-        if nb_cl(comp.theta) > nb_cl(plain):
+        if len(comp.theta) > len(plain):
             violations += 1
     ok = violations == 0
     report(f"ACCEPTANCE 4 (theta no larger than plain prime implicates): "
@@ -261,19 +253,19 @@ def test_criterion_4_weakening_counterexample_is_genuine(report):
     # compilation: the plain prime implicates number three while the
     # theory compilation keeps two
     x = parse(X_GOLDEN)
-    with_theory = theory_prime_implicates(x, parse(Y_GOLDEN), System.T)
-    weakened = theory_prime_implicates(x, TRUE, System.T)
-    assert nb_cl(weakened.theta) == 3
-    assert nb_cl(with_theory.theta) == 2
+    with_theory = compile_kb(x, parse(Y_GOLDEN), System.T)
+    weakened = compile_kb(x, TRUE, System.T)
+    assert len(weakened.theta) == 3
+    assert len(with_theory.theta) == 2
 
     # same phenomenon in K, including the failing member claim: the mixed
     # clause below is prime under the weaker theory yet matches nothing in
     # the compilation under the stronger one
     xk = parse("c & ~b & (a | b) & (<>c | [](~a | ~b))")
     y, y2 = parse("c & (a | b)"), parse("a | b")
-    strong = theory_prime_implicates(xk, y, System.K)
-    weak = theory_prime_implicates(xk, y2, System.K)
-    assert nb_cl(weak.theta) == 4 and nb_cl(strong.theta) == 3
+    strong = compile_kb(xk, y, System.K)
+    weak = compile_kb(xk, y2, System.K)
+    assert len(weak.theta) == 4 and len(strong.theta) == 3
     orphan = parse("<>(c & (a | b)) | []((a | b) & (~a | ~b))")
     assert orphan in set(weak.theta)
     assert not any(equivalent_mod(orphan, p, box(y2), System.K)
@@ -299,12 +291,12 @@ def test_criterion_4_weakening_chains(report):
             continue
         tested += 1
         try:
-            strong = theory_prime_implicates(x, y, System.T)
-            weak = theory_prime_implicates(x, y2, System.T)
+            strong = compile_kb(x, y, System.T)
+            weak = compile_kb(x, y2, System.T)
         except CapacityError:
             tested -= 1
             continue
-        if nb_cl(weak.theta) > nb_cl(strong.theta):
+        if len(weak.theta) > len(strong.theta):
             violations += 1
     ok = violations == 0
     report(f"ACCEPTANCE 4 (weakening chains in T): "
@@ -437,7 +429,7 @@ def test_criterion_7_empty_theory_degeneration(report):
         if not is_satisfiable(x, System.T):
             continue
         checked += 1
-        comp = theory_prime_implicates(x, TRUE, System.T)
+        comp = compile_kb(x, TRUE, System.T)
         plain = prime_implicates(x, System.T)
         pairs_ok = (
             all(any(equivalent(t, p, System.T) for p in plain)
@@ -457,8 +449,7 @@ def test_criterion_7_empty_theory_degeneration(report):
 # -------------------------------------------------------------------------
 
 def test_criterion_8_query_latency_report(report):
-    comp = theory_prime_implicates(parse(X_GOLDEN), parse(Y_GOLDEN),
-                                   System.T)
+    comp = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.T)
     vocab = clause_vocabulary(["p1", "p2", "p3"])
 
     clear_cache()

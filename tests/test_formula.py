@@ -2,13 +2,15 @@ import pytest
 
 from modaltpi.errors import FormulaSyntaxError, NotAClauseError, NotATermError
 from modaltpi.formula import (
-    And, Box, Dia, Not, Or, Var, TRUE, FALSE,
-    box, dia, classify, decompose_clause, decompose_term, format_formula,
+    MAX_NESTING, And, Box, Dia, Not, Or, Var, TRUE, FALSE,
+    box, dia, classify, decompose_clause, decompose_term,
     land, lnot, lor, modal_depth, nnf, parse, var, variables,
 )
-from modaltpi.semantics import System, equivalent
+from modaltpi.semantics import (
+    System, equivalent, evaluate, find_model, is_satisfiable,
+)
 
-from conftest import rand_formula
+from conftest import AT_NESTING_LIMIT, TOO_DEEP, rand_formula
 
 
 class TestParse:
@@ -64,22 +66,45 @@ class TestParse:
         assert err.value.column == 2
         assert parse("a_1 | Zz9") == lor(var("a_1"), var("Zz9"))
 
+    def test_nesting_limit(self):
+        over = MAX_NESTING + 1
+        for text in TOO_DEEP + ("~[]" * 500 + "p", "[]" * over + "p",
+                                "(" * over + "p" + ")" * over):
+            with pytest.raises(FormulaSyntaxError, match="nested deeper"):
+                parse(text)
+
+    def test_at_nesting_limit(self):
+        for text in AT_NESTING_LIMIT:
+            f = parse(text)
+            g = nnf(f)
+            assert variables(g) <= {"p", "q"}
+            assert is_satisfiable(g, System.T) == is_satisfiable(f, System.T)
+            # K models of these stay small; T models unfold shared witnesses
+            found = find_model(f, System.K)
+            assert is_satisfiable(g, System.K) == (found is not None)
+            if found is not None:
+                assert evaluate(found[0], found[1], f)
+
+    def test_long_implication_chain(self):
+        # `->` folds without recursion, so chain length has no limit
+        assert parse("p -> " * 5000 + "q") == lor(lnot(var("p")), var("q"))
+
 
 class TestPrint:
     def test_modal_chain(self):
-        assert format_formula(dia(box(lnot(var("p3"))))) == "<>[]~p3"
+        assert str(dia(box(lnot(var("p3"))))) == "<>[]~p3"
 
     def test_disjunction_parenthesized(self):
-        assert format_formula(lor(var("p1"), var("p2"))) == "(p1 | p2)"
+        assert str(lor(var("p1"), var("p2"))) == "(p1 | p2)"
 
     def test_boxed_conjunction(self):
         f = box(land(dia(var("p2")), lor(var("p1"), var("p2"))))
-        assert format_formula(f) == "[](<>p2 & (p1 | p2))"
+        assert str(f) == "[](<>p2 & (p1 | p2))"
 
     def test_roundtrip_random(self, rng):
         for _ in range(300):
             f = rand_formula(rng, depth=3, size=14)
-            assert parse(format_formula(f)) == f
+            assert parse(str(f)) == f
 
 
 class TestCanonicalization:

@@ -2,7 +2,7 @@ import pytest
 
 from modaltpi.errors import CapacityError
 from modaltpi.formula import classify, land, lor, nnf, parse
-from modaltpi.normal_forms import Cnf, Dnf, nb_cl, to_cnf, to_dnf
+from modaltpi.normal_forms import Cnf, Dnf, to_cnf, to_dnf
 from modaltpi.semantics import System, entails, equivalent
 
 from conftest import rand_formula
@@ -22,7 +22,7 @@ class TestToCnf:
 
     def test_golden_four_clauses_untouched(self):
         cnf = to_cnf(parse(GOLDEN))
-        assert nb_cl(cnf) == 4
+        assert len(cnf.clauses) == 4
         assert set(cnf.clauses) == {
             parse("p1 | p2"), parse("<>[]~p3"), parse("[]<>p2"),
             parse("[](p1 | p2)"),
@@ -80,13 +80,13 @@ class TestToDnf:
 
 class TestNbCl:
     def test_two_clauses(self):
-        assert nb_cl(to_cnf(parse("(p | q) & (p | r)"))) == 2
+        assert len(to_cnf(parse("(p | q) & (p | r)")).clauses) == 2
 
     def test_golden_theta_size(self):
         theta = [parse("p1 | p2"), parse("[](<>p2 & (p1 | p2))"),
                  parse("<>([]~p3 & <>p2 & (p1 | p2))")]
-        assert nb_cl(theta) == 3
+        assert len(theta) == 3
 
     def test_empty_cnf_is_zero(self):
-        assert nb_cl(to_cnf(parse("true"))) == 0
-        assert nb_cl(Cnf(())) == 0
+        assert len(to_cnf(parse("true")).clauses) == 0
+        assert len(Cnf(()).clauses) == 0

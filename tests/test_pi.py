@@ -9,7 +9,7 @@ from modaltpi.formula import (
 from modaltpi.oracle import enumerate_implicates
 from modaltpi.pi import (
     candidates, compile_kb, default_theory, is_horn, prime_implicates,
-    residue, term_candidates, theory_prime_implicates,
+    residue, term_candidates,
 )
 from modaltpi.semantics import (
     System, entails, entails_mod, equivalent, equivalent_mod,
@@ -159,16 +159,14 @@ class TestPrimeImplicates:
 
 class TestTheoryPrimeImplicates:
     def test_golden_in_k_reproduces_example(self):
-        comp = theory_prime_implicates(parse(X_GOLDEN), parse(Y_GOLDEN),
-                                       System.K)
+        comp = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.K)
         assert set(comp.theta) == {parse(s) for s in PAPER_THETA}
         assert set(comp.theta) <= set(comp.candidates)
         assert comp.stats["nb_cl_candidates"] == 8
         assert comp.stats["nb_cl_theta"] == 3
 
     def test_golden_in_t(self):
-        comp = theory_prime_implicates(parse(X_GOLDEN), parse(Y_GOLDEN),
-                                       System.T)
+        comp = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.T)
         assert set(comp.theta) == {parse("[](<>p2 & (p1 | p2))"),
                                    parse("<>([]~p3 & <>p2 & (p1 | p2))")}
         # still the same knowledge modulo the boxed theory
@@ -178,23 +176,23 @@ class TestTheoryPrimeImplicates:
 
     def test_empty_theory_degenerates_to_prime_implicates(self):
         x = parse(X_GOLDEN)
-        comp = theory_prime_implicates(x, TRUE, System.T)
+        comp = compile_kb(x, TRUE, System.T)
         assert set(comp.theta) == set(prime_implicates(x, System.T))
         assert comp.box_y is TRUE
 
     def test_reflexive_theory_absorbs_its_own_clauses(self):
-        comp = theory_prime_implicates(parse("p & q"), var("p"), System.T)
+        comp = compile_kb(parse("p & q"), var("p"), System.T)
         assert comp.theta == (var("q"),)
         assert equivalent_mod(parse("p & q"), land(comp.theta),
                               comp.box_y, System.T)
 
     def test_requires_entailed_theory(self):
         with pytest.raises(PreconditionError):
-            theory_prime_implicates(var("p"), var("q"), System.T)
+            compile_kb(var("p"), var("q"), System.T)
 
     def test_requires_propositional_theory(self):
         with pytest.raises(PreconditionError):
-            theory_prime_implicates(parse("[]p"), parse("[]p"), System.T)
+            compile_kb(parse("[]p"), parse("[]p"), System.T)
 
     def test_theta_stable_under_equivalent_reformulation(self):
         # same knowledge, different syntax: add an entailed clause to x and
@@ -206,8 +204,8 @@ class TestTheoryPrimeImplicates:
         for system in (System.K, System.T):
             assert equivalent(x, x2, system)
             assert equivalent(y, y2, system)
-            a = theory_prime_implicates(x, y, system)
-            b = theory_prime_implicates(x2, y2, system)
+            a = compile_kb(x, y, system)
+            b = compile_kb(x2, y2, system)
             by = a.box_y
             assert all(any(equivalent_mod(t, p, by, system) for p in b.theta)
                        for t in a.theta)
@@ -217,7 +215,7 @@ class TestTheoryPrimeImplicates:
     def test_modally_inconsistent_base_compiles_to_bottom(self):
         x = parse("p & <>a & []~a")
         assert not is_satisfiable(x, System.K)
-        comp = theory_prime_implicates(x, TRUE, System.K)
+        comp = compile_kb(x, TRUE, System.K)
         assert len(comp.theta) == 1
         assert not is_satisfiable(land(comp.theta[0], TRUE), System.K)
         assert equivalent_mod(x, land(comp.theta), TRUE, System.K)
@@ -226,7 +224,7 @@ class TestTheoryPrimeImplicates:
         for _ in range(10):
             x, y = rand_instance(rng)
             try:
-                comp = theory_prime_implicates(x, y, System.T)
+                comp = compile_kb(x, y, System.T)
             except CapacityError:
                 continue
             assert set(comp.theta) <= set(comp.candidates)

@@ -15,7 +15,7 @@ from modaltpi.qa import (
 from modaltpi.oracle import clause_vocabulary
 from modaltpi.semantics import System, entails_mod, evaluate, is_satisfiable
 
-from conftest import rand_instance
+from conftest import AT_NESTING_LIMIT, TOO_DEEP, rand_instance
 
 
 X_GOLDEN = "(p1 | p2) & <>[]~p3 & []<>p2"
@@ -253,6 +253,23 @@ class TestCli:
         assert main(["oracle", "--formula", "<>p", "--system", "K"]) == 0
         assert capsys.readouterr().out.startswith("sat")
         assert main(["oracle", "--formula", "p & ~p", "--system", "K"]) == 1
+
+    def test_deep_nesting_exit_2(self, golden_kb, tmp_path, capsys):
+        out = str(tmp_path / "comp.json")
+        assert main(["compile", "--kb", golden_kb, "--out", out]) == 0
+        capsys.readouterr()
+        for text in TOO_DEEP:
+            assert main(["oracle", "--formula", text]) == 2
+            assert "nested deeper than" in capsys.readouterr().err
+            assert main(["query", "--compilation", out, "--query", text]) == 2
+            assert "nested deeper than" in capsys.readouterr().err
+
+    def test_oracle_at_nesting_limit(self, capsys):
+        for text in AT_NESTING_LIMIT:
+            for system in ("K", "T"):
+                sat = is_satisfiable(parse(text), System.from_name(system))
+                assert main(["oracle", "--formula", text,
+                             "--system", system]) == (0 if sat else 1)
 
     def test_auto_theory(self, tmp_path, capsys):
         kb = tmp_path / "kb.txt"
