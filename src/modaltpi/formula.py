@@ -22,7 +22,7 @@ __all__ = [
     "parse", "nnf", "classify", "contradictory",
     "Parts", "decompose_clause", "decompose_term",
     "variables", "modal_depth", "canonical_key", "sort_formulas",
-    "conjuncts", "MAX_NESTING",
+    "conjuncts", "MAX_NESTING", "MAX_EXPANSION",
 ]
 
 
@@ -224,10 +224,13 @@ def dia(f: Formula) -> Formula:
 # tightest, then `&`, `|`, `->` (right associative), `<->`.  Each `(` and
 # each unary operator opens one nesting level; text nested deeper than
 # MAX_NESTING levels is rejected, so that neither the parser nor the
-# recursive walks over the tree it builds run out of stack.
+# recursive walks over the tree it builds run out of stack.  `a <-> b`
+# becomes `(~a | b) & (~b | a)`, which doubles its operands; an expansion
+# that prints longer than MAX_EXPANSION characters is rejected too.
 # ---------------------------------------------------------------------------
 
 MAX_NESTING = 100
+MAX_EXPANSION = 100_000
 _UNARY = {"~": lnot, "[]": box, "<>": dia}
 
 _TOKEN_CHARS = {"(": "(", ")": ")", "&": "&", "|": "|", "~": "~"}
@@ -334,9 +337,12 @@ class _Parser:
     def iff(self) -> Formula:
         left = self.imp()
         while self.peek().kind == "<->":
-            self.take()
+            tok = self.take()
             right = self.imp()
             left = land(lor(lnot(left), right), lor(lnot(right), left))
+            if len(left.key) > MAX_EXPANSION:
+                self.fail(f"'<->' expands past {MAX_EXPANSION} characters",
+                          tok)
         return left
 
     def imp(self) -> Formula:

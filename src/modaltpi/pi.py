@@ -2,8 +2,9 @@
 
 The pipeline: put the knowledge base (conjoined with the boxed theory)
 into outer-level DNF, generate per-term candidate clauses, distribute one
-candidate per term into disjunctions, then minimize modulo the theory by
-collapsing equivalence classes and deleting entailed clauses.
+candidate per term into disjunctions, then minimize modulo the theory in
+one pass over the clauses in canonical order, keeping the first clause of
+each equivalence class unless another clause strictly entails it.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from .formula import (
 )
 from .normal_forms import DEFAULT_SIZE_CAP, distribute, to_cnf, to_dnf
 from .semantics import (
-    DEFAULT_NODE_BUDGET, System, entails, entails_mod, equivalent_mod,
+    DEFAULT_NODE_BUDGET, System, entails, entails_mod,
+    equivalent_mod,  # not called here; bench/layers.py wraps it by name
 )
 
 __all__ = [
-    "CompilationResult", "term_candidates", "candidates", "residue",
+    "CompilationResult", "term_candidates", "candidates",
     "prime_implicates", "compile_kb",
     "is_horn", "default_theory",
 ]
@@ -42,13 +44,15 @@ class CompilationResult:
     horn_advisory: bool
     stats: dict
 
-    def omega(self) -> tuple:
-        """The compiled clause set: theta together with the boxed theory.
-
-        A trivial (true) theory contributes no clause.
-        """
+    def __post_init__(self):
         extra = set() if isinstance(self.box_y, TrueF) else {self.box_y}
-        return sort_formulas(set(self.theta) | extra)
+        object.__setattr__(self, "_omega",
+                           sort_formulas(set(self.theta) | extra))
+
+    def omega(self) -> tuple:
+        """The compiled clause set: theta together with the boxed theory,
+        built once.  A trivial (true) theory contributes no clause."""
+        return self._omega
 
 
 def term_candidates(parts) -> tuple:
@@ -96,56 +100,39 @@ def _disjuncts(c: Formula) -> frozenset:
 
 def _minimize(clauses, theory: Formula, system: System,
               node_budget: int = DEFAULT_NODE_BUDGET):
-    """Collapse equivalence classes modulo the theory, delete entailed
-    clauses; returns (surviving clauses, number of tableau entailment
-    checks run)."""
-    calls = 0
-    cs = sort_formulas(set(clauses))
+    """The strongest clauses modulo the theory, one per equivalence class;
+    returns (surviving clauses, number of tableau entailment checks run).
 
+    One pass in canonical order: a clause that some survivor entails is
+    dropped (it is equivalent to an earlier clause, or weaker); otherwise
+    it removes every survivor it entails, each now strictly entailed, and
+    joins them.  Each ordered pair is checked at most once."""
+    calls = 0
+
+    def implies(a, b):
+        nonlocal calls
+        calls += 1
+        return entails_mod(a, theory, b, system, node_budget)
+
+    cs = sort_formulas(set(clauses))
     # cheap sweep first: a clause whose disjuncts strictly contain another
     # clause's is entailed by it outright
     dsets = {c.key: _disjuncts(c) for c in cs}
-    cs = [c for c in cs
-          if not any(o.key != c.key and dsets[o.key] < dsets[c.key] for o in cs)]
-
-    reps = []  # class representatives, canonical order keeps the shortest
-    for c in cs:
-        merged = False
-        for r in reps:
-            calls += 2
-            if equivalent_mod(c, r, theory, system, node_budget):
-                merged = True
-                break
-        if not merged:
-            reps.append(c)
-
     kept = []
-    for c in reps:
-        dominated = False
-        for o in reps:
-            if o.key == c.key:
-                continue
-            calls += 1
-            if entails_mod(o, theory, c, system, node_budget):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(c)
-    return sort_formulas(kept), calls
-
-
-def residue(clauses, theory: Formula, system: System,
-            node_budget: int = DEFAULT_NODE_BUDGET) -> tuple:
-    """Pairwise incomparable survivors of the clause set modulo the theory."""
-    kept, _ = _minimize(clauses, theory, system, node_budget)
-    return kept
+    for c in cs:
+        if any(dsets[o.key] < dsets[c.key] for o in cs):
+            continue
+        if not any(implies(s, c) for s in kept):
+            kept = [s for s in kept if not implies(c, s)] + [c]
+    return tuple(kept), calls
 
 
 def prime_implicates(x: Formula, system: System = System.T,
                      max_clauses: int = DEFAULT_SIZE_CAP,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> tuple:
     """Entailment-minimal implicates of x (theory-free minimization)."""
-    return residue(candidates(x, max_clauses), TRUE, system, node_budget)
+    return _minimize(candidates(x, max_clauses), TRUE, system,
+                     node_budget)[0]
 
 
 def is_horn(y: Formula) -> bool:

@@ -218,23 +218,25 @@ def _solve(formulas, system: System, budget: _Budget):
 
 def tree_model(tree, system: System):
     """(model, root) for a witness tree: a node with `atoms` (its true
-    variables) and `children` (its successor subtrees).  Worlds are
-    numbered in preorder from the root 0; under T every world also sees
-    itself."""
-    worlds = []
+    variables) and `children` (its successor subtrees).  A node shared by
+    several parents, as the tableau's cached subwitnesses are, is one
+    world.  Worlds are numbered in preorder from the root 0; under T every
+    world also sees itself."""
+    built = {}  # id(node) -> world
     relation = set()
     valuation = {}
 
     def build(node):
-        wid = len(worlds)
-        worlds.append(wid)
-        valuation[wid] = frozenset(node.atoms)
-        for child in node.children:
-            relation.add((wid, build(child)))
-        return wid
+        if id(node) not in built:
+            wid = built[id(node)] = len(built)
+            valuation[wid] = frozenset(node.atoms)
+            for child in node.children:
+                relation.add((wid, build(child)))
+        return built[id(node)]
 
     root = build(tree)
-    model = KripkeModel(tuple(worlds), frozenset(relation), valuation)
+    model = KripkeModel(tuple(range(len(built))), frozenset(relation),
+                        valuation)
     if system is System.T:
         model = model.reflexive_closure()
     return model, root

@@ -20,6 +20,8 @@ AT_NESTING_LIMIT = (
 )
 # formula text far past it
 TOO_DEEP = ("(" * 500 + "p" + ")" * 500, "~" * 5000 + "p")
+# a chain of `<->` whose expansion is far too long to build
+IFF_CHAIN = " <-> ".join(f"a{i}" for i in range(25))
 
 
 def rand_literal(rng, names=NAMES):

@@ -1,8 +1,10 @@
+import time
+
 import pytest
 
 from modaltpi.errors import FormulaSyntaxError, NotAClauseError, NotATermError
 from modaltpi.formula import (
-    MAX_NESTING, And, Box, Dia, Not, Or, Var, TRUE, FALSE,
+    MAX_EXPANSION, MAX_NESTING, And, Box, Dia, Not, Or, Var, TRUE, FALSE,
     box, dia, classify, decompose_clause, decompose_term,
     land, lnot, lor, modal_depth, nnf, parse, var, variables,
 )
@@ -10,7 +12,7 @@ from modaltpi.semantics import (
     System, equivalent, evaluate, find_model, is_satisfiable,
 )
 
-from conftest import AT_NESTING_LIMIT, TOO_DEEP, rand_formula
+from conftest import AT_NESTING_LIMIT, IFF_CHAIN, TOO_DEEP, rand_formula
 
 
 class TestParse:
@@ -79,11 +81,23 @@ class TestParse:
             g = nnf(f)
             assert variables(g) <= {"p", "q"}
             assert is_satisfiable(g, System.T) == is_satisfiable(f, System.T)
-            # K models of these stay small; T models unfold shared witnesses
+            # `evaluate` on the T model of `~[]` * 50 + `p`, reflexive at
+            # every world, takes time exponential in its modal depth
             found = find_model(f, System.K)
             assert is_satisfiable(g, System.K) == (found is not None)
             if found is not None:
                 assert evaluate(found[0], found[1], f)
+
+    def test_iff_expansion_limit(self):
+        # each `<->` doubles what it joins; a chain of 25 atoms would
+        # expand past memory
+        started = time.perf_counter()
+        with pytest.raises(FormulaSyntaxError, match="expands past"):
+            parse(IFF_CHAIN)
+        assert time.perf_counter() - started < 1.0
+        f = parse(" <-> ".join(f"a{i}" for i in range(8)))
+        assert len(str(f)) <= MAX_EXPANSION
+        assert variables(f) == {f"a{i}" for i in range(8)}
 
     def test_long_implication_chain(self):
         # `->` folds without recursion, so chain length has no limit

@@ -1,15 +1,18 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import modaltpi.pi as pi_module
 from modaltpi.errors import (
     CapacityError, InconsistentTermError, PreconditionError,
 )
 from modaltpi.formula import (
-    FALSE, TRUE, box, decompose_term, dia, land, lnot, lor, parse, var,
+    FALSE, TRUE, box, decompose_term, dia, land, lnot, lor, modal_depth,
+    parse, sort_formulas, var,
 )
-from modaltpi.oracle import enumerate_implicates
+from modaltpi.oracle import clause_vocabulary, enumerate_implicates
 from modaltpi.pi import (
-    candidates, compile_kb, default_theory, is_horn, prime_implicates,
-    residue, term_candidates,
+    _minimize, candidates, compile_kb, default_theory, is_horn,
+    prime_implicates, term_candidates,
 )
 from modaltpi.semantics import (
     System, entails, entails_mod, equivalent, equivalent_mod,
@@ -41,6 +44,9 @@ PAPER_THETA = [
     "[](<>p2 & (p1 | p2))",
     "<>([]~p3 & <>p2 & (p1 | p2))",
 ]
+
+VOCABULARY = clause_vocabulary(("a", "b"))
+PROP_CLAUSES = [c for c in VOCABULARY if modal_depth(c) == 0]
 
 
 class TestTermCandidates:
@@ -110,19 +116,19 @@ class TestCandidates:
 
 class TestResidue:
     def test_subsumption(self):
-        got = residue([var("p"), parse("p | q")], TRUE, System.K)
+        got = _minimize([var("p"), parse("p | q")], TRUE, System.K)[0]
         assert got == (var("p"),)
 
     def test_golden_minimization_reproduces_example_in_k(self):
         cands = [parse(s) for s in PAPER_CANDIDATES]
-        got = residue(cands, parse("[](p1 | p2)"), System.K)
+        got = _minimize(cands, parse("[](p1 | p2)"), System.K)[0]
         assert set(got) == {parse(s) for s in PAPER_THETA}
 
     def test_reflexivity_also_removes_theory_entailed_clause(self):
         # in T the boxed theory forces its body at the root, so the
         # propositional clause is strictly entailed and drops out
         cands = [parse(s) for s in PAPER_CANDIDATES]
-        got = residue(cands, parse("[](p1 | p2)"), System.T)
+        got = _minimize(cands, parse("[](p1 | p2)"), System.T)[0]
         assert set(got) == {parse("[](<>p2 & (p1 | p2))"),
                             parse("<>([]~p3 & <>p2 & (p1 | p2))")}
 
@@ -130,17 +136,55 @@ class TestResidue:
         a = parse("p | q")
         b = parse("q | p")
         assert a == b
-        assert residue([a, b], TRUE, System.K) == (a,)
+        assert _minimize([a, b], TRUE, System.K)[0] == (a,)
 
     def test_result_pairwise_incomparable(self, rng):
         for _ in range(10):
             x, y = rand_instance(rng)
             by = box(y)
-            theta = residue(candidates(land(x, by)), by, System.T)
+            theta = _minimize(candidates(land(x, by)), by, System.T)[0]
             for s in theta:
                 for t in theta:
                     if s.key != t.key:
                         assert not entails_mod(s, by, t, System.T)
+
+    @settings(max_examples=300, deadline=None)
+    @given(clauses=st.lists(st.sampled_from(VOCABULARY), max_size=7),
+           theory=st.one_of(
+               st.just(TRUE),
+               st.lists(st.sampled_from(PROP_CLAUSES), min_size=1,
+                        max_size=2).map(lambda cs: box(land(cs)))),
+           system=st.sampled_from(list(System)))
+    def test_matches_entailment_matrix(self, clauses, theory, system):
+        # keep c unless some other clause entails it and either c does not
+        # entail it back or it comes first in canonical order
+        cs = sort_formulas(set(clauses))
+        implies = [[entails_mod(a, theory, b, system) for b in cs] for a in cs]
+        want = tuple(
+            c for j, c in enumerate(cs)
+            if not any(implies[i][j] and (not implies[j][i] or i < j)
+                       for i in range(len(cs)) if i != j))
+        assert _minimize(clauses, theory, system)[0] == want
+
+    def test_counts_the_checks_it_runs(self, monkeypatch, rng):
+        real = pi_module.entails_mod
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pi_module, "entails_mod", counted)
+        instances = [(parse(X_GOLDEN), parse(Y_GOLDEN))]
+        instances += [rand_instance(rng) for _ in range(5)]
+        for x, y in instances:
+            for system in (System.K, System.T):
+                runs.clear()
+                try:
+                    comp = compile_kb(x, y, system)
+                except CapacityError:
+                    continue
+                assert comp.stats["entailment_calls"] == len(runs)
 
 
 class TestPrimeImplicates:
@@ -237,6 +281,10 @@ class TestCompileKb:
         comp = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.K)
         omega = set(comp.omega())
         assert omega == {parse(s) for s in PAPER_THETA} | {parse("[](p1 | p2)")}
+
+    def test_omega_built_once(self):
+        comp = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.T)
+        assert comp.omega() is comp.omega()
 
     def test_trivial_theory(self):
         comp = compile_kb(var("p"), TRUE, System.T)

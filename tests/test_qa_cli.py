@@ -15,7 +15,7 @@ from modaltpi.qa import (
 from modaltpi.oracle import clause_vocabulary
 from modaltpi.semantics import System, entails_mod, evaluate, is_satisfiable
 
-from conftest import AT_NESTING_LIMIT, TOO_DEEP, rand_instance
+from conftest import AT_NESTING_LIMIT, IFF_CHAIN, TOO_DEEP, rand_instance
 
 
 X_GOLDEN = "(p1 | p2) & <>[]~p3 & []<>p2"
@@ -263,6 +263,10 @@ class TestCli:
             assert "nested deeper than" in capsys.readouterr().err
             assert main(["query", "--compilation", out, "--query", text]) == 2
             assert "nested deeper than" in capsys.readouterr().err
+
+    def test_iff_chain_exit_2(self, capsys):
+        assert main(["oracle", "--formula", IFF_CHAIN]) == 2
+        assert "expands past" in capsys.readouterr().err
 
     def test_oracle_at_nesting_limit(self, capsys):
         for text in AT_NESTING_LIMIT:

@@ -87,6 +87,15 @@ class TestFindModel:
         assert evaluate(m, w, f)
         assert all((u, u) in m.relation for u in m.worlds)
 
+    def test_shared_witness_is_one_world(self):
+        # the tableau shares the witness of each `<>~` level between the
+        # branches above it; unfolded into a tree it has 2 ** (n / 2) nodes
+        m, _ = find_model(parse("~[]" * 30 + "p"), System.T)
+        assert len(m.worlds) <= 31
+        f = parse("~[]" * 12 + "p")
+        m, w = find_model(f, System.T)
+        assert evaluate(m, w, f)
+
     def test_witnesses_evaluate_random(self, rng):
         for _ in range(150):
             f = rand_formula(rng, depth=2, size=10)
