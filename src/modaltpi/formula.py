@@ -225,8 +225,9 @@ def dia(f: Formula) -> Formula:
 # each unary operator opens one nesting level; text nested deeper than
 # MAX_NESTING levels is rejected, so that neither the parser nor the
 # recursive walks over the tree it builds run out of stack.  `a <-> b`
-# becomes `(~a | b) & (~b | a)`, which doubles its operands; an expansion
-# that prints longer than MAX_EXPANSION characters is rejected too.
+# becomes `(~a | b) & (~b | a)`, which doubles its operands; text whose
+# expansions print more than MAX_EXPANSION characters in all is rejected
+# too.
 # ---------------------------------------------------------------------------
 
 MAX_NESTING = 100
@@ -309,6 +310,7 @@ class _Parser:
         self.pos = 0
         self.source = source
         self.depth = 0
+        self.expanded = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -340,7 +342,8 @@ class _Parser:
             tok = self.take()
             right = self.imp()
             left = land(lor(lnot(left), right), lor(lnot(right), left))
-            if len(left.key) > MAX_EXPANSION:
+            self.expanded += len(left.key)
+            if self.expanded > MAX_EXPANSION:
                 self.fail(f"'<->' expands past {MAX_EXPANSION} characters",
                           tok)
         return left
@@ -429,8 +432,13 @@ def nnf(f: Formula) -> Formula:
         return box(nnf(f.child))
     if isinstance(f, Dia):
         return dia(nnf(f.child))
-    # Not of anything but a variable
-    g = f.child
+    return _negated(f.child)  # Not of anything but a variable
+
+
+def _negated(g: Formula) -> Formula:
+    """nnf(~g), pushed down without building the negated nodes."""
+    if isinstance(g, Var):
+        return Not(g)
     if isinstance(g, TrueF):
         return FALSE
     if isinstance(g, FalseF):
@@ -438,14 +446,14 @@ def nnf(f: Formula) -> Formula:
     if isinstance(g, Not):
         return nnf(g.child)
     if isinstance(g, And):
-        return lor(nnf(lnot(c)) for c in g.children)
+        return lor(_negated(c) for c in g.children)
     if isinstance(g, Or):
-        return land(nnf(lnot(c)) for c in g.children)
+        return land(_negated(c) for c in g.children)
     if isinstance(g, Box):
-        return dia(nnf(lnot(g.child)))
+        return dia(_negated(g.child))
     if isinstance(g, Dia):
-        return box(nnf(lnot(g.child)))
-    raise TypeError(f"unknown node {f!r}")
+        return box(_negated(g.child))
+    raise TypeError(f"unknown node {g!r}")
 
 
 def is_literal(f: Formula) -> bool:

@@ -10,7 +10,10 @@ from .formula import (
     Formula, TRUE, box, classify, land, lnot, nnf, parse, sort_formulas,
 )
 from .pi import CompilationResult
-from .semantics import DEFAULT_NODE_BUDGET, System, entails_mod, find_model
+from .semantics import (
+    DEFAULT_NODE_BUDGET, System, clause_test, find_model,
+    entails_mod,  # not called here; bench/layers.py wraps it by name
+)
 
 __all__ = [
     "QueryVerdict", "KnowledgeBaseFile", "answer_query",
@@ -38,15 +41,17 @@ def answer_query(comp: CompilationResult, q: Formula, strict: bool = False,
 
     Default reading: true iff some compiled clause entails the query
     modulo the boxed theory.  `strict` switches to requiring every
-    compiled clause to entail it, kept for comparison.
+    compiled clause to entail it, kept for comparison.  The entailment
+    test is `semantics.clause_test`, prepared once per query.
     """
     if classify(nnf(q)) not in ("literal", "clause"):
         raise NonClausalQueryError(f"not a clausal query: {q}")
+    entails = clause_test(q, comp.y, comp.system, node_budget)
     # an empty omega compiles the knowledge base true; read it as the one
     # clause true so that neither reading answers vacuously
     pool = comp.omega() or (TRUE,)
     for pi in pool:
-        if entails_mod(pi, comp.box_y, q, comp.system, node_budget):
+        if entails(pi):
             if not strict:
                 return QueryVerdict(q, True, pi, "compiled")
         elif strict:
@@ -163,13 +168,18 @@ def load_compilation(path: str) -> CompilationResult:
         system = System.from_name(field("system", str))
     except ValueError as err:
         raise SchemaError(f"{path}: {err}") from None
+    y, box_y = formula(field("y"), "y"), formula(field("box_y"), "box_y")
+    # queries read the theory from y, so box_y must be the same theory
+    if box_y != box(y):
+        raise SchemaError(f"{path}: field 'box_y' holds {box_y.key!r}, "
+                          f"expected {box(y).key!r}")
     return CompilationResult(
         x=formula(field("x"), "x"),
-        y=formula(field("y"), "y"),
+        y=y,
         system=system,
         candidates=clauses("candidates"),
         theta=clauses("theta"),
-        box_y=formula(field("box_y"), "box_y"),
+        box_y=box_y,
         horn_advisory=bool(field("horn_advisory")),
         stats=dict(field("stats", dict)),
     )

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError
 from .formula import (
-    And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var,
-    conjuncts, lnot, nnf, sort_formulas,
+    And, Box, Dia, FALSE, FalseF, Formula, Not, Or, TrueF, Var,
+    box, conjuncts, contradictory, decompose_clause, is_literal, lnot, nnf,
+    sort_formulas,
 )
 
 __all__ = [
     "System", "KripkeModel", "evaluate",
     "is_satisfiable", "find_model",
-    "entails", "entails_mod", "equivalent", "equivalent_mod",
+    "entails", "entails_mod", "equivalent", "equivalent_mod", "clause_test",
     "DEFAULT_NODE_BUDGET", "clear_cache", "tree_model",
 ]
 
@@ -72,26 +73,46 @@ class KripkeModel:
 
 
 def evaluate(model: KripkeModel, world, f: Formula) -> bool:
-    """Truth of f at a world, by structural recursion on the six cases."""
+    """Truth of f at a world, by structural recursion on the six cases.
+
+    Each (world, subformula) pair is evaluated once per call, so the time
+    is bounded by subformulas times (worlds + edges), even where many
+    paths of the relation reach the same world."""
     if world not in model.valuation and world not in model.worlds:
         raise ValueError(f"unknown world {world!r}")
-    if isinstance(f, Var):
-        return f.name in model.valuation.get(world, ())
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, Not):
-        return not evaluate(model, world, f.child)
-    if isinstance(f, And):
-        return all(evaluate(model, world, c) for c in f.children)
-    if isinstance(f, Or):
-        return any(evaluate(model, world, c) for c in f.children)
-    if isinstance(f, Box):
-        return all(evaluate(model, w2, f.child) for w2 in model.successors(world))
-    if isinstance(f, Dia):
-        return any(evaluate(model, w2, f.child) for w2 in model.successors(world))
-    raise TypeError(f"unknown node {f!r}")
+    successors = {}
+    for a, b in model.relation:
+        successors.setdefault(a, []).append(b)
+    valuation = model.valuation
+    memo = {}
+
+    def ev(w, g):
+        k = (w, g.key)
+        v = memo.get(k)
+        if v is not None:
+            return v
+        if isinstance(g, Var):
+            v = g.name in valuation.get(w, ())
+        elif isinstance(g, TrueF):
+            v = True
+        elif isinstance(g, FalseF):
+            v = False
+        elif isinstance(g, Not):
+            v = not ev(w, g.child)
+        elif isinstance(g, And):
+            v = all(ev(w, c) for c in g.children)
+        elif isinstance(g, Or):
+            v = any(ev(w, c) for c in g.children)
+        elif isinstance(g, Box):
+            v = all(ev(w2, g.child) for w2 in successors.get(w, ()))
+        elif isinstance(g, Dia):
+            v = any(ev(w2, g.child) for w2 in successors.get(w, ()))
+        else:
+            raise TypeError(f"unknown node {g!r}")
+        memo[k] = v
+        return v
+
+    return ev(world, f)
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +317,57 @@ def equivalent_mod(f: Formula, g: Formula, theory: Formula, system: System,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     return (entails_mod(f, theory, g, system, node_budget)
             and entails_mod(g, theory, f, system, node_budget))
+
+
+def clause_test(q: Formula, y: Formula, system: System,
+                node_budget: int = DEFAULT_NODE_BUDGET):
+    """Predicate `pi -> pi & []y |= q` for a clausal query q, prepared
+    once for testing many clauses pi against it.
+
+    In T each clause takes one tableau call.  In K a clause entails q iff
+    each of its literals does (Bienvenu, JAIR 36, 2009), and each literal
+    is decided one modal level down, on bodies; with P, <>chi and []zeta
+    the parts of q and ~chi the conjunction of the negated chi:
+    - q is valid modulo []y iff P holds a complementary pair or some
+      y & ~chi & ~zeta is unsatisfiable, and then every clause entails it;
+    - otherwise false and the disjuncts of q entail it, <>phi does iff
+      phi & y & ~chi is unsatisfiable, []psi does iff psi & y & ~chi &
+      ~zeta is for some zeta, and no other literal (true included) does.
+    A literal's verdict is kept for the later clauses.
+    """
+    if system is System.T:
+        by, not_q = box(y), nnf(lnot(q))
+        return lambda pi: not is_satisfiable((pi, by, not_q), system,
+                                             node_budget)
+    q = nnf(q)
+    parts = decompose_clause(q)
+    body = (nnf(y),) + tuple(nnf(lnot(c)) for c in parts.dia)
+    not_zetas = [nnf(lnot(z)) for z in parts.box]
+
+    def unsat(*fs):
+        return not is_satisfiable(body + fs, system, node_budget)
+
+    if contradictory(parts.prop) or any(unsat(z) for z in not_zetas):
+        return lambda pi: True
+    known = {l.key: True for l in _disjuncts(q) + (FALSE,)}
+
+    def literal(l):
+        v = known.get(l.key)
+        if v is None:
+            if isinstance(l, Dia):
+                v = unsat(l.child)
+            elif isinstance(l, Box):
+                v = any(unsat(l.child, z) for z in not_zetas)
+            elif is_literal(l) or isinstance(l, TrueF):
+                v = False
+            else:  # not a literal, so pi is not a clause
+                v = not is_satisfiable((l, box(y), lnot(q)), system,
+                                       node_budget)
+            known[l.key] = v
+        return v
+
+    return lambda pi: all(literal(l) for l in _disjuncts(nnf(pi)))
+
+
+def _disjuncts(c: Formula) -> tuple:
+    return c.children if isinstance(c, Or) else (c,)

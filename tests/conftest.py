@@ -22,6 +22,11 @@ AT_NESTING_LIMIT = (
 TOO_DEEP = ("(" * 500 + "p" + ")" * 500, "~" * 5000 + "p")
 # a chain of `<->` whose expansion is far too long to build
 IFF_CHAIN = " <-> ".join(f"a{i}" for i in range(25))
+# 100 conjoined 12-atom chains with distinct atoms, 12,077 characters
+# whose expansions would print about 6.5 million
+IFF_CHAINS = " & ".join(
+    "(" + " <-> ".join(f"a{c}_{i}" for i in range(12)) + ")"
+    for c in range(100))
 
 
 def rand_literal(rng, names=NAMES):

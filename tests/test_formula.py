@@ -12,7 +12,9 @@ from modaltpi.semantics import (
     System, equivalent, evaluate, find_model, is_satisfiable,
 )
 
-from conftest import AT_NESTING_LIMIT, IFF_CHAIN, TOO_DEEP, rand_formula
+from conftest import (
+    AT_NESTING_LIMIT, IFF_CHAIN, IFF_CHAINS, TOO_DEEP, rand_formula,
+)
 
 
 class TestParse:
@@ -90,11 +92,13 @@ class TestParse:
 
     def test_iff_expansion_limit(self):
         # each `<->` doubles what it joins; a chain of 25 atoms would
-        # expand past memory
-        started = time.perf_counter()
-        with pytest.raises(FormulaSyntaxError, match="expands past"):
-            parse(IFF_CHAIN)
-        assert time.perf_counter() - started < 1.0
+        # expand past memory, and the limit holds for the sum of all
+        # expansions, so enough shorter chains are rejected too
+        for text in (IFF_CHAIN, IFF_CHAINS):
+            started = time.perf_counter()
+            with pytest.raises(FormulaSyntaxError, match="expands past"):
+                parse(text)
+            assert time.perf_counter() - started < 1.0
         f = parse(" <-> ".join(f"a{i}" for i in range(8)))
         assert len(str(f)) <= MAX_EXPANSION
         assert variables(f) == {f"a{i}" for i in range(8)}

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import random
 
 import pytest
 
@@ -6,7 +8,7 @@ from modaltpi.cli import main
 from modaltpi.errors import (
     FormulaSyntaxError, NonClausalQueryError, SchemaError,
 )
-from modaltpi.formula import TRUE, box, land, lnot, nnf, parse, var
+from modaltpi.formula import FALSE, TRUE, box, land, lnot, nnf, parse, var
 from modaltpi.pi import compile_kb
 from modaltpi.qa import (
     KnowledgeBaseFile, answer_query, answer_query_direct, load_compilation,
@@ -15,7 +17,9 @@ from modaltpi.qa import (
 from modaltpi.oracle import clause_vocabulary
 from modaltpi.semantics import System, entails_mod, evaluate, is_satisfiable
 
-from conftest import AT_NESTING_LIMIT, IFF_CHAIN, TOO_DEEP, rand_instance
+from conftest import (
+    AT_NESTING_LIMIT, IFF_CHAIN, IFF_CHAINS, TOO_DEEP, rand_instance,
+)
 
 
 X_GOLDEN = "(p1 | p2) & <>[]~p3 & []<>p2"
@@ -76,6 +80,48 @@ class TestAnswerQuery:
             direct = answer_query_direct(TRUE, TRUE, q, system).answer
             assert answer_query(comp, q).answer == direct, text
             assert answer_query(comp, q, strict=True).answer == direct, text
+
+
+class TestClauseTest:
+    """Compiled answers equal one tableau entailment check per clause."""
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_matches_per_clause_entailment(self, system):
+        rng = random.Random(5)
+        names = ("a", "b")
+        kbs = [rand_instance(rng, names=names) for _ in range(6)]
+        kbs += [(x, TRUE) for x, _ in kbs[:2]]
+        # the KB true (omega empty), the KB false, and a theory modulo
+        # which queries such as []a are valid
+        kbs += [(TRUE, TRUE), (FALSE, TRUE), (FALSE, var("a")),
+                (parse("a & <>b"), var("a"))]
+        for x, y in kbs:
+            comp = compile_kb(x, y, system)
+            pool = comp.omega() or (TRUE,)
+            for clause in clause_vocabulary(names):
+                for q in (clause, lnot(nnf(lnot(clause)))):
+                    holds = [entails_mod(pi, comp.box_y, q, system)
+                             for pi in pool]
+                    found = answer_query(comp, q)
+                    assert found.answer == any(holds), (x, y, q)
+                    assert found.witness == (pool[holds.index(True)]
+                                             if any(holds) else None)
+                    strict = answer_query(comp, q, strict=True)
+                    assert strict.answer == all(holds), (x, y, q)
+                    assert strict.witness == (pool[0] if all(holds) else None)
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_non_clause_in_theta(self, system):
+        # a compilation file may hold any formula in theta; a disjunct that
+        # is no literal takes a tableau call of its own
+        comp = dataclasses.replace(
+            compile_kb(parse("a & <>b"), var("a"), system),
+            theta=(parse("(a & <>b) | []c"), parse("<>(b & c) | (a & []~b)")))
+        for q in clause_vocabulary(("a", "b", "c"))[::5]:
+            holds = [entails_mod(pi, comp.box_y, q, system)
+                     for pi in comp.omega()]
+            assert answer_query(comp, q).answer == any(holds), q
+            assert answer_query(comp, q, strict=True).answer == all(holds), q
 
 
 class TestAnswerQueryDirect:
@@ -176,6 +222,7 @@ class TestPersistence:
     @pytest.mark.parametrize("change", [
         "[1, 2]", '"text"', {"x": 5}, {"candidates": [1]}, {"theta": "p"},
         {"system": 5}, {"system": "S5"}, {"stats": 3}, {"box_y": "[]("},
+        {"box_y": "[]p3"},
     ])
     def test_malformed_fields_exit_2(self, tmp_path, golden_t, capsys,
                                      change):
@@ -228,6 +275,14 @@ class TestCli:
         assert main(["query", "--compilation", out, "--query", "p1 | p2",
                      "--strict-paper-qa"]) == 1
 
+    def test_clausal_query_outside_nnf(self, golden_kb, tmp_path, capsys):
+        out = str(tmp_path / "comp.json")
+        main(["compile", "--kb", golden_kb, "--system", "T", "--out", out])
+        capsys.readouterr()
+        assert main(["query", "--compilation", out,
+                     "--query", "~[]p3"]) in (0, 1)
+        assert "answering directly" not in capsys.readouterr().err
+
     def test_non_clausal_query_routed_directly(self, golden_kb, tmp_path,
                                                capsys):
         out = str(tmp_path / "comp.json")
@@ -265,8 +320,9 @@ class TestCli:
             assert "nested deeper than" in capsys.readouterr().err
 
     def test_iff_chain_exit_2(self, capsys):
-        assert main(["oracle", "--formula", IFF_CHAIN]) == 2
-        assert "expands past" in capsys.readouterr().err
+        for text in (IFF_CHAIN, IFF_CHAINS):
+            assert main(["oracle", "--formula", text]) == 2
+            assert "expands past" in capsys.readouterr().err
 
     def test_oracle_at_nesting_limit(self, capsys):
         for text in AT_NESTING_LIMIT:

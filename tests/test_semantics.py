@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from modaltpi.errors import BudgetExceededError
@@ -95,6 +97,16 @@ class TestFindModel:
         f = parse("~[]" * 12 + "p")
         m, w = find_model(f, System.T)
         assert evaluate(m, w, f)
+
+    def test_evaluate_visits_each_world_once_per_subformula(self):
+        # every world of a T model sees itself, so a walk that re-evaluates
+        # subformulas takes time exponential in the modal depth
+        f = parse("~[]" * 30 + "p")
+        m, w = find_model(f, System.T)
+        started = time.perf_counter()
+        assert evaluate(m, w, f)
+        assert not evaluate(m, w, parse("[]" * 30 + "p"))
+        assert time.perf_counter() - started < 1.0
 
     def test_witnesses_evaluate_random(self, rng):
         for _ in range(150):
