@@ -6,9 +6,11 @@ class ModalTpiError(Exception):
 
 
 class FormulaSyntaxError(ModalTpiError):
-    """Raised on malformed formula text; carries 1-based line/column."""
+    """Raised on malformed formula text; carries the bare message and its
+    1-based line/column."""
 
     def __init__(self, message, line=1, column=1, source=None):
+        self.message = message
         self.line = line
         self.column = column
         self.source = source

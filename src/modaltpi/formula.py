@@ -11,7 +11,7 @@ equal, so formulas can be used in sets, dicts and sorted containers.
 
 from __future__ import annotations
 
-import string
+import re
 
 from .errors import FormulaSyntaxError, NotAClauseError, NotATermError
 
@@ -22,7 +22,7 @@ __all__ = [
     "parse", "nnf", "classify", "contradictory",
     "Parts", "decompose_clause", "decompose_term",
     "variables", "modal_depth", "canonical_key", "sort_formulas",
-    "conjuncts", "MAX_NESTING", "MAX_EXPANSION",
+    "conjuncts", "disjuncts", "MAX_NESTING", "MAX_EXPANSION",
 ]
 
 
@@ -161,6 +161,11 @@ def conjuncts(items):
     return sort_formulas(seen.values())
 
 
+def disjuncts(c: Formula) -> tuple:
+    """The disjuncts of c: its children if it is a disjunction, else c."""
+    return c.children if isinstance(c, Or) else (c,)
+
+
 def land(*items) -> Formula:
     """Conjunction; accepts formulas or a single iterable of formulas."""
     if len(items) == 1 and not isinstance(items[0], Formula):
@@ -234,124 +239,67 @@ MAX_NESTING = 100
 MAX_EXPANSION = 100_000
 _UNARY = {"~": lnot, "[]": box, "<>": dia}
 
-_TOKEN_CHARS = {"(": "(", ")": ")", "&": "&", "|": "|", "~": "~"}
-_ATOM_START = frozenset(string.ascii_letters)
-_ATOM_CHARS = frozenset(string.ascii_letters + string.digits + "_")
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str, source=None):
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _ATOM_START:
-            j = i + 1
-            while j < n and text[j] in _ATOM_CHARS:
-                j += 1
-            word = text[i:j]
-            kind = word if word in ("true", "false") else "atom"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("<->", i):
-            tokens.append(_Token("<->", "<->", line, col))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("[]", i):
-            tokens.append(_Token("[]", "[]", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("<>", i):
-            tokens.append(_Token("<>", "<>", line, col))
-            i += 2
-            col += 2
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", line, col, source)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+# One token per match: a token of the grammar in group 1, or else the
+# first character that starts none, in group 2.  `\S` rather than `.`, so
+# that trailing whitespace is no match at all rather than a bad character.
+_TOKEN = re.compile(
+    r"\s*(?:(<->|->|\[\]|<>|[()&|~]|[a-zA-Z][a-zA-Z0-9_]*)|(\S))")
 
 
 class _Parser:
-    def __init__(self, tokens, source=None):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the token strings of the text, ending with
+    "".  Token positions are worked out only for the error raised."""
+
+    def __init__(self, text, source=None):
+        self.text = text
         self.source = source
+        self.pos = 0
         self.depth = 0
         self.expanded = 0
+        found = _TOKEN.findall(text)
+        self.tokens = [tok for tok, _ in found]
+        if "" in self.tokens:
+            at = self.tokens.index("")
+            self.fail(f"unexpected character {found[at][1]!r}", at)
+        self.tokens.append("")
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def fail(self, message, at):
+        """Raise at the start of token `at` (the end of the text for the
+        end marker), with lines counted at newlines."""
+        starts = [m.start(m.lastindex) for m in _TOKEN.finditer(self.text)]
+        offset = starts[at] if at < len(starts) else len(self.text)
+        line = self.text.count("\n", 0, offset) + 1
+        column = offset - self.text.rfind("\n", 0, offset)
+        raise FormulaSyntaxError(message, line, column, self.source)
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise FormulaSyntaxError(message, tok.line, tok.col, self.source)
-
-    def nest(self, tok):
+    def nest(self, at):
         self.depth += 1
         if self.depth > MAX_NESTING:
-            self.fail(f"nested deeper than {MAX_NESTING} levels", tok)
+            self.fail(f"nested deeper than {MAX_NESTING} levels", at)
 
     def parse(self) -> Formula:
         f = self.iff()
-        tok = self.peek()
-        if tok.kind != "end":
-            self.fail(f"unexpected {tok.text!r}")
+        if self.tokens[self.pos]:
+            self.fail(f"unexpected {self.tokens[self.pos]!r}", self.pos)
         return f
 
     def iff(self) -> Formula:
         left = self.imp()
-        while self.peek().kind == "<->":
-            tok = self.take()
+        while self.tokens[self.pos] == "<->":
+            at = self.pos
+            self.pos += 1
             right = self.imp()
             left = land(lor(lnot(left), right), lor(lnot(right), left))
             self.expanded += len(left.key)
             if self.expanded > MAX_EXPANSION:
                 self.fail(f"'<->' expands past {MAX_EXPANSION} characters",
-                          tok)
+                          at)
         return left
 
     def imp(self) -> Formula:
         parts = [self.disj()]
-        while self.peek().kind == "->":
-            self.take()
+        while self.tokens[self.pos] == "->":
+            self.pos += 1
             parts.append(self.disj())
         f = parts.pop()
         for left in reversed(parts):
@@ -360,46 +308,48 @@ class _Parser:
 
     def disj(self) -> Formula:
         parts = [self.conj()]
-        while self.peek().kind == "|":
-            self.take()
+        while self.tokens[self.pos] == "|":
+            self.pos += 1
             parts.append(self.conj())
         return lor(parts) if len(parts) > 1 else parts[0]
 
     def conj(self) -> Formula:
         parts = [self.unary()]
-        while self.peek().kind == "&":
-            self.take()
+        while self.tokens[self.pos] == "&":
+            self.pos += 1
             parts.append(self.unary())
         return land(parts) if len(parts) > 1 else parts[0]
 
     def unary(self) -> Formula:
-        op = _UNARY.get(self.peek().kind)
+        op = _UNARY.get(self.tokens[self.pos])
         if op is None:
             return self.atom()
-        self.nest(self.take())
+        self.nest(self.pos)
+        self.pos += 1
         f = op(self.unary())
         self.depth -= 1
         return f
 
     def atom(self) -> Formula:
-        tok = self.take()
-        if tok.kind == "atom":
-            return var(tok.text)
-        if tok.kind == "true":
+        at = self.pos
+        tok = self.tokens[at]
+        self.pos += 1
+        if tok == "true":
             return TRUE
-        if tok.kind == "false":
+        if tok == "false":
             return FALSE
-        if tok.kind == "(":
-            self.nest(tok)
+        if tok.isidentifier():
+            return var(tok)
+        if tok == "(":
+            self.nest(at)
             f = self.iff()
-            close = self.take()
-            if close.kind != ")":
-                self.fail("expected ')'", close)
+            if self.tokens[self.pos] != ")":
+                self.fail("expected ')'", self.pos)
+            self.pos += 1
             self.depth -= 1
             return f
-        if tok.kind == "end":
-            self.fail("unexpected end of input", tok)
-        self.fail(f"unexpected {tok.text!r}", tok)
+        self.fail(f"unexpected {tok!r}" if tok else "unexpected end of input",
+                  at)
 
 
 def parse(text: str, source=None) -> Formula:
@@ -410,7 +360,7 @@ def parse(text: str, source=None) -> Formula:
     """
     if not text.strip():
         raise FormulaSyntaxError("empty input", 1, 1, source)
-    return _Parser(_tokenize(text, source), source).parse()
+    return _Parser(text, source).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +472,7 @@ def decompose_clause(c: Formula) -> Parts:
     kind = classify(c)
     if kind not in ("literal", "clause"):
         raise NotAClauseError(f"not a clause: {c}")
-    literals = c.children if isinstance(c, Or) else (c,)
-    return Parts(lor, *_split(literals))
+    return Parts(lor, *_split(disjuncts(c)))
 
 
 def decompose_term(t: Formula) -> Parts:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .errors import InconsistentTermError, PreconditionError
 from .formula import (
-    Formula, Or, TrueF, Var, FALSE, TRUE,
-    box, contradictory, decompose_term, dia, land, lor, modal_depth, nnf,
-    sort_formulas,
+    Formula, TrueF, Var, FALSE, TRUE,
+    box, contradictory, decompose_term, dia, disjuncts, land, lor,
+    modal_depth, nnf, sort_formulas,
 )
 from .normal_forms import DEFAULT_SIZE_CAP, distribute, to_cnf, to_dnf
 from .semantics import (
@@ -92,12 +92,6 @@ def candidates(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
     return sort_formulas(set(distribute(per_term, lor, max_clauses)))
 
 
-def _disjuncts(c: Formula) -> frozenset:
-    if isinstance(c, Or):
-        return frozenset(d.key for d in c.children)
-    return frozenset((c.key,))
-
-
 def _minimize(clauses, theory: Formula, system: System,
               node_budget: int = DEFAULT_NODE_BUDGET):
     """The strongest clauses modulo the theory, one per equivalence class;
@@ -117,7 +111,7 @@ def _minimize(clauses, theory: Formula, system: System,
     cs = sort_formulas(set(clauses))
     # cheap sweep first: a clause whose disjuncts strictly contain another
     # clause's is entailed by it outright
-    dsets = {c.key: _disjuncts(c) for c in cs}
+    dsets = {c.key: frozenset(d.key for d in disjuncts(c)) for c in cs}
     kept = []
     for c in cs:
         if any(dsets[o.key] < dsets[c.key] for o in cs):
@@ -140,8 +134,7 @@ def is_horn(y: Formula) -> bool:
     if modal_depth(y) != 0:
         raise ValueError("horn check expects a propositional formula")
     for clause in to_cnf(y).clauses:
-        lits = clause.children if isinstance(clause, Or) else (clause,)
-        if sum(1 for l in lits if isinstance(l, Var)) > 1:
+        if sum(1 for l in disjuncts(clause) if isinstance(l, Var)) > 1:
             return False
     return True
 

@@ -91,7 +91,7 @@ def load_kb(path: str) -> KnowledgeBaseFile:
         text = fh.read()
     formulas, theory = [], []
     section = formulas
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -99,10 +99,10 @@ def load_kb(path: str) -> KnowledgeBaseFile:
             section = theory
             continue
         try:
-            section.append(parse(line))
+            section.append(parse(raw))
         except FormulaSyntaxError as err:
-            raise FormulaSyntaxError(str(err.args[0]).split(": ", 1)[-1],
-                                     line=line_no, column=err.column,
+            raise FormulaSyntaxError(err.message, line=line_no,
+                                     column=err.column,
                                      source=path) from None
     if not formulas:
         raise FormulaSyntaxError("knowledge base has no formulas",

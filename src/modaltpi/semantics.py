@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError
 from .formula import (
     And, Box, Dia, FALSE, FalseF, Formula, Not, Or, TrueF, Var,
-    box, conjuncts, contradictory, decompose_clause, is_literal, lnot, nnf,
-    sort_formulas,
+    box, conjuncts, contradictory, decompose_clause, disjuncts, is_literal,
+    lnot, nnf, sort_formulas,
 )
 
 __all__ = [
@@ -56,9 +56,6 @@ class KripkeModel:
         for a, b in self.relation:
             if a not in ws or b not in ws:
                 raise ValueError(f"relation references unknown world ({a}, {b})")
-
-    def successors(self, w):
-        return [b for a, b in self.relation if a == w]
 
     def reflexive_closure(self) -> "KripkeModel":
         rel = set(self.relation) | {(w, w) for w in self.worlds}
@@ -349,7 +346,7 @@ def clause_test(q: Formula, y: Formula, system: System,
 
     if contradictory(parts.prop) or any(unsat(z) for z in not_zetas):
         return lambda pi: True
-    known = {l.key: True for l in _disjuncts(q) + (FALSE,)}
+    known = {l.key: True for l in disjuncts(q) + (FALSE,)}
 
     def literal(l):
         v = known.get(l.key)
@@ -366,8 +363,4 @@ def clause_test(q: Formula, y: Formula, system: System,
             known[l.key] = v
         return v
 
-    return lambda pi: all(literal(l) for l in _disjuncts(nnf(pi)))
-
-
-def _disjuncts(c: Formula) -> tuple:
-    return c.children if isinstance(c, Or) else (c,)
+    return lambda pi: all(literal(l) for l in disjuncts(nnf(pi)))

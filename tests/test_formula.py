@@ -1,6 +1,7 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modaltpi.errors import FormulaSyntaxError, NotAClauseError, NotATermError
 from modaltpi.formula import (
@@ -15,6 +16,38 @@ from modaltpi.semantics import (
 from conftest import (
     AT_NESTING_LIMIT, IFF_CHAIN, IFF_CHAINS, TOO_DEEP, rand_formula,
 )
+
+# (text, message, line, column): lines are counted at "\n" only, every
+# other character, a tab or a no-break space included, is one column
+SYNTAX_ERRORS = [
+    pytest.param("p1 |\n  q &\n  )", "unexpected ')'", 3, 3,
+                 id="three-lines"),
+    pytest.param("p &\n\t?", "unexpected character '?'", 2, 2, id="tab"),
+    pytest.param("p\u00a0&\u00a0", "unexpected end of input", 1, 5,
+                 id="no-break-space"),
+    pytest.param("p &\n", "unexpected end of input", 2, 1,
+                 id="end-after-newline"),
+    pytest.param("p\nq\n", "unexpected 'q'", 2, 1, id="trailing-token"),
+    pytest.param("p &\nq |\n  r $ s", "unexpected character '$'", 3, 5,
+                 id="bad-character-line-3"),
+    pytest.param("p |\n\n(q", "expected ')'", 3, 3, id="unclosed"),
+    pytest.param("p\r\n& )", "unexpected ')'", 2, 3, id="carriage-return"),
+    pytest.param("\t-> p", "unexpected '->'", 1, 2, id="leading-operator"),
+    pytest.param("p\n& " + "(" * 101 + "q", "nested deeper than 100 levels",
+                 2, 103, id="nesting-parentheses"),
+    pytest.param("q &\n  " + "~" * 101 + "p",
+                 "nested deeper than 100 levels", 2, 103,
+                 id="nesting-unary"),
+    pytest.param("p &\n  " + " <-> ".join(f"a{i}" for i in range(25)),
+                 "'<->' expands past 100000 characters", 2, 77,
+                 id="iff-expansion"),
+]
+
+# the tokens of the grammar, the whitespace that separates them, and
+# characters that start none
+TOKEN_TEXT = st.lists(st.sampled_from(
+    ["p", "q1", "true", "false", "(", ")", "&", "|", "~", "->", "<->", "[]",
+     "<>", " ", "\n", "\t", "-", "<", "[", "?"])).map("".join)
 
 
 class TestParse:
@@ -102,6 +135,23 @@ class TestParse:
         f = parse(" <-> ".join(f"a{i}" for i in range(8)))
         assert len(str(f)) <= MAX_EXPANSION
         assert variables(f) == {f"a{i}" for i in range(8)}
+
+    @pytest.mark.parametrize("text,message,line,column", SYNTAX_ERRORS)
+    def test_error_positions(self, text, message, line, column):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text)
+        assert (err.value.message, err.value.line, err.value.column) == (
+            message, line, column)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text() | TOKEN_TEXT)
+    def test_any_text_parses_or_raises_syntax_error(self, text):
+        try:
+            f = parse(text)
+        except FormulaSyntaxError:
+            return
+        assert parse(str(f)) == f
 
     def test_long_implication_chain(self):
         # `->` folds without recursion, so chain length has no limit

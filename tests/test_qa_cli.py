@@ -182,6 +182,21 @@ class TestKbFiles:
         assert err.value.line == 1
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("text,line,column", [
+        # the column counts the line's leading whitespace
+        ("p1 | p2\n    p3 & )\n", 2, 10),
+        # a form feed is whitespace, not a line break
+        ("p1\x0c\n  p & )\n", 2, 7),
+    ])
+    def test_malformed_line_position(self, tmp_path, text, line, column):
+        path = tmp_path / "kb.txt"
+        path.write_text(text)
+        with pytest.raises(FormulaSyntaxError) as err:
+            load_kb(str(path))
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == (f"{path}, line {line}, column {column}: "
+                                  "unexpected ')'")
+
     def test_empty_kb_rejected(self, tmp_path):
         path = tmp_path / "kb.txt"
         path.write_text("# nothing here\n")
