@@ -242,6 +242,8 @@ _UNARY = {"~": lnot, "[]": box, "<>": dia}
 # One token per match: a token of the grammar in group 1, or else the
 # first character that starts none, in group 2.  `\S` rather than `.`, so
 # that trailing whitespace is no match at all rather than a bad character.
+# Scans stop where trailing whitespace begins: at each position of such a
+# run `\s*` would take the rest of it and fail, quadratic in its length.
 _TOKEN = re.compile(
     r"\s*(?:(<->|->|\[\]|<>|[()&|~]|[a-zA-Z][a-zA-Z0-9_]*)|(\S))")
 
@@ -256,7 +258,8 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.expanded = 0
-        found = _TOKEN.findall(text)
+        self.end = len(text.rstrip())
+        found = _TOKEN.findall(text, 0, self.end)
         self.tokens = [tok for tok, _ in found]
         if "" in self.tokens:
             at = self.tokens.index("")
@@ -266,7 +269,8 @@ class _Parser:
     def fail(self, message, at):
         """Raise at the start of token `at` (the end of the text for the
         end marker), with lines counted at newlines."""
-        starts = [m.start(m.lastindex) for m in _TOKEN.finditer(self.text)]
+        starts = [m.start(m.lastindex)
+                  for m in _TOKEN.finditer(self.text, 0, self.end)]
         offset = starts[at] if at < len(starts) else len(self.text)
         line = self.text.count("\n", 0, offset) + 1
         column = offset - self.text.rfind("\n", 0, offset)

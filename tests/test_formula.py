@@ -44,10 +44,12 @@ SYNTAX_ERRORS = [
 ]
 
 # the tokens of the grammar, the whitespace that separates them, and
-# characters that start none
+# characters that start none.  Printing a formula nests it deeper than its
+# text, by up to three levels for each `<->`, so texts stay at 60 tokens or
+# characters: their prints stay within MAX_NESTING and parse again.
 TOKEN_TEXT = st.lists(st.sampled_from(
     ["p", "q1", "true", "false", "(", ")", "&", "|", "~", "->", "<->", "[]",
-     "<>", " ", "\n", "\t", "-", "<", "[", "?"])).map("".join)
+     "<>", " ", "\n", "\t", "-", "<", "[", "?"]), max_size=60).map("".join)
 
 
 class TestParse:
@@ -145,13 +147,23 @@ class TestParse:
         assert str(err.value) == f"line {line}, column {column}: {message}"
 
     @settings(max_examples=500, deadline=None)
-    @given(text=st.text() | TOKEN_TEXT)
+    @given(text=st.text(max_size=60) | TOKEN_TEXT)
     def test_any_text_parses_or_raises_syntax_error(self, text):
         try:
             f = parse(text)
         except FormulaSyntaxError:
             return
         assert parse(str(f)) == f
+
+    def test_trailing_whitespace_time(self):
+        # a run of trailing whitespace is scanned once, not once from
+        # each of its positions
+        started = time.perf_counter()
+        assert parse("p" + " " * 200_000) == var("p")
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse("p &" + "\n" * 200_000)
+        assert (err.value.line, err.value.column) == (200_001, 1)
+        assert time.perf_counter() - started < 1.0
 
     def test_long_implication_chain(self):
         # `->` folds without recursion, so chain length has no limit
