@@ -31,6 +31,17 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type of a budget or size cap: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _resolve_theory(args, kb, system):
     if getattr(args, "theory", None):
         tf = load_kb(args.theory)
@@ -150,8 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the propositional CNF clauses of the KB")
     p.add_argument("--system", default="T", choices=["K", "T", "k", "t"])
     p.add_argument("--out", required=True)
-    p.add_argument("--max-terms", type=int, default=DEFAULT_SIZE_CAP)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--max-terms", type=_nonnegative, default=DEFAULT_SIZE_CAP)
+    p.add_argument("--node-budget", type=_nonnegative,
+                   default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("query", help="answer a clausal query")
@@ -164,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pi", help="print the prime implicates of a KB")
     p.add_argument("--kb", required=True)
     p.add_argument("--system", default="T", choices=["K", "T", "k", "t"])
-    p.add_argument("--max-terms", type=int, default=DEFAULT_SIZE_CAP)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--max-terms", type=_nonnegative, default=DEFAULT_SIZE_CAP)
+    p.add_argument("--node-budget", type=_nonnegative,
+                   default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_pi)
 
     p = sub.add_parser("check", help="run the invariant suite on one instance")
@@ -173,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory")
     p.add_argument("--auto-theory", action="store_true")
     p.add_argument("--system", default="T", choices=["K", "T", "k", "t"])
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=_nonnegative,
+                   default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("oracle", help="bounded tree-model satisfiability")
@@ -181,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", default="T", choices=["K", "T", "k", "t"])
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--max-branching", type=int, default=None)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=_nonnegative, default=200_000)
     p.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -5,6 +5,9 @@ into outer-level DNF, generate per-term candidate clauses, distribute one
 candidate per term into disjunctions, then minimize modulo the theory in
 one pass over the clauses in canonical order, keeping the first clause of
 each equivalence class unless another clause strictly entails it.
+Each check `a & []y |= b` is made by `semantics.clause_test(b, ...)`,
+prepared once per conclusion, so in K it goes literal by literal, with
+the verdicts of the literals kept, as compiled answers do.
 """
 
 from __future__ import annotations
@@ -14,14 +17,15 @@ from dataclasses import dataclass
 
 from .errors import InconsistentTermError, PreconditionError
 from .formula import (
-    Formula, TrueF, Var, FALSE, TRUE,
+    Box, Formula, TrueF, Var, FALSE, TRUE,
     box, contradictory, decompose_term, dia, disjuncts, land, lor,
     modal_depth, nnf, sort_formulas,
 )
 from .normal_forms import DEFAULT_SIZE_CAP, distribute, to_cnf, to_dnf
 from .semantics import (
-    DEFAULT_NODE_BUDGET, System, entails, entails_mod,
-    equivalent_mod,  # not called here; bench/layers.py wraps it by name
+    DEFAULT_NODE_BUDGET, System, clause_test, entails,
+    # not called here; bench/layers.py wraps them by name
+    entails_mod, equivalent_mod,
 )
 
 __all__ = [
@@ -95,18 +99,24 @@ def candidates(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
 def _minimize(clauses, theory: Formula, system: System,
               node_budget: int = DEFAULT_NODE_BUDGET):
     """The strongest clauses modulo the theory, one per equivalence class;
-    returns (surviving clauses, number of tableau entailment checks run).
+    returns (surviving clauses, number of clause-pair entailment checks).
 
     One pass in canonical order: a clause that some survivor entails is
     dropped (it is equivalent to an earlier clause, or weaker); otherwise
     it removes every survivor it entails, each now strictly entailed, and
-    joins them.  Each ordered pair is checked at most once."""
+    joins them.  Each ordered pair is checked at most once, with the
+    test `semantics.clause_test` prepared once per conclusion."""
+    y = theory.child if isinstance(theory, Box) else theory
+    tests = {}
     calls = 0
 
     def implies(a, b):
         nonlocal calls
         calls += 1
-        return entails_mod(a, theory, b, system, node_budget)
+        test = tests.get(b.key)
+        if test is None:
+            test = tests[b.key] = clause_test(b, y, system, node_budget)
+        return test(a)
 
     cs = sort_formulas(set(clauses))
     # cheap sweep first: a clause whose disjuncts strictly contain another

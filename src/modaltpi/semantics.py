@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError
 from .formula import (
     And, Box, Dia, FALSE, FalseF, Formula, Not, Or, TrueF, Var,
-    box, conjuncts, contradictory, decompose_clause, disjuncts, is_literal,
-    lnot, nnf, sort_formulas,
+    Parts, box, conjuncts, contradictory, decompose_clause, disjuncts,
+    is_literal, lnot, lor, nnf, sort_formulas,
 )
 
 __all__ = [
@@ -318,8 +318,9 @@ def equivalent_mod(f: Formula, g: Formula, theory: Formula, system: System,
 
 def clause_test(q: Formula, y: Formula, system: System,
                 node_budget: int = DEFAULT_NODE_BUDGET):
-    """Predicate `pi -> pi & []y |= q` for a clausal query q, prepared
-    once for testing many clauses pi against it.
+    """Predicate `pi -> pi & []y |= q` for a clausal query q (false is
+    the empty clause), prepared once for testing many clauses pi
+    against it.
 
     In T each clause takes one tableau call.  In K a clause entails q iff
     each of its literals does (Bienvenu, JAIR 36, 2009), and each literal
@@ -337,7 +338,9 @@ def clause_test(q: Formula, y: Formula, system: System,
         return lambda pi: not is_satisfiable((pi, by, not_q), system,
                                              node_budget)
     q = nnf(q)
-    parts = decompose_clause(q)
+    # false is the empty clause: no literals, and not valid
+    parts = (Parts(lor, (), (), ()) if isinstance(q, FalseF)
+             else decompose_clause(q))
     body = (nnf(y),) + tuple(nnf(lnot(c)) for c in parts.dia)
     not_zetas = [nnf(lnot(z)) for z in parts.box]
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,7 @@ from modaltpi.pi import (
     prime_implicates, term_candidates,
 )
 from modaltpi.semantics import (
-    System, entails, entails_mod, equivalent, equivalent_mod,
+    System, clause_test, entails, entails_mod, equivalent, equivalent_mod,
     is_satisfiable,
 )
 
@@ -167,14 +169,20 @@ class TestResidue:
         assert _minimize(clauses, theory, system)[0] == want
 
     def test_counts_the_checks_it_runs(self, monkeypatch, rng):
-        real = pi_module.entails_mod
+        # every check is a call of a predicate that clause_test returned
+        real = pi_module.clause_test
         runs = []
 
-        def counted(*args, **kwargs):
-            runs.append(args)
-            return real(*args, **kwargs)
+        def prepared(*args, **kwargs):
+            test = real(*args, **kwargs)
 
-        monkeypatch.setattr(pi_module, "entails_mod", counted)
+            def counted(a):
+                runs.append(a)
+                return test(a)
+
+            return counted
+
+        monkeypatch.setattr(pi_module, "clause_test", prepared)
         instances = [(parse(X_GOLDEN), parse(Y_GOLDEN))]
         instances += [rand_instance(rng) for _ in range(5)]
         for x, y in instances:
@@ -185,6 +193,33 @@ class TestResidue:
                 except CapacityError:
                     continue
                 assert comp.stats["entailment_calls"] == len(runs)
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_prepared_test_matches_entails_mod(self, system):
+        # the check _minimize runs on every ordered pair of candidates;
+        # their bodies are conjunctions with nested modalities, and a
+        # <>-body bundled with []false makes the candidate false
+        rng = random.Random(0)
+        kbs = [(parse(X_GOLDEN), parse(Y_GOLDEN))]
+        kbs += [rand_instance(rng) for _ in range(8)]
+        kbs += [(parse("p & []false & <>q"), var("p"))]
+        for x, y in kbs:
+            for theory in (y, TRUE):
+                cands = candidates(land(x, box(theory)))
+                for b in cands:
+                    test = clause_test(b, theory, system)
+                    for a in cands:
+                        assert test(a) == entails_mod(a, box(theory), b,
+                                                      system), (a, b)
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    @pytest.mark.parametrize("text", ["p & []false & <>q", "[]false & <>q"])
+    def test_false_candidate(self, text, system):
+        x = parse(text)
+        for y in (TRUE, default_theory(x, system)):
+            comp = compile_kb(x, y, system)
+            assert FALSE in comp.candidates
+            assert comp.theta == (FALSE,)
 
 
 class TestPrimeImplicates:

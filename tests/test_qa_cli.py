@@ -362,6 +362,34 @@ class TestCli:
         assert main(["compile", "--kb", str(tmp_path / "missing.kb"),
                      "--out", out]) == 2
 
+    def _rejected(self, argv, flag, capsys):
+        # a negative budget or cap is bad input, not an exhausted resource
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "must be at least 0" in err
+
+    def test_negative_node_budget_exit_2(self, golden_kb, tmp_path, capsys):
+        out = str(tmp_path / "comp.json")
+        for argv in (["compile", "--kb", golden_kb, "--out", out],
+                     ["pi", "--kb", golden_kb],
+                     ["check", "--kb", golden_kb]):
+            self._rejected(argv, "--node-budget", capsys)
+
+    def test_negative_max_terms_exit_2(self, golden_kb, tmp_path, capsys):
+        out = str(tmp_path / "comp.json")
+        for argv in (["compile", "--kb", golden_kb, "--out", out],
+                     ["pi", "--kb", golden_kb]):
+            self._rejected(argv, "--max-terms", capsys)
+
+    def test_negative_oracle_budget_exit_2(self, capsys):
+        self._rejected(["oracle", "--formula", "p"], "--budget", capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--formula", "p", "--budget", "1.5"])
+        assert exc.value.code == 2
+        assert "not an integer: '1.5'" in capsys.readouterr().err
+
     def test_resource_cap_exit_code(self, tmp_path, capsys):
         kb = tmp_path / "kb.txt"
         kb.write_text("(a1 | b1) & (a2 | b2) & (a3 | b3) & (a4 | b4)"
