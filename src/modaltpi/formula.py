@@ -7,6 +7,13 @@ disjunctions, drop duplicates, apply the constant rules
 children by printed form (shortest first, then lexicographic).  Two
 formulas are structurally equal iff their canonical printed forms are
 equal, so formulas can be used in sets, dicts and sorted containers.
+
+The constructors return shared nodes: building a formula that already
+exists returns the node built for it, and `nnf` pushes each negation
+down once.  `semantics.clear_cache()` empties both tables, after which
+a formula is built anew; equality and hashing stay by printed form, so
+the twins built either side of a reset are equal, and no code relies on
+identity.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ __all__ = [
 
 
 class Formula:
-    """Immutable formula node; identity is the canonical printed form.
+    """Immutable formula node, equal to another iff their canonical
+    printed forms are.
 
     `in_nnf` tells whether the node is in negation normal form (negation
     only on variables).  Variables and constants are; every other node
@@ -49,7 +57,8 @@ class Formula:
         return f"<{type(self).__name__} {self.key}>"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Formula) and self.key == other.key
+        return self is other or (isinstance(other, Formula)
+                                 and self.key == other.key)
 
     def __hash__(self) -> int:
         return self._hash
@@ -138,14 +147,36 @@ def sort_formulas(fs) -> tuple:
     return tuple(sorted(fs, key=canonical_key))
 
 
-_var_cache: dict = {}
+# Hash-consing (Filliatre & Conchon, 2006).  `_interned` maps (node
+# class, name or child or children tuple) to the one node built for it;
+# `_nnf_of` maps each node not in negation normal form to its `nnf`.
+# Both are read with get and then set, so a concurrent `clear_tables`
+# costs at most a duplicate node, equal by key to the first, never an
+# error.  Each is emptied whole when it reaches _TABLE_LIMIT entries.
+_interned: dict = {}
+_nnf_of: dict = {}
+_TABLE_LIMIT = 200_000
+
+
+def clear_tables():
+    """Empty the intern table and the NNF memo."""
+    _interned.clear()
+    _nnf_of.clear()
+
+
+def _shared(cls, arg):
+    """The node cls(arg), built only when no such node is interned."""
+    k = (cls, arg)
+    f = _interned.get(k)
+    if f is None:
+        if len(_interned) >= _TABLE_LIMIT:
+            _interned.clear()
+        f = _interned[k] = cls(arg)
+    return f
 
 
 def var(name: str) -> Var:
-    v = _var_cache.get(name)
-    if v is None:
-        v = _var_cache[name] = Var(name)
-    return v
+    return _shared(Var, name)
 
 
 def conjuncts(items):
@@ -177,7 +208,7 @@ def land(*items) -> Formula:
         return TRUE
     if len(children) == 1:
         return children[0]
-    return And(children)
+    return _shared(And, children)
 
 
 def lor(*items) -> Formula:
@@ -196,7 +227,7 @@ def lor(*items) -> Formula:
         return FALSE
     if len(children) == 1:
         return children[0]
-    return Or(children)
+    return _shared(Or, children)
 
 
 def lnot(f: Formula) -> Formula:
@@ -206,19 +237,19 @@ def lnot(f: Formula) -> Formula:
         return TRUE
     if isinstance(f, Not):
         return f.child
-    return Not(f)
+    return _shared(Not, f)
 
 
 def box(f: Formula) -> Formula:
     if isinstance(f, TrueF):
         return TRUE
-    return Box(f)
+    return _shared(Box, f)
 
 
 def dia(f: Formula) -> Formula:
     if isinstance(f, FalseF):
         return FALSE
-    return Dia(f)
+    return _shared(Dia, f)
 
 
 # ---------------------------------------------------------------------------
@@ -374,25 +405,33 @@ def parse(text: str, source=None) -> Formula:
 def nnf(f: Formula) -> Formula:
     """Push negations down to variables using De Morgan and []~/<>~ duality.
 
-    A formula already in negation normal form is returned itself.
+    A formula already in negation normal form is returned itself; the
+    result for any other is kept in `_nnf_of`.
     """
     if f.in_nnf:
         return f
-    if isinstance(f, And):
-        return land(nnf(c) for c in f.children)
-    if isinstance(f, Or):
-        return lor(nnf(c) for c in f.children)
-    if isinstance(f, Box):
-        return box(nnf(f.child))
-    if isinstance(f, Dia):
-        return dia(nnf(f.child))
-    return _negated(f.child)  # Not of anything but a variable
+    g = _nnf_of.get(f)
+    if g is None:
+        if isinstance(f, And):
+            g = land(nnf(c) for c in f.children)
+        elif isinstance(f, Or):
+            g = lor(nnf(c) for c in f.children)
+        elif isinstance(f, Box):
+            g = box(nnf(f.child))
+        elif isinstance(f, Dia):
+            g = dia(nnf(f.child))
+        else:  # Not of anything but a variable
+            g = _negated(f.child)
+        if len(_nnf_of) >= _TABLE_LIMIT:
+            _nnf_of.clear()
+        _nnf_of[f] = g
+    return g
 
 
 def _negated(g: Formula) -> Formula:
     """nnf(~g), pushed down without building the negated nodes."""
     if isinstance(g, Var):
-        return Not(g)
+        return _shared(Not, g)
     if isinstance(g, TrueF):
         return FALSE
     if isinstance(g, FalseF):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError
 from .formula import (
     And, Box, Dia, FALSE, FalseF, Formula, Not, Or, TrueF, Var,
-    Parts, box, conjuncts, contradictory, decompose_clause, disjuncts,
-    is_literal, lnot, lor, nnf, sort_formulas,
+    Parts, box, clear_tables, conjuncts, contradictory, decompose_clause,
+    disjuncts, is_literal, lnot, lor, nnf, sort_formulas,
 )
 
 __all__ = [
@@ -141,10 +141,13 @@ class _Witness:
 # cache: (formula keys of a world, system) -> _Witness | None
 _sat_cache: dict = {}
 _CACHE_LIMIT = 400_000
+_MISS = object()  # a cached None is an unsatisfiable world
 
 
 def clear_cache():
+    """Empty the sat cache, the intern table and the NNF memo."""
     _sat_cache.clear()
+    clear_tables()
 
 
 def _branches(pending, seen, pos, neg, dias, boxes, system, budget):
@@ -182,7 +185,7 @@ def _branches(pending, seen, pos, neg, dias, boxes, system, budget):
             continue
         if isinstance(f, Or):
             rest = pending[:idx + 1]
-            for c in sort_formulas(f.children):
+            for c in f.children:
                 yield from _branches(rest + [c], seen, pos, neg, dias, boxes,
                                      system, budget)
             return
@@ -210,8 +213,9 @@ def _solve(formulas, system: System, budget: _Budget):
     keys = [f.key for f in formulas]
     key = (tuple(keys) if isinstance(formulas, tuple) else frozenset(keys),
            system)
-    if key in _sat_cache:
-        return _sat_cache[key]
+    cached = _sat_cache.get(key, _MISS)
+    if cached is not _MISS:
+        return cached
     result = None
     start = list(formulas)
     empty = frozenset()

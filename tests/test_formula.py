@@ -7,10 +7,11 @@ from modaltpi.errors import FormulaSyntaxError, NotAClauseError, NotATermError
 from modaltpi.formula import (
     MAX_EXPANSION, MAX_NESTING, And, Box, Dia, Not, Or, Var, TRUE, FALSE,
     box, dia, classify, decompose_clause, decompose_term,
-    land, lnot, lor, modal_depth, nnf, parse, var, variables,
+    land, lnot, lor, modal_depth, nnf, parse, sort_formulas, var, variables,
+    _negated,
 )
 from modaltpi.semantics import (
-    System, equivalent, evaluate, find_model, is_satisfiable,
+    System, clear_cache, equivalent, evaluate, find_model, is_satisfiable,
 )
 
 from conftest import (
@@ -208,6 +209,62 @@ class TestCanonicalization:
     def test_single_child_collapse(self):
         assert land([var("a")]) == var("a")
         assert lor([var("a")]) == var("a")
+
+    def test_children_in_canonical_order(self, rng):
+        def check(f):
+            if isinstance(f, (And, Or)):
+                assert sort_formulas(f.children) == f.children
+                for c in f.children:
+                    check(c)
+            elif isinstance(f, (Not, Box, Dia)):
+                check(f.child)
+
+        for _ in range(200):
+            f = parse(str(rand_formula(rng, depth=3, size=14)))
+            for g in (f, nnf(f), nnf(lnot(f)), _negated(f), parse(
+                    f"{f} <-> ~{rand_formula(rng, depth=2, size=6)}")):
+                check(g)
+
+
+class TestSharing:
+    """Constructors return the node already built for a formula; equality
+    stays by key, so a twin built after `clear_cache` acts the same."""
+
+    def test_same_formula_same_object(self, rng):
+        assert var("p") is var("p")
+        assert land(var("a"), box(var("b"))) is land(box(var("b")), var("a"))
+        assert lnot(dia(var("p"))) is lnot(dia(var("p")))
+        for _ in range(200):
+            f = rand_formula(rng, depth=3, size=14)
+            assert parse(str(f)) is f
+            assert parse(str(f)) is parse(str(f))
+            assert nnf(lnot(f)) is nnf(lnot(f))
+
+    def test_twin_after_reset(self, rng):
+        before = [rand_formula(rng, depth=3, size=14) for _ in range(100)]
+        others = [rand_formula(rng, depth=2, size=6) for _ in range(100)]
+        clear_cache()
+        after = [parse(str(f)) for f in before]
+        assert all(f is not g for f, g in zip(before, after)
+                   if f not in (TRUE, FALSE))
+        index = {f: n for n, f in enumerate(before)}
+        for n, (f, g) in enumerate(zip(before, after)):
+            assert f == g and not f != g
+            assert hash(f) == hash(g)
+            assert index[g] == index[f] and {f, g} == {f} == {g}
+            for h in others:
+                assert (f < h) == (g < h) and (h < f) == (h < g)
+            assert land(f, others[n]) == land(g, others[n])
+            assert land(f, others[n]) is land(g, others[n])
+        assert sort_formulas(before + others) == sort_formulas(after + others)
+
+    def test_negation_memo_matches_cold(self, rng):
+        fs = [rand_formula(rng, depth=3, size=12) for _ in range(200)]
+        clear_cache()
+        cold = [nnf(lnot(f)).key for f in fs]
+        warm = [nnf(lnot(f)).key for f in fs]
+        clear_cache()
+        assert warm == cold == [nnf(lnot(f)).key for f in fs]
 
 
 class TestNnf:

@@ -1,18 +1,22 @@
+import random
+import sys
+import threading
 import time
 
 import pytest
 
+import modaltpi.formula as formula_module
 from modaltpi.errors import BudgetExceededError
 from modaltpi.formula import (
     FALSE, TRUE, box, dia, land, lnot, lor, nnf, parse, var,
 )
 from modaltpi.semantics import (
-    KripkeModel, System, entails, entails_mod, equivalent, equivalent_mod,
-    evaluate, find_model, is_satisfiable,
+    KripkeModel, System, clear_cache, clause_test, entails, entails_mod,
+    equivalent, equivalent_mod, evaluate, find_model, is_satisfiable,
 )
 from modaltpi.oracle import sat_by_enumeration, sufficient_bounds
 
-from conftest import rand_formula
+from conftest import rand_clause, rand_formula, rand_instance
 
 
 def model(worlds, relation, valuation):
@@ -212,3 +216,92 @@ class TestSystemRelationship:
             f = rand_formula(rng, depth=2, size=10)
             if is_satisfiable(f, System.T):
                 assert is_satisfiable(f, System.K)
+
+
+def _answers(fs, instances):
+    """NNF keys of the negations, K and T verdicts of the formulas, and
+    each instance's literal-wise clause test over the clauses."""
+    out = []
+    for f in fs:
+        out.append(nnf(lnot(f)).key)
+        out += [is_satisfiable(lnot(f), system) for system in System]
+    for x, y, clauses in instances:
+        for q in clauses:
+            test = clause_test(q, y, System.K)
+            out.append([test(pi) for pi in clauses + [x]])
+    return out
+
+
+class TestSharedTables:
+    """The intern table and the NNF memo of `formula`, which `clear_cache`
+    empties along with the sat cache."""
+
+    def test_limit_empties_tables(self, rng, monkeypatch):
+        fs = [rand_formula(rng, depth=3, size=12) for _ in range(120)]
+        instances = []
+        for _ in range(6):
+            x, y = rand_instance(rng)
+            instances.append((x, y, [rand_clause(rng) for _ in range(8)]))
+        clear_cache()
+        want = _answers(fs, instances)
+        clear_cache()
+        monkeypatch.setattr(formula_module, "_TABLE_LIMIT", 40)
+        sizes = []
+        real = formula_module._shared
+
+        def shared(cls, arg):
+            sizes.append(len(formula_module._interned))
+            return real(cls, arg)
+
+        monkeypatch.setattr(formula_module, "_shared", shared)
+        assert _answers(fs, instances) == want
+        assert max(sizes) <= 40
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied
+        assert 0 < len(formula_module._nnf_of) <= 40
+        clear_cache()
+        assert not formula_module._interned and not formula_module._nnf_of
+
+    def test_threads_race_a_reset(self):
+        rng = random.Random(7)
+        texts = [str(rand_formula(rng, depth=3, size=12)) for _ in range(40)]
+        texts += ["p -> q -> <>r", "(a <-> b) & []~c", "~[](p | <>~q)"]
+
+        def work(text):
+            f = parse(text)
+            g = nnf(lnot(f))
+            return (f, g, land(f, box(g)), is_satisfiable(g, System.K))
+
+        want = [work(t) for t in texts]
+        errors, results = [], [None] * 4
+        stop = threading.Event()
+
+        def builder(n):
+            try:
+                results[n] = [work(t) for _ in range(25) for t in texts]
+            except Exception as err:  # reported by the assertion below
+                errors.append(err)
+
+        def resetter():
+            while not stop.is_set():
+                clear_cache()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=builder, args=(n,))
+                       for n in range(4)]
+            reset = threading.Thread(target=resetter)
+            reset.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            stop.set()
+            reset.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads + [reset])
+        assert errors == []
+        for got in results:
+            assert got == want * 25
