@@ -43,14 +43,15 @@ def _nonnegative(text: str) -> int:
 
 
 def _resolve_theory(args, kb, system):
-    if getattr(args, "theory", None):
+    """The theory: the --theory file (its formulas and its [theory]
+    section together), else the KB's own [theory] section, else with
+    --auto-theory the KB's propositional clauses, else true."""
+    if args.theory:
         tf = load_kb(args.theory)
         return land(tf.formulas + tf.theory)
-    if kb.theory:
+    if kb.theory or not args.auto_theory:
         return kb.theory_formula()
-    if getattr(args, "auto_theory", False):
-        return default_theory(kb.kb_formula(), system)
-    return kb.theory_formula()  # true: plain prime implicate mode
+    return default_theory(kb.kb_formula(), system)
 
 
 def _cmd_compile(args) -> int:

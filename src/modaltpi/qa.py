@@ -83,7 +83,7 @@ class KnowledgeBaseFile:
         return land(self.formulas)
 
     def theory_formula(self) -> Formula:
-        return land(self.theory) if self.theory else TRUE
+        return land(self.theory)
 
 
 def load_kb(path: str) -> KnowledgeBaseFile:
@@ -138,6 +138,8 @@ def load_compilation(path: str) -> CompilationResult:
             payload = json.load(fh)
         except json.JSONDecodeError as err:
             raise SchemaError(f"{path}: not valid JSON ({err})") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: top level is a JSON "
                           f"{type(payload).__name__}, expected an object")

@@ -150,21 +150,23 @@ def clear_cache():
     clear_tables()
 
 
-def _branches(pending, seen, pos, neg, dias, boxes, system, budget):
+def _branches(todo, system, budget, state=None):
     """Clash-free saturated branches of one world, produced lazily.
 
-    Each branch is (positive atoms, dia bodies, box bodies) with the
-    propositional connectives and, for T, the reflexivity rule fully
-    applied.
+    `todo` is a stack of NNF formulas, expanded from its end; `state` is
+    the (seen keys, positive atoms, negated atoms, dia bodies, box bodies)
+    of the branch so far.  The call owns both and updates them in place,
+    and hands each disjunct its own copies.  Each branch is (positive
+    atoms, dia bodies, box bodies) with the propositional connectives
+    and, for T, the reflexivity rule fully applied.
     """
-    idx = len(pending) - 1
-    while idx >= 0:
-        f = pending[idx]
-        idx -= 1
+    seen, pos, neg, dias, boxes = state or (set(), set(), set(), set(), set())
+    while todo:
+        f = todo.pop()
         if f.key in seen:
             continue
         budget.tick()
-        seen = seen | {f.key}
+        seen.add(f.key)
         if isinstance(f, FalseF):
             return
         if isinstance(f, TrueF):
@@ -172,64 +174,56 @@ def _branches(pending, seen, pos, neg, dias, boxes, system, budget):
         if isinstance(f, Var):
             if f.name in neg:
                 return
-            pos = pos | {f.name}
+            pos.add(f.name)
             continue
         if isinstance(f, Not):
             if f.child.name in pos:
                 return
-            neg = neg | {f.child.name}
+            neg.add(f.child.name)
             continue
         if isinstance(f, And):
-            pending = pending[:idx + 1] + list(f.children)
-            idx = len(pending) - 1
+            todo.extend(f.children)
             continue
         if isinstance(f, Or):
-            rest = pending[:idx + 1]
             for c in f.children:
-                yield from _branches(rest + [c], seen, pos, neg, dias, boxes,
-                                     system, budget)
+                yield from _branches(todo + [c], system, budget,
+                                     [set(s) for s in (seen, pos, neg,
+                                                       dias, boxes)])
             return
         if isinstance(f, Box):
-            boxes = boxes | {f.child}
+            boxes.add(f.child)
             if system is System.T:
-                pending = pending[:idx + 1] + [f.child]
-                idx = len(pending) - 1
+                todo.append(f.child)
             continue
         if isinstance(f, Dia):
-            dias = dias | {f.child}
+            dias.add(f.child)
             continue
         raise TypeError(f"unknown node {f!r}")
-    yield (frozenset(pos), dias, boxes)
+    yield frozenset(pos), dias, boxes
 
 
-def _solve(formulas, system: System, budget: _Budget):
-    """Witness for a world satisfying all formulas, or None.
+def _solve(world, system: System, budget: _Budget):
+    """Witness for a world satisfying all its formulas, or None.
 
-    `formulas` is the canonically ordered tuple of a root world (see
-    `_root`) or the frozenset of a successor world; the tableau expands
-    them last to first.  A root world is cached under the tuple of its
-    keys, which is canonical and smaller than a frozenset of five or more.
+    A world is a canonically ordered tuple of NNF formulas, a root's from
+    `conjuncts` and a successor's from `sort_formulas`; the tableau
+    expands it last to first and caches it under the tuple of its keys.
+    So verdicts, witnesses and the nodes a cold cache spends do not depend
+    on the hash seed.
     """
-    keys = [f.key for f in formulas]
-    key = (tuple(keys) if isinstance(formulas, tuple) else frozenset(keys),
-           system)
+    key = (tuple(f.key for f in world), system)
     cached = _sat_cache.get(key, _MISS)
     if cached is not _MISS:
         return cached
     result = None
-    start = list(formulas)
-    empty = frozenset()
-    for pos, dias, boxes in _branches(start, empty, empty, empty,
-                                      empty, empty, system, budget):
+    for pos, dias, boxes in _branches(list(world), system, budget):
         children = []
-        ok = True
         for d in sort_formulas(dias):
-            sub = _solve(frozenset({d} | boxes), system, budget)
+            sub = _solve(sort_formulas(boxes | {d}), system, budget)
             if sub is None:
-                ok = False
                 break
             children.append(sub)
-        if ok:
+        else:
             result = _Witness(pos, children)
             break
     if len(_sat_cache) >= _CACHE_LIMIT:
@@ -264,36 +258,29 @@ def tree_model(tree, system: System):
     return model, root
 
 
-def _root(f):
-    """The NNF conjuncts the root world starts from, in the order `land`
-    gives them; None when one is false.  `f` is a formula or an iterable
-    of formulas read conjunctively."""
-    return conjuncts(nnf(g) for g in ((f,) if isinstance(f, Formula) else f))
+def _solve_root(f, system: System, node_budget: int):
+    """Witness for f, a formula or an iterable of formulas read
+    conjunctively, or None when f is unsatisfiable.  The root world is
+    the NNF conjuncts in the order `land` gives them."""
+    root = conjuncts(nnf(g) for g in ((f,) if isinstance(f, Formula) else f))
+    if root is None:
+        return None
+    return _solve(root, system, _Budget(node_budget))
 
 
 def is_satisfiable(f, system: System,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Decide satisfiability of a formula, or of an iterable of formulas
     read conjunctively; raises BudgetExceededError when out of nodes."""
-    start = _root(f)
-    if start is None:
-        return False
-    if not start:
-        return True
-    return _solve(start, system, _Budget(node_budget)) is not None
+    return _solve_root(f, system, node_budget) is not None
 
 
 def find_model(f, system: System,
                node_budget: int = DEFAULT_NODE_BUDGET):
     """(model, world) satisfying f, or None when f is unsatisfiable; f is
     a formula or an iterable of formulas read conjunctively."""
-    start = _root(f)
-    if start is None:
-        return None
-    witness = _solve(start, system, _Budget(node_budget))
-    if witness is None:
-        return None
-    return tree_model(witness, system)
+    witness = _solve_root(f, system, node_budget)
+    return None if witness is None else tree_model(witness, system)
 
 
 def entails(premise: Formula, conclusion: Formula, system: System,

@@ -238,6 +238,8 @@ class TestPersistence:
         "[1, 2]", '"text"', {"x": 5}, {"candidates": [1]}, {"theta": "p"},
         {"system": 5}, {"system": "S5"}, {"stats": 3}, {"box_y": "[]("},
         {"box_y": "[]p3"},
+        pytest.param("[" * 100_000, id="deep-list"),
+        pytest.param('{"a":' * 50_000, id="deep-object"),
     ])
     def test_malformed_fields_exit_2(self, tmp_path, golden_t, capsys,
                                      change):
@@ -353,6 +355,30 @@ class TestCli:
         assert main(["compile", "--kb", kb.as_posix(), "--auto-theory",
                      "--system", "K", "--out", out]) == 0
         assert load_compilation(out).y == parse("p1 | p2")
+
+    def test_theory_precedence(self, tmp_path, capsys):
+        # the --theory file, then the KB's [theory], then --auto-theory,
+        # then true
+        kb = tmp_path / "kb.txt"
+        kb.write_text("p1 | p2\np3\n<>p4\n[theory]\np3\n")
+        bare = tmp_path / "bare.txt"
+        bare.write_text("p1 | p2\np3\n<>p4\n")
+        theory = tmp_path / "theory.txt"
+        theory.write_text("p1 | p2 | p3\n[theory]\np3\n")
+        out = str(tmp_path / "comp.json")
+        for kb_path, flags, want in [
+            (kb, ["--theory", str(theory), "--auto-theory"],
+             "(p1 | p2 | p3) & p3"),
+            (kb, ["--auto-theory"], "p3"),
+            (bare, ["--auto-theory"], "(p1 | p2) & p3"),
+            (bare, [], "true"),
+        ]:
+            assert main(["compile", "--kb", str(kb_path), "--system", "K",
+                         "--out", out] + flags) == 0
+            assert load_compilation(out).y == parse(want)
+            assert main(["check", "--kb", str(kb_path), "--system", "K"]
+                        + flags) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         kb = tmp_path / "kb.txt"

@@ -1,10 +1,15 @@
+import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import modaltpi
 import modaltpi.formula as formula_module
 from modaltpi.errors import BudgetExceededError
 from modaltpi.formula import (
@@ -305,3 +310,57 @@ class TestSharedTables:
         assert errors == []
         for got in results:
             assert got == want * 25
+
+
+# Run in a fresh interpreter: for each formula set read from stdin, the
+# smallest node budget that decides it in K on a cold cache, and the
+# models find_model gives in K and in T.
+_SEED_PROBE = """
+import json, sys
+from modaltpi.errors import BudgetExceededError
+from modaltpi.formula import parse
+from modaltpi.semantics import System, clear_cache, find_model, is_satisfiable
+
+def cold_budget(fs):
+    budget = 0
+    while True:
+        clear_cache()
+        try:
+            is_satisfiable(fs, System.K, node_budget=budget)
+            return budget
+        except BudgetExceededError:
+            budget += 1
+
+for texts in json.load(sys.stdin):
+    fs = [parse(t) for t in texts]
+    found = [find_model(fs, s) for s in (System.K, System.T)]
+    print(json.dumps([cold_budget(fs)]
+                     + [f and f[0].to_dict() for f in found]))
+"""
+
+
+class TestHashSeed:
+    """Worlds are canonical tuples, so nothing the tableau does depends on
+    the order in which Python iterates a set of formulas."""
+
+    def test_budgets_and_models_equal_across_seeds(self):
+        rng = random.Random(5)
+        cases = [["<>((a | b) & (c | d)) & [](~a | ~c) & [](e | f)"]]
+        for _ in range(12):
+            x, y = rand_instance(rng, names=("a", "b", "c", "d"),
+                                 max_clauses=6)
+            cases.append([str(x), str(box(y))])
+        src = str(Path(modaltpi.__file__).resolve().parent.parent)
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+            done = subprocess.run(
+                [sys.executable, "-c", _SEED_PROBE], input=json.dumps(cases),
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout.splitlines())
+        assert len(outputs[0]) == len(cases)
+        for seed, got in enumerate(outputs[1:], start=1):
+            assert got == outputs[0], f"hash seed {seed} differs from 0"
