@@ -15,11 +15,13 @@ from .errors import (
 )
 from .formula import land, nnf, parse
 from .normal_forms import DEFAULT_SIZE_CAP
-from .oracle import OracleBounds, sat_by_enumeration, sufficient_bounds
+from .oracle import (
+    DEFAULT_ENUM_BUDGET, OracleBounds, sat_by_enumeration, sufficient_bounds,
+)
 from .pi import compile_kb, default_theory, prime_implicates
 from .qa import (
     answer_query, answer_query_direct, load_compilation, load_kb,
-    save_compilation,
+    load_theory, save_compilation,
 )
 from .semantics import (
     DEFAULT_NODE_BUDGET, System, entails_mod, equivalent_mod, evaluate,
@@ -47,8 +49,7 @@ def _resolve_theory(args, kb, system):
     section together), else the KB's own [theory] section, else with
     --auto-theory the KB's propositional clauses, else true."""
     if args.theory:
-        tf = load_kb(args.theory)
-        return land(tf.formulas + tf.theory)
+        return load_theory(args.theory)
     if kb.theory or not args.auto_theory:
         return kb.theory_formula()
     return default_theory(kb.kb_formula(), system)
@@ -194,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="bounded tree-model satisfiability")
     p.add_argument("--formula", required=True)
     p.add_argument("--system", default="T", choices=["K", "T", "k", "t"])
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--max-branching", type=int, default=None)
-    p.add_argument("--budget", type=_nonnegative, default=200_000)
+    p.add_argument("--max-depth", type=_nonnegative, default=None)
+    p.add_argument("--max-branching", type=_nonnegative, default=None)
+    p.add_argument("--budget", type=_nonnegative, default=DEFAULT_ENUM_BUDGET)
     p.set_defaults(func=_cmd_oracle)
     return parser
 

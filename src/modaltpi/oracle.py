@@ -20,7 +20,9 @@ from .formula import (
     And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var, FALSE,
     box, dia, lnot, lor, land, nnf, modal_depth, sort_formulas, var, variables,
 )
-from .semantics import KripkeModel, System, entails_mod, evaluate, tree_model
+from .semantics import (
+    KripkeModel, System, _Witness, entails_mod, evaluate, tree_model,
+)
 
 __all__ = [
     "OracleBounds", "EnumerationOutcome", "sufficient_bounds",
@@ -58,58 +60,35 @@ class EnumerationOutcome:
         return "sat" if self.satisfiable else "unsat-within-bounds"
 
 
-def _dia_count(f: Formula) -> int:
-    seen = set()
-
-    def walk(g):
-        if isinstance(g, Dia):
-            seen.add(g.key)
-        if isinstance(g, (And, Or)):
-            for c in g.children:
-                walk(c)
-        elif isinstance(g, (Box, Dia, Not)):
-            walk(g.child)
-
-    walk(f)
-    return len(seen)
-
-
-def sufficient_bounds(f: Formula) -> OracleBounds:
-    """Bounds that make an unsat verdict definitive for f."""
-    g = nnf(f)
-    return OracleBounds(modal_depth(g), _dia_count(g),
-                        tuple(sorted(variables(g))))
-
-
 def _closure(g: Formula):
-    """Distinct subformulas in dependency order (children first)."""
-    order = []
-    index = {}
+    """(order, index, bounds) for an NNF formula: its distinct subformulas
+    in dependency order (children first, g last), the position of each
+    key, and the bounds that make an unsat verdict definitive (modal
+    depth, distinct diamonds, variables), all from one walk."""
+    order, index, depth = [], {}, []
 
     def walk(f):
         if f.key in index:
             return
-        if isinstance(f, (And, Or)):
-            for c in f.children:
-                walk(c)
-        elif isinstance(f, (Not, Box, Dia)):
-            walk(f.child)
+        kids = (f.children if isinstance(f, (And, Or))
+                else (f.child,) if isinstance(f, (Not, Box, Dia)) else ())
+        for c in kids:
+            walk(c)
         index[f.key] = len(order)
         order.append(f)
+        depth.append(max((depth[index[c.key]] for c in kids), default=0)
+                     + isinstance(f, (Box, Dia)))
 
     walk(g)
-    return order, index
+    bounds = OracleBounds(depth[-1], sum(isinstance(f, Dia) for f in order),
+                          tuple(sorted(f.name for f in order
+                                       if isinstance(f, Var))))
+    return order, index, bounds
 
 
-class _Tree:
-    """Witness subtree: a valuation and child subtrees."""
-
-    __slots__ = ("atoms", "children", "size")
-
-    def __init__(self, atoms, children):
-        self.atoms = atoms
-        self.children = children
-        self.size = 1 + sum(c.size for c in children)
+def sufficient_bounds(f: Formula) -> OracleBounds:
+    """Bounds that make an unsat verdict definitive for f."""
+    return _closure(nnf(f))[2]
 
 
 def _eval_world(order, index, val, orv, andv, reflexive):
@@ -148,100 +127,81 @@ def _eval_world(order, index, val, orv, andv, reflexive):
     return tuple(vec)
 
 
-def _child_combos(profiles, max_branching):
+def _child_combos(types, max_branching):
     """Aggregated (or, and) successor profiles for 1..max_branching children.
 
-    `profiles` maps a child truth vector to its minimal witness; returns a
-    dict (orv, andv) -> list of child witnesses, keeping the smallest
-    realization of every aggregate.
+    `types` maps a child truth vector to (size, witness) of its smallest
+    known tree; returns a dict (orv, andv) -> (total size, list of child
+    witnesses), keeping the smallest realization of every aggregate.
     """
-    singles = sorted(((vec, tree) for vec, tree in profiles.items()),
-                     key=lambda p: (p[1].size, p[0]))
-    states = {}
-    frontier = {}
-    for vec, tree in singles:
-        key = (vec, vec)
-        if key not in frontier or frontier[key][0] > tree.size:
-            frontier[key] = (tree.size, [tree])
-    states.update(frontier)
+    singles = sorted(types.items(), key=lambda p: (p[1][0], p[0]))
+    frontier = {(vec, vec): (size, [tree])
+                for vec, (size, tree) in singles}
+    states = dict(frontier)
     for _ in range(1, max_branching):
         new_frontier = {}
         for (orv, andv), (size, trees) in frontier.items():
-            for vec, tree in singles:
+            for vec, (tsize, tree) in singles:
                 key = (tuple(a or b for a, b in zip(orv, vec)),
                        tuple(a and b for a, b in zip(andv, vec)))
-                cand = (size + tree.size, trees + [tree])
-                if key not in states or states[key][0] > cand[0]:
-                    new_frontier[key] = cand
+                best = new_frontier.get(key) or states.get(key)
+                if best is None or best[0] > size + tsize:
+                    new_frontier[key] = (size + tsize, trees + [tree])
         if not new_frontier:
             break
-        for key, cand in new_frontier.items():
-            if key not in states or states[key][0] > cand[0]:
-                states[key] = cand
+        states.update(new_frontier)
         frontier = new_frontier
     return states
 
 
 def sat_by_enumeration(f: Formula, system: System, bounds: OracleBounds,
                        budget: int = DEFAULT_ENUM_BUDGET) -> EnumerationOutcome:
-    """Exhaustive search for a satisfying tree model within bounds."""
+    """Exhaustive search for a satisfying tree model within bounds.
+
+    Every world evaluated, under each valuation of `bounds.variables` and
+    each aggregate of children, costs one tick of `budget`; depth 0 draws
+    the valuations one tick at a time and the deeper passes reuse them.
+    """
     g = nnf(f)
-    missing = variables(g) - set(bounds.variables)
+    order, index, suff = _closure(g)
+    missing = set(suff.variables) - set(bounds.variables)
     if missing:
         raise ValueError(f"bounds do not cover variables {sorted(missing)}")
-    order, index = _closure(g)
-    root_i = index[g.key]
     reflexive = system is System.T
-    suff = sufficient_bounds(g)
-    definitive = (bounds.max_depth >= suff.max_depth
-                  and bounds.max_branching >= suff.max_branching)
-
     names = tuple(sorted(bounds.variables))
-    valuations = [frozenset(n for n, used in zip(names, mask) if used)
-                  for mask in itertools.product((False, True), repeat=len(names))]
-
+    drawn = (frozenset(itertools.compress(names, mask)) for mask
+             in itertools.product((False, True), repeat=len(names)))
+    valuations = []
+    types = {}  # truth vector -> (size, witness) of its smallest tree
     ticks = 0
-
-    def spend(n=1):
-        nonlocal ticks
-        ticks += n
-        if ticks > budget:
-            raise BudgetExceededError("oracle enumeration budget exhausted")
-
-    def found(vec, tree):
-        model, root = tree_model(tree, system)
-        if not evaluate(model, root, g):
-            raise AssertionError("oracle witness failed evaluation")
-        return EnumerationOutcome(True, True, model, root)
-
-    # level 0: leaves (with a self-loop under T)
-    types = {}
-    for val in valuations:
-        spend()
-        vec = _eval_world(order, index, val, None, None, reflexive)
-        if vec not in types:
-            types[vec] = _Tree(val, ())
-            if vec[root_i]:
-                return found(vec, types[vec])
-
-    for _depth in range(1, bounds.max_depth + 1):
-        if bounds.max_branching == 0:
-            break
-        combos = _child_combos(types, bounds.max_branching)
-        new_types = []
+    for depth in range(bounds.max_depth + 1):
+        # depth 0 is the one aggregate of no children
+        combos = (_child_combos(types, bounds.max_branching) if depth
+                  else {(None, None): (0, [])})
+        known = len(types)
         for (orv, andv), (size, trees) in sorted(
                 combos.items(), key=lambda kv: (kv[1][0], kv[0])):
-            for val in valuations:
-                spend()
+            for val in valuations if depth else drawn:
+                ticks += 1
+                if ticks > budget:
+                    raise BudgetExceededError(
+                        "oracle enumeration budget exhausted")
+                if not depth:
+                    valuations.append(val)
                 vec = _eval_world(order, index, val, orv, andv, reflexive)
                 if vec not in types:
-                    node = _Tree(val, tuple(trees))
-                    new_types.append((vec, node))
-                    types[vec] = node
-                    if vec[root_i]:
-                        return found(vec, node)
-        if not new_types:
-            break  # fixpoint: deeper trees add no new root types
+                    node = _Witness(val, trees)
+                    types[vec] = (size + 1, node)
+                    if vec[-1]:  # g is last in its closure
+                        model, root = tree_model(node, system)
+                        if not evaluate(model, root, g):
+                            raise AssertionError(
+                                "oracle witness failed evaluation")
+                        return EnumerationOutcome(True, True, model, root)
+        if len(types) == known or not bounds.max_branching:
+            break  # fixpoint, or no children: deeper trees add no types
+    definitive = (bounds.max_depth >= suff.max_depth
+                  and bounds.max_branching >= suff.max_branching)
     return EnumerationOutcome(False, definitive, None, None)
 
 

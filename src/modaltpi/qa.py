@@ -17,8 +17,8 @@ from .semantics import (
 
 __all__ = [
     "QueryVerdict", "KnowledgeBaseFile", "answer_query",
-    "answer_query_direct", "load_kb", "save_compilation", "load_compilation",
-    "SCHEMA_VERSION",
+    "answer_query_direct", "load_kb", "load_theory", "save_compilation",
+    "load_compilation", "SCHEMA_VERSION",
 ]
 
 SCHEMA_VERSION = 1
@@ -86,7 +86,9 @@ class KnowledgeBaseFile:
         return land(self.theory)
 
 
-def load_kb(path: str) -> KnowledgeBaseFile:
+def _read_sections(path: str):
+    """(formulas, theory) of a KB file: the lines before and after its
+    `[theory]` header."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     formulas, theory = [], []
@@ -104,10 +106,25 @@ def load_kb(path: str) -> KnowledgeBaseFile:
             raise FormulaSyntaxError(err.message, line=line_no,
                                      column=err.column,
                                      source=path) from None
+    return tuple(formulas), tuple(theory)
+
+
+def load_kb(path: str) -> KnowledgeBaseFile:
+    formulas, theory = _read_sections(path)
     if not formulas:
         raise FormulaSyntaxError("knowledge base has no formulas",
                                  line=1, column=1, source=path)
-    return KnowledgeBaseFile(tuple(formulas), tuple(theory), path)
+    return KnowledgeBaseFile(formulas, theory, path)
+
+
+def load_theory(path: str) -> Formula:
+    """The theory of a file read like a KB file: its formulas and its
+    `[theory]` section together, either of which may be empty."""
+    formulas, theory = _read_sections(path)
+    if not formulas and not theory:
+        raise FormulaSyntaxError("theory file has no formulas",
+                                 line=1, column=1, source=path)
+    return land(formulas + theory)
 
 
 def save_compilation(comp: CompilationResult, path: str) -> None:
@@ -182,6 +199,6 @@ def load_compilation(path: str) -> CompilationResult:
         candidates=clauses("candidates"),
         theta=clauses("theta"),
         box_y=box_y,
-        horn_advisory=bool(field("horn_advisory")),
+        horn_advisory=field("horn_advisory", bool),
         stats=dict(field("stats", dict)),
     )

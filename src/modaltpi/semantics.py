@@ -129,7 +129,8 @@ class _Budget:
 
 
 class _Witness:
-    """Open-branch skeleton: positive atoms plus successor subtrees."""
+    """Witness tree node: true atoms plus successor subtrees, built from
+    a tableau's open branch or by the oracle's enumeration."""
 
     __slots__ = ("atoms", "children")
 

@@ -1,11 +1,14 @@
+import itertools
+
 import pytest
 
+from modaltpi import oracle
 from modaltpi.errors import BudgetExceededError
 from modaltpi.formula import (
     TRUE, box, dia, land, lnot, lor, parse, var,
 )
 from modaltpi.oracle import (
-    OracleBounds, check_decomposition, clause_vocabulary,
+    OracleBounds, _child_combos, check_decomposition, clause_vocabulary,
     enumerate_implicates, sat_by_enumeration, sufficient_bounds,
 )
 from modaltpi.pi import prime_implicates
@@ -67,6 +70,37 @@ class TestSatByEnumeration:
             for system in (System.K, System.T):
                 assert (is_satisfiable(f, system)
                         == sat_by_enumeration(f, system, bounds).satisfiable)
+
+    def test_child_combos_keep_smallest_realization(self, monkeypatch):
+        # formula 598 of acceptance 6's corpus, unsatisfiable in T: its
+        # depth-2 pass reaches some aggregates first through larger
+        # sets of children
+        calls = []
+
+        def recording(types, max_branching):
+            combos = _child_combos(types, max_branching)
+            calls.append((dict(types), max_branching, combos))
+            return combos
+
+        monkeypatch.setattr(oracle, "_child_combos", recording)
+        f = parse("<>(b & ~c & <>b & []c & <>~c)")
+        sat_by_enumeration(f, System.T, sufficient_bounds(f))
+        assert len(calls) == 2
+        for types, max_branching, combos in calls:
+            best = {}
+            for k in range(1, max_branching + 1):
+                for kids in itertools.combinations_with_replacement(
+                        types.items(), k):
+                    vecs = [vec for vec, _ in kids]
+                    key = (tuple(map(any, zip(*vecs))),
+                           tuple(map(all, zip(*vecs))))
+                    size = sum(size for _, (size, _) in kids)
+                    best[key] = min(best.get(key, size), size)
+            assert {key: size for key, (size, _) in combos.items()} == best
+            # each realization is made of known child witnesses
+            sizes = {id(tree): size for size, tree in types.values()}
+            for size, trees in combos.values():
+                assert size == sum(sizes[id(t)] for t in trees)
 
 
 class TestEnumerateImplicates:

@@ -1,9 +1,15 @@
 import dataclasses
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modaltpi
 from modaltpi.cli import main
 from modaltpi.errors import (
     FormulaSyntaxError, NonClausalQueryError, SchemaError,
@@ -237,7 +243,7 @@ class TestPersistence:
     @pytest.mark.parametrize("change", [
         "[1, 2]", '"text"', {"x": 5}, {"candidates": [1]}, {"theta": "p"},
         {"system": 5}, {"system": "S5"}, {"stats": 3}, {"box_y": "[]("},
-        {"box_y": "[]p3"},
+        {"box_y": "[]p3"}, {"horn_advisory": "no"},
         pytest.param("[" * 100_000, id="deep-list"),
         pytest.param('{"a":' * 50_000, id="deep-object"),
     ])
@@ -258,6 +264,23 @@ class TestPersistence:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", [
+        "system", "x", "y", "box_y", "candidates", "theta", "stats",
+        "horn_advisory",
+    ])
+    def test_missing_field_exit_2(self, tmp_path, golden_t, capsys, name):
+        path = tmp_path / "comp.json"
+        save_compilation(golden_t, str(path))
+        payload = json.loads(path.read_text())
+        del payload[name]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=f"missing field '{name}'"):
+            load_compilation(str(path))
+        assert main(["query", "--compilation", str(path),
+                     "--query", "p1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: missing field '{name}'\n")
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "comp.json"
@@ -380,6 +403,33 @@ class TestCli:
                         + flags) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_theory_file_with_only_a_theory_section(self, tmp_path, capsys):
+        kb = tmp_path / "kb.txt"
+        kb.write_text("p1 | p2\n<>[]~p3\n[]<>p2\n")
+        theory = tmp_path / "th.txt"
+        theory.write_text("[theory]\np1 | p2\n")
+        out = str(tmp_path / "comp.json")
+        assert main(["compile", "--kb", str(kb), "--theory", str(theory),
+                     "--system", "K", "--out", out]) == 0
+        assert load_compilation(out).y == parse("p1 | p2")
+        assert main(["check", "--kb", str(kb), "--theory", str(theory),
+                     "--system", "K"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        # a file with no formulas at all is still bad input, named as
+        # the kind of file it was given as
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# nothing here\n[theory]\n")
+        for argv, what in [
+            (["--kb", str(kb), "--theory", str(empty)], "theory file"),
+            (["--kb", str(empty), "--theory", str(theory)],
+             "knowledge base"),
+        ]:
+            assert main(["compile", "--system", "K", "--out", out]
+                        + argv) == 2
+            err = capsys.readouterr().err
+            assert err == (f"error: {empty}, line 1, column 1: "
+                           f"{what} has no formulas\n")
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         kb = tmp_path / "kb.txt"
         kb.write_text("p1 |\n")
@@ -415,6 +465,35 @@ class TestCli:
             main(["oracle", "--formula", "p", "--budget", "1.5"])
         assert exc.value.code == 2
         assert "not an integer: '1.5'" in capsys.readouterr().err
+
+    def test_negative_oracle_bounds_exit_2(self, capsys):
+        for flag in ("--max-depth", "--max-branching"):
+            self._rejected(["oracle", "--formula", "<>p"], flag, capsys)
+
+    def test_oracle_unsat_below_sufficient_bounds(self, capsys):
+        assert main(["oracle", "--formula", "<>p", "--system", "K",
+                     "--max-depth", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "unsat-within-bounds\n"
+        assert "unsat verdict is not definitive" in captured.err
+
+    def test_oracle_budget_bounds_valuations(self):
+        # 2^24 valuations would not fit in the address space allowed;
+        # drawing them one budget tick at a time stops after 5,001
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(modaltpi.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        formula = " & ".join(f"a{i}" for i in range(1, 25))
+        done = subprocess.run(
+            [sys.executable, "-m", "modaltpi.cli", "oracle",
+             "--formula", formula, "--system", "K", "--budget", "5000"],
+            env=env, preexec_fn=limit_memory, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert "budget exhausted" in done.stderr
 
     def test_resource_cap_exit_code(self, tmp_path, capsys):
         kb = tmp_path / "kb.txt"
