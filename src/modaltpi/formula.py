@@ -9,11 +9,11 @@ formulas are structurally equal iff their canonical printed forms are
 equal, so formulas can be used in sets, dicts and sorted containers.
 
 The constructors return shared nodes: building a formula that already
-exists returns the node built for it, and `nnf` pushes each negation
-down once.  `semantics.clear_cache()` empties both tables, after which
-a formula is built anew; equality and hashing stay by printed form, so
-the twins built either side of a reset are equal, and no code relies on
-identity.
+exists returns the node built for it, `nnf` pushes each negation down
+once, and `parse` reads each distinct text once.  `semantics.clear_cache()`
+empties all three tables, after which a formula is built or parsed anew;
+equality and hashing stay by printed form, so the twins built either
+side of a reset are equal, and no code relies on identity.
 """
 
 from __future__ import annotations
@@ -149,19 +149,22 @@ def sort_formulas(fs) -> tuple:
 
 # Hash-consing (Filliatre & Conchon, 2006).  `_interned` maps (node
 # class, name or child or children tuple) to the one node built for it;
-# `_nnf_of` maps each node not in negation normal form to its `nnf`.
-# Both are read with get and then set, so a concurrent `clear_tables`
+# `_nnf_of` maps each node not in negation normal form to its `nnf`;
+# `_parsed` maps each text `parse` has read without error to its result.
+# All are read with get and then set, so a concurrent `clear_tables`
 # costs at most a duplicate node, equal by key to the first, never an
 # error.  Each is emptied whole when it reaches _TABLE_LIMIT entries.
 _interned: dict = {}
 _nnf_of: dict = {}
+_parsed: dict = {}
 _TABLE_LIMIT = 200_000
 
 
 def clear_tables():
-    """Empty the intern table and the NNF memo."""
+    """Empty the intern table, the NNF memo and the parse memo."""
     _interned.clear()
     _nnf_of.clear()
+    _parsed.clear()
 
 
 def _shared(cls, arg):
@@ -391,11 +394,19 @@ def parse(text: str, source=None) -> Formula:
     """Parse formula text into a canonical Formula.
 
     `->` and `<->` are expanded away at parse time; the tree only ever
-    contains the primitive connectives.
+    contains the primitive connectives.  A text parsed before returns the
+    node kept for it in `_parsed`; a text that fails is never kept, so it
+    fails again on every call, with that call's `source`.
     """
-    if not text.strip():
-        raise FormulaSyntaxError("empty input", 1, 1, source)
-    return _Parser(text, source).parse()
+    f = _parsed.get(text)
+    if f is None:
+        if not text.strip():
+            raise FormulaSyntaxError("empty input", 1, 1, source)
+        f = _Parser(text, source).parse()
+        if len(_parsed) >= _TABLE_LIMIT:
+            _parsed.clear()
+        _parsed[text] = f
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -127,21 +127,25 @@ def _eval_world(order, index, val, orv, andv, reflexive):
     return tuple(vec)
 
 
-def _child_combos(types, max_branching):
+def _child_combos(types, max_branching, tick):
     """Aggregated (or, and) successor profiles for 1..max_branching children.
 
     `types` maps a child truth vector to (size, witness) of its smallest
     known tree; returns a dict (orv, andv) -> (total size, list of child
     witnesses), keeping the smallest realization of every aggregate.
+    `tick()` is called once for each candidate aggregate built.
     """
     singles = sorted(types.items(), key=lambda p: (p[1][0], p[0]))
-    frontier = {(vec, vec): (size, [tree])
-                for vec, (size, tree) in singles}
+    frontier = {}
+    for vec, (size, tree) in singles:
+        tick()
+        frontier[vec, vec] = (size, [tree])
     states = dict(frontier)
     for _ in range(1, max_branching):
         new_frontier = {}
         for (orv, andv), (size, trees) in frontier.items():
             for vec, (tsize, tree) in singles:
+                tick()
                 key = (tuple(a or b for a, b in zip(orv, vec)),
                        tuple(a and b for a, b in zip(andv, vec)))
                 best = new_frontier.get(key) or states.get(key)
@@ -159,8 +163,9 @@ def sat_by_enumeration(f: Formula, system: System, bounds: OracleBounds,
     """Exhaustive search for a satisfying tree model within bounds.
 
     Every world evaluated, under each valuation of `bounds.variables` and
-    each aggregate of children, costs one tick of `budget`; depth 0 draws
-    the valuations one tick at a time and the deeper passes reuse them.
+    each aggregate of children, costs one tick of `budget`, and so does
+    every candidate aggregate `_child_combos` builds; depth 0 draws the
+    valuations one tick at a time and the deeper passes reuse them.
     """
     g = nnf(f)
     order, index, suff = _closure(g)
@@ -173,19 +178,21 @@ def sat_by_enumeration(f: Formula, system: System, bounds: OracleBounds,
              in itertools.product((False, True), repeat=len(names)))
     valuations = []
     types = {}  # truth vector -> (size, witness) of its smallest tree
-    ticks = 0
+    ticks = itertools.count(1)
+
+    def tick():
+        if next(ticks) > budget:
+            raise BudgetExceededError("oracle enumeration budget exhausted")
+
     for depth in range(bounds.max_depth + 1):
         # depth 0 is the one aggregate of no children
-        combos = (_child_combos(types, bounds.max_branching) if depth
+        combos = (_child_combos(types, bounds.max_branching, tick) if depth
                   else {(None, None): (0, [])})
         known = len(types)
         for (orv, andv), (size, trees) in sorted(
                 combos.items(), key=lambda kv: (kv[1][0], kv[0])):
             for val in valuations if depth else drawn:
-                ticks += 1
-                if ticks > budget:
-                    raise BudgetExceededError(
-                        "oracle enumeration budget exhausted")
+                tick()
                 if not depth:
                     valuations.append(val)
                 vec = _eval_world(order, index, val, orv, andv, reflexive)

@@ -146,7 +146,8 @@ _MISS = object()  # a cached None is an unsatisfiable world
 
 
 def clear_cache():
-    """Empty the sat cache, the intern table and the NNF memo."""
+    """Empty the sat cache, the intern table, the NNF memo and the parse
+    memo."""
     _sat_cache.clear()
     clear_tables()
 

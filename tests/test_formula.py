@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modaltpi.formula as formula_module
 from modaltpi.errors import FormulaSyntaxError, NotAClauseError, NotATermError
 from modaltpi.formula import (
     MAX_EXPANSION, MAX_NESTING, And, Box, Dia, Not, Or, Var, TRUE, FALSE,
@@ -265,6 +266,52 @@ class TestSharing:
         warm = [nnf(lnot(f)).key for f in fs]
         clear_cache()
         assert warm == cold == [nnf(lnot(f)).key for f in fs]
+
+
+class TestParseMemo:
+    """`parse` keeps each text it read without error in `_parsed`."""
+
+    def test_same_text_same_node(self, rng):
+        clear_cache()
+        texts = [str(rand_formula(rng, depth=3, size=14)) for _ in range(50)]
+        texts += ["p -> q -> <>r", "(a <-> b) & []~c"]
+        first = [parse(t) for t in texts]
+        assert all(formula_module._parsed[t] is f
+                   for t, f in zip(texts, first))
+        # a node built anew would be a twin, not the same object
+        formula_module._interned.clear()
+        assert all(parse(t) is f for t, f in zip(texts, first))
+
+    def test_whitespace_variant_equal(self):
+        clear_cache()
+        tight, loose = parse("a|b"), parse(" a | b ")
+        assert tight == loose == lor(var("a"), var("b"))
+        assert {"a|b", " a | b "} <= formula_module._parsed.keys()
+
+    def test_errors_not_memoized(self):
+        for text in ("p &\n  )", "", "p ? q"):
+            for source in ("first.txt", "second.txt"):
+                with pytest.raises(FormulaSyntaxError) as err:
+                    parse(text, source=source)
+                assert err.value.source == source
+                assert source in str(err.value)
+            assert text not in formula_module._parsed
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse("p &\n  )", source="third.txt")
+        assert (err.value.line, err.value.column) == (2, 3)
+
+    def test_nesting_limit_on_every_call(self):
+        text = "~" * (MAX_NESTING + 1) + "p"
+        for _ in range(2):
+            with pytest.raises(FormulaSyntaxError, match="nested deeper"):
+                parse(text)
+        assert text not in formula_module._parsed
+
+    def test_clear_cache_empties_memo(self):
+        parse("<>p & []q")
+        assert formula_module._parsed
+        clear_cache()
+        assert not formula_module._parsed
 
 
 class TestNnf:

@@ -77,8 +77,8 @@ class TestSatByEnumeration:
         # sets of children
         calls = []
 
-        def recording(types, max_branching):
-            combos = _child_combos(types, max_branching)
+        def recording(types, max_branching, tick):
+            combos = _child_combos(types, max_branching, tick)
             calls.append((dict(types), max_branching, combos))
             return combos
 

@@ -477,21 +477,35 @@ class TestCli:
         assert captured.out == "unsat-within-bounds\n"
         assert "unsat verdict is not definitive" in captured.err
 
+    @staticmethod
+    def _oracle_subprocess(formula, budget, **kwargs):
+        """`python -m modaltpi.cli oracle` on formula in K, in a fresh
+        interpreter that imports this checkout's package."""
+        src = str(Path(modaltpi.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "modaltpi.cli", "oracle",
+             "--formula", formula, "--system", "K", "--budget", budget],
+            env=env, capture_output=True, text=True, timeout=120, **kwargs)
+
     def test_oracle_budget_bounds_valuations(self):
         # 2^24 valuations would not fit in the address space allowed;
         # drawing them one budget tick at a time stops after 5,001
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-        src = str(Path(modaltpi.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         formula = " & ".join(f"a{i}" for i in range(1, 25))
-        done = subprocess.run(
-            [sys.executable, "-m", "modaltpi.cli", "oracle",
-             "--formula", formula, "--system", "K", "--budget", "5000"],
-            env=env, preexec_fn=limit_memory, capture_output=True,
-            text=True, timeout=120)
+        done = self._oracle_subprocess(formula, "5000",
+                                       preexec_fn=limit_memory)
+        assert done.returncode == 3, done.stderr
+        assert "budget exhausted" in done.stderr
+
+    def test_oracle_budget_bounds_child_aggregates(self):
+        # 2^10 depth-0 types crossed up to 10 times before the depth-1
+        # pass: each candidate aggregate costs a tick, so the budget ends it
+        formula = " & ".join(f"<>a{i}" for i in range(10))
+        done = self._oracle_subprocess(formula, "20000")
         assert done.returncode == 3, done.stderr
         assert "budget exhausted" in done.stderr
 

@@ -266,6 +266,25 @@ class TestSharedTables:
         clear_cache()
         assert not formula_module._interned and not formula_module._nnf_of
 
+    def test_limit_empties_parse_memo(self, rng, monkeypatch):
+        texts = [str(rand_formula(rng, depth=3, size=12)) for _ in range(150)]
+        texts += ["p -> q -> <>r", "(a <-> b) & []~c", " a | b ", "a|b"]
+        clear_cache()
+        keys = [parse(t).key for t in texts]
+        want = _answers([parse(t) for t in texts], [])
+        clear_cache()
+        monkeypatch.setattr(formula_module, "_TABLE_LIMIT", 40)
+        parsed, sizes = [], []
+        for t in texts + texts[::-1]:
+            parsed.append(parse(t))
+            sizes.append(len(formula_module._parsed))
+        assert max(sizes) <= 40
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied
+        assert [f.key for f in parsed] == keys + keys[::-1]
+        assert _answers(parsed[:len(texts)], []) == want
+        clear_cache()
+        assert not formula_module._parsed
+
     def test_threads_race_a_reset(self):
         rng = random.Random(7)
         texts = [str(rand_formula(rng, depth=3, size=12)) for _ in range(40)]
