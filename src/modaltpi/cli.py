@@ -52,7 +52,7 @@ def _resolve_theory(args, kb, system):
         return load_theory(args.theory)
     if kb.theory or not args.auto_theory:
         return kb.theory_formula()
-    return default_theory(kb.kb_formula(), system)
+    return default_theory(kb.kb_formula(), system, args.node_budget)
 
 
 def _cmd_compile(args) -> int:
@@ -104,21 +104,24 @@ def _cmd_check(args) -> int:
     system = System.from_name(args.system)
     x = kb.kb_formula()
     y = _resolve_theory(args, kb, system)
-    comp = compile_kb(x, y, system, node_budget=args.node_budget)
+    budget = args.node_budget
+    comp = compile_kb(x, y, system, node_budget=budget)
     by = comp.box_y
-    xby = land(x, by)
+
+    def entailed(premise, conclusion):
+        return entails_mod(premise, by, conclusion, system, budget)
 
     checks = []
     checks.append(("candidates entailed by the base",
-                   all(entails_mod(x, by, c, system) for c in comp.candidates)))
+                   all(entailed(x, c) for c in comp.candidates)))
     checks.append(("compiled clauses entailed by the base",
-                   all(entails_mod(x, by, t, system) for t in comp.theta)))
+                   all(entailed(x, t) for t in comp.theta)))
     checks.append(("compiled clauses pairwise incomparable",
-                   not any(a.key != b.key and entails_mod(a, by, b, system)
+                   not any(a.key != b.key and entailed(a, b)
                            for a in comp.theta for b in comp.theta)))
     checks.append(("base equivalent to compilation modulo theory",
-                   equivalent_mod(x, land(comp.theta), by, system)))
-    plain = prime_implicates(xby, system)
+                   equivalent_mod(x, land(comp.theta), by, system, budget)))
+    plain = prime_implicates(land(x, by), system, node_budget=budget)
     checks.append(("compilation no larger than plain prime implicates",
                    len(comp.theta) <= len(plain)))
 
@@ -149,6 +152,23 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if outcome.satisfiable else EXIT_FALSE
 
 
+# Flags that several subcommands take, each declared once.
+_SHARED_FLAGS = {
+    "--kb": dict(required=True),
+    "--theory": dict(help="file with the propositional theory"),
+    "--auto-theory": dict(action="store_true",
+                          help="use the propositional CNF clauses of the KB"),
+    "--system": dict(default="T", choices=["K", "T", "k", "t"]),
+    "--max-terms": dict(type=_nonnegative, default=DEFAULT_SIZE_CAP),
+    "--node-budget": dict(type=_nonnegative, default=DEFAULT_NODE_BUDGET),
+}
+
+
+def _shared_flags(p, *flags):
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tpi",
@@ -157,15 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compile", help="compile a KB against a theory")
-    p.add_argument("--kb", required=True)
-    p.add_argument("--theory", help="file with the propositional theory")
-    p.add_argument("--auto-theory", action="store_true",
-                   help="use the propositional CNF clauses of the KB")
-    p.add_argument("--system", default="T", choices=["K", "T", "k", "t"])
+    _shared_flags(p, "--kb", "--theory", "--auto-theory", "--system")
     p.add_argument("--out", required=True)
-    p.add_argument("--max-terms", type=_nonnegative, default=DEFAULT_SIZE_CAP)
-    p.add_argument("--node-budget", type=_nonnegative,
-                   default=DEFAULT_NODE_BUDGET)
+    _shared_flags(p, "--max-terms", "--node-budget")
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("query", help="answer a clausal query")
@@ -176,25 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("pi", help="print the prime implicates of a KB")
-    p.add_argument("--kb", required=True)
-    p.add_argument("--system", default="T", choices=["K", "T", "k", "t"])
-    p.add_argument("--max-terms", type=_nonnegative, default=DEFAULT_SIZE_CAP)
-    p.add_argument("--node-budget", type=_nonnegative,
-                   default=DEFAULT_NODE_BUDGET)
+    _shared_flags(p, "--kb", "--system", "--max-terms", "--node-budget")
     p.set_defaults(func=_cmd_pi)
 
     p = sub.add_parser("check", help="run the invariant suite on one instance")
-    p.add_argument("--kb", required=True)
-    p.add_argument("--theory")
-    p.add_argument("--auto-theory", action="store_true")
-    p.add_argument("--system", default="T", choices=["K", "T", "k", "t"])
-    p.add_argument("--node-budget", type=_nonnegative,
-                   default=DEFAULT_NODE_BUDGET)
+    _shared_flags(p, "--kb", "--theory", "--auto-theory", "--system",
+                  "--node-budget")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("oracle", help="bounded tree-model satisfiability")
     p.add_argument("--formula", required=True)
-    p.add_argument("--system", default="T", choices=["K", "T", "k", "t"])
+    _shared_flags(p, "--system")
     p.add_argument("--max-depth", type=_nonnegative, default=None)
     p.add_argument("--max-branching", type=_nonnegative, default=None)
     p.add_argument("--budget", type=_nonnegative, default=DEFAULT_ENUM_BUDGET)

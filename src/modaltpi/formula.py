@@ -151,13 +151,12 @@ def sort_formulas(fs) -> tuple:
 # class, name or child or children tuple) to the one node built for it;
 # `_nnf_of` maps each node not in negation normal form to its `nnf`;
 # `_parsed` maps each text `parse` has read without error to its result.
-# All are read with get and then set, so a concurrent `clear_tables`
-# costs at most a duplicate node, equal by key to the first, never an
-# error.  Each is emptied whole when it reaches _TABLE_LIMIT entries.
+# All three, and the sat cache of `semantics`, go through `_memo`.
 _interned: dict = {}
 _nnf_of: dict = {}
 _parsed: dict = {}
 _TABLE_LIMIT = 200_000
+_ABSENT = object()
 
 
 def clear_tables():
@@ -167,32 +166,53 @@ def clear_tables():
     _parsed.clear()
 
 
+def _memo(table, key, make, *args, limit=None):
+    """table[key], or else make(key, *args), kept in the table; a table
+    that holds `limit` entries (by default `_TABLE_LIMIT`, read at call
+    time) is emptied whole first.  The table is read with get and then
+    set, so a concurrent `clear` costs at most a value made twice, never
+    an error; a `make` that raises keeps nothing."""
+    value = table.get(key, _ABSENT)
+    if value is _ABSENT:
+        value = make(key, *args)
+        if len(table) >= (_TABLE_LIMIT if limit is None else limit):
+            table.clear()
+        table[key] = value
+    return value
+
+
 def _shared(cls, arg):
     """The node cls(arg), built only when no such node is interned."""
-    k = (cls, arg)
-    f = _interned.get(k)
-    if f is None:
-        if len(_interned) >= _TABLE_LIMIT:
-            _interned.clear()
-        f = _interned[k] = cls(arg)
-    return f
+    return _memo(_interned, (cls, arg), _build)
+
+
+def _build(key):
+    cls, arg = key
+    return cls(arg)
 
 
 def var(name: str) -> Var:
     return _shared(Var, name)
 
 
+def _flat(items, cls, zero, unit):
+    """The children `cls(items)` would have: nested `cls` nodes flattened,
+    `unit`s dropped, deduplicated and in canonical order; None when one
+    of them is a `zero`.  `zero` and `unit` are the constant classes."""
+    seen = {}
+    for f in items:
+        for c in (f.children if isinstance(f, cls) else (f,)):
+            if isinstance(c, zero):
+                return None
+            if not isinstance(c, unit):
+                seen[c.key] = c
+    return sort_formulas(seen.values())
+
+
 def conjuncts(items):
     """The children `land(items)` would have: flattened, deduplicated and
     in canonical order; None when one of them is false."""
-    seen = {}
-    for f in items:
-        for c in (f.children if isinstance(f, And) else (f,)):
-            if isinstance(c, FalseF):
-                return None
-            if not isinstance(c, TrueF):
-                seen[c.key] = c
-    return sort_formulas(seen.values())
+    return _flat(items, And, FalseF, TrueF)
 
 
 def disjuncts(c: Formula) -> tuple:
@@ -200,37 +220,27 @@ def disjuncts(c: Formula) -> tuple:
     return c.children if isinstance(c, Or) else (c,)
 
 
-def land(*items) -> Formula:
-    """Conjunction; accepts formulas or a single iterable of formulas."""
+def _join(items, cls, zero, unit):
+    """The `cls` node of items (formulas, or one iterable of them): the
+    constant `zero` or `unit`, the one child left, or a shared node."""
     if len(items) == 1 and not isinstance(items[0], Formula):
         items = items[0]
-    children = conjuncts(items)
+    children = _flat(items, cls, type(zero), type(unit))
     if children is None:
-        return FALSE
-    if not children:
-        return TRUE
-    if len(children) == 1:
-        return children[0]
-    return _shared(And, children)
+        return zero
+    if len(children) < 2:
+        return children[0] if children else unit
+    return _shared(cls, children)
+
+
+def land(*items) -> Formula:
+    """Conjunction; accepts formulas or a single iterable of formulas."""
+    return _join(items, And, FALSE, TRUE)
 
 
 def lor(*items) -> Formula:
     """Disjunction; accepts formulas or a single iterable of formulas."""
-    if len(items) == 1 and not isinstance(items[0], Formula):
-        items = tuple(items[0])
-    seen = {}
-    for f in items:
-        for c in (f.children if isinstance(f, Or) else (f,)):
-            if isinstance(c, TrueF):
-                return TRUE
-            if not isinstance(c, FalseF):
-                seen[c.key] = c
-    children = sort_formulas(seen.values())
-    if not children:
-        return FALSE
-    if len(children) == 1:
-        return children[0]
-    return _shared(Or, children)
+    return _join(items, Or, TRUE, FALSE)
 
 
 def lnot(f: Formula) -> Formula:
@@ -272,6 +282,7 @@ def dia(f: Formula) -> Formula:
 MAX_NESTING = 100
 MAX_EXPANSION = 100_000
 _UNARY = {"~": lnot, "[]": box, "<>": dia}
+_BINARY = (("|", lor), ("&", land))  # loosest first
 
 # One token per match: a token of the grammar in group 1, or else the
 # first character that starts none, in group 2.  `\S` rather than `.`, so
@@ -293,6 +304,8 @@ class _Parser:
         self.depth = 0
         self.expanded = 0
         self.end = len(text.rstrip())
+        if not self.end:
+            raise FormulaSyntaxError("empty input", 1, 1, source)
         found = _TOKEN.findall(text, 0, self.end)
         self.tokens = [tok for tok, _ in found]
         if "" in self.tokens:
@@ -335,28 +348,24 @@ class _Parser:
         return left
 
     def imp(self) -> Formula:
-        parts = [self.disj()]
+        parts = [self.chain()]
         while self.tokens[self.pos] == "->":
             self.pos += 1
-            parts.append(self.disj())
+            parts.append(self.chain())
         f = parts.pop()
         for left in reversed(parts):
             f = lor(lnot(left), f)
         return f
 
-    def disj(self) -> Formula:
-        parts = [self.conj()]
-        while self.tokens[self.pos] == "|":
+    def chain(self, level=0) -> Formula:
+        """A disjunction (level 0) of conjunctions (level 1) of unary
+        operands."""
+        op, join = _BINARY[level]
+        parts = [self.unary() if level else self.chain(1)]
+        while self.tokens[self.pos] == op:
             self.pos += 1
-            parts.append(self.conj())
-        return lor(parts) if len(parts) > 1 else parts[0]
-
-    def conj(self) -> Formula:
-        parts = [self.unary()]
-        while self.tokens[self.pos] == "&":
-            self.pos += 1
-            parts.append(self.unary())
-        return land(parts) if len(parts) > 1 else parts[0]
+            parts.append(self.unary() if level else self.chain(1))
+        return join(parts) if len(parts) > 1 else parts[0]
 
     def unary(self) -> Formula:
         op = _UNARY.get(self.tokens[self.pos])
@@ -398,15 +407,11 @@ def parse(text: str, source=None) -> Formula:
     node kept for it in `_parsed`; a text that fails is never kept, so it
     fails again on every call, with that call's `source`.
     """
-    f = _parsed.get(text)
-    if f is None:
-        if not text.strip():
-            raise FormulaSyntaxError("empty input", 1, 1, source)
-        f = _Parser(text, source).parse()
-        if len(_parsed) >= _TABLE_LIMIT:
-            _parsed.clear()
-        _parsed[text] = f
-    return f
+    return _memo(_parsed, text, _read, source)
+
+
+def _read(text: str, source) -> Formula:
+    return _Parser(text, source).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -419,24 +424,20 @@ def nnf(f: Formula) -> Formula:
     A formula already in negation normal form is returned itself; the
     result for any other is kept in `_nnf_of`.
     """
-    if f.in_nnf:
-        return f
-    g = _nnf_of.get(f)
-    if g is None:
-        if isinstance(f, And):
-            g = land(nnf(c) for c in f.children)
-        elif isinstance(f, Or):
-            g = lor(nnf(c) for c in f.children)
-        elif isinstance(f, Box):
-            g = box(nnf(f.child))
-        elif isinstance(f, Dia):
-            g = dia(nnf(f.child))
-        else:  # Not of anything but a variable
-            g = _negated(f.child)
-        if len(_nnf_of) >= _TABLE_LIMIT:
-            _nnf_of.clear()
-        _nnf_of[f] = g
-    return g
+    return f if f.in_nnf else _memo(_nnf_of, f, _pushed)
+
+
+def _pushed(f: Formula) -> Formula:
+    """nnf(f) for a node f not in negation normal form."""
+    if isinstance(f, And):
+        return land(nnf(c) for c in f.children)
+    if isinstance(f, Or):
+        return lor(nnf(c) for c in f.children)
+    if isinstance(f, Box):
+        return box(nnf(f.child))
+    if isinstance(f, Dia):
+        return dia(nnf(f.child))
+    return _negated(f.child)  # Not of anything but a variable
 
 
 def _negated(g: Formula) -> Formula:
@@ -494,47 +495,41 @@ def contradictory(literals) -> bool:
 
 
 class Parts:
-    """A clause (`join` is `lor`) or a term (`join` is `land`) split into
-    propositional literals, <>-bodies and []-bodies."""
+    """A clause (`join` is `lor`) or a term (`join` is `land`), given as
+    its literals, split into propositional literals, <>-bodies and
+    []-bodies."""
 
     __slots__ = ("join", "prop", "dia", "box")
 
-    def __init__(self, join, prop, dia_bodies, box_bodies):
+    def __init__(self, join, literals):
         self.join = join
+        prop, dias, boxes = [], [], []
+        for lit in literals:
+            if isinstance(lit, Dia):
+                dias.append(lit.child)
+            elif isinstance(lit, Box):
+                boxes.append(lit.child)
+            else:
+                prop.append(lit)
         self.prop = frozenset(prop)
-        self.dia = sort_formulas(dia_bodies)
-        self.box = sort_formulas(box_bodies)
+        self.dia = sort_formulas(dias)
+        self.box = sort_formulas(boxes)
 
     def formula(self) -> Formula:
         return self.join(list(self.prop) + [dia(b) for b in self.dia]
                          + [box(b) for b in self.box])
 
 
-def _split(literals):
-    prop, dias, boxes = [], [], []
-    for lit in literals:
-        if isinstance(lit, Dia):
-            dias.append(lit.child)
-        elif isinstance(lit, Box):
-            boxes.append(lit.child)
-        else:
-            prop.append(lit)
-    return prop, dias, boxes
-
-
 def decompose_clause(c: Formula) -> Parts:
-    kind = classify(c)
-    if kind not in ("literal", "clause"):
+    if classify(c) not in ("literal", "clause"):
         raise NotAClauseError(f"not a clause: {c}")
-    return Parts(lor, *_split(disjuncts(c)))
+    return Parts(lor, disjuncts(c))
 
 
 def decompose_term(t: Formula) -> Parts:
-    kind = classify(t)
-    if kind not in ("literal", "term"):
+    if classify(t) not in ("literal", "term"):
         raise NotATermError(f"not a term: {t}")
-    literals = t.children if isinstance(t, And) else (t,)
-    return Parts(land, *_split(literals))
+    return Parts(land, t.children if isinstance(t, And) else (t,))
 
 
 def variables(f: Formula) -> frozenset:

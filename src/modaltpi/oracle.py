@@ -217,16 +217,13 @@ def sat_by_enumeration(f: Formula, system: System, bounds: OracleBounds,
 # ---------------------------------------------------------------------------
 
 def clause_vocabulary(names, max_disjuncts: int = 2,
-                      max_modal_depth: int = 1,
-                      max_body_disjuncts: int = 2):
+                      max_modal_depth: int = 1):
     """All clauses over the variables within the shape bounds, canonical."""
     lits = []
     for n in sorted(names):
         lits.append(var(n))
         lits.append(lnot(var(n)))
-    bodies = [l for l in lits]
-    if max_body_disjuncts >= 2:
-        bodies += [lor(a, b) for a, b in itertools.combinations(lits, 2)]
+    bodies = lits + [lor(a, b) for a, b in itertools.combinations(lits, 2)]
     pool = list(lits)
     if max_modal_depth >= 1:
         for b in bodies:

@@ -60,15 +60,12 @@ class CompilationResult:
 
 
 def term_candidates(parts) -> tuple:
-    """Candidate implicate clauses of a single term, given as a formula or
-    as its `Parts`.
+    """Candidate implicate clauses of a single term, given as its `Parts`.
 
     Propositional literals pass through; each <>-body is bundled with the
     conjunction of all []-bodies under <>; the []-bodies are bundled under
     a single [].  The construction is syntactic, the same in K and T.
     """
-    if isinstance(parts, Formula):
-        parts = decompose_term(parts)
     if contradictory(parts.prop):
         raise InconsistentTermError(f"term {parts.formula()} is contradictory")
     out = list(parts.prop)
@@ -92,7 +89,7 @@ def candidates(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
         return (FALSE,)
     if len(terms) == 1 and isinstance(terms[0], TrueF):
         return ()
-    per_term = [term_candidates(t) for t in terms]
+    per_term = [term_candidates(decompose_term(t)) for t in terms]
     return sort_formulas(set(distribute(per_term, lor, max_clauses)))
 
 
@@ -149,11 +146,12 @@ def is_horn(y: Formula) -> bool:
     return True
 
 
-def default_theory(x: Formula, system: System = System.T) -> Formula:
+def default_theory(x: Formula, system: System = System.T,
+                   node_budget: int = DEFAULT_NODE_BUDGET) -> Formula:
     """Propositional clauses of the CNF of x, re-verified as entailed."""
     props = [c for c in to_cnf(nnf(x)).clauses if modal_depth(c) == 0]
     y = land(props)
-    if not entails(x, y, system):
+    if not entails(x, y, system, node_budget):
         raise PreconditionError("extracted theory is not entailed")
     return y
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import BudgetExceededError
 from .formula import (
     And, Box, Dia, FALSE, FalseF, Formula, Not, Or, TrueF, Var,
-    Parts, box, clear_tables, conjuncts, contradictory, decompose_clause,
-    disjuncts, is_literal, lnot, lor, nnf, sort_formulas,
+    Parts, _memo, box, clear_tables, conjuncts, contradictory,
+    decompose_clause, disjuncts, is_literal, lnot, lor, nnf, sort_formulas,
 )
 
 __all__ = [
@@ -139,10 +140,11 @@ class _Witness:
         self.children = children
 
 
-# cache: (formula keys of a world, system) -> _Witness | None
+# cache: (formula keys of a world, read by _KEY, system) -> _Witness | None,
+# kept by `formula._memo` with its own limit
 _sat_cache: dict = {}
 _CACHE_LIMIT = 400_000
-_MISS = object()  # a cached None is an unsatisfiable world
+_KEY = attrgetter("key")
 
 
 def clear_cache():
@@ -213,11 +215,13 @@ def _solve(world, system: System, budget: _Budget):
     So verdicts, witnesses and the nodes a cold cache spends do not depend
     on the hash seed.
     """
-    key = (tuple(f.key for f in world), system)
-    cached = _sat_cache.get(key, _MISS)
-    if cached is not _MISS:
-        return cached
-    result = None
+    return _memo(_sat_cache, (tuple(map(_KEY, world)), system),
+                 _expand, world, system, budget, limit=_CACHE_LIMIT)
+
+
+def _expand(key, world, system: System, budget: _Budget):
+    """`_solve` of a world missing from the cache (`_memo` passes its
+    key first)."""
     for pos, dias, boxes in _branches(list(world), system, budget):
         children = []
         for d in sort_formulas(dias):
@@ -226,12 +230,8 @@ def _solve(world, system: System, budget: _Budget):
                 break
             children.append(sub)
         else:
-            result = _Witness(pos, children)
-            break
-    if len(_sat_cache) >= _CACHE_LIMIT:
-        _sat_cache.clear()
-    _sat_cache[key] = result
-    return result
+            return _Witness(pos, children)
+    return None
 
 
 def tree_model(tree, system: System):
@@ -332,7 +332,7 @@ def clause_test(q: Formula, y: Formula, system: System,
                                              node_budget)
     q = nnf(q)
     # false is the empty clause: no literals, and not valid
-    parts = (Parts(lor, (), (), ()) if isinstance(q, FalseF)
+    parts = (Parts(lor, ()) if isinstance(q, FalseF)
              else decompose_clause(q))
     body = (nnf(y),) + tuple(nnf(lnot(c)) for c in parts.dia)
     not_zetas = [nnf(lnot(z)) for z in parts.box]

@@ -36,6 +36,13 @@ class TestToCnf:
         f = land(lor(parse(f"a{i}"), parse(f"b{i}")) for i in range(8))
         with pytest.raises(CapacityError):
             to_dnf(f, max_terms=10)
+        # the cap also holds where the children's clauses or terms are
+        # only joined, with nothing to distribute
+        atoms = [parse(f"a{i}") for i in range(20)]
+        with pytest.raises(CapacityError):
+            to_cnf(land(atoms), max_clauses=10)
+        with pytest.raises(CapacityError):
+            to_dnf(lor(atoms), max_terms=10)
 
 
 class TestToDnf:

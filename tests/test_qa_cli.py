@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import modaltpi
+import modaltpi.semantics as semantics_module
 from modaltpi.cli import main
 from modaltpi.errors import (
     FormulaSyntaxError, NonClausalQueryError, SchemaError,
@@ -342,6 +343,33 @@ class TestCli:
 
     def test_check_passes_on_golden(self, golden_kb, capsys):
         assert main(["check", "--kb", golden_kb, "--system", "T"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_node_budget_reaches_every_tableau_call(self, golden_kb, tmp_path,
+                                                    monkeypatch, capsys):
+        # check's own tests and --auto-theory's entailment test included
+        budget = 654_321
+        budgets = []
+        real = semantics_module.is_satisfiable
+
+        def spy(f, system, node_budget=semantics_module.DEFAULT_NODE_BUDGET):
+            budgets.append(node_budget)
+            return real(f, system, node_budget)
+
+        monkeypatch.setattr(semantics_module, "is_satisfiable", spy)
+        bare = tmp_path / "bare.kb"
+        bare.write_text("p1 | p2\n<>[]~p3\n[]<>p2\n")
+        out = str(tmp_path / "comp.json")
+        for argv in (["check", "--kb", golden_kb],
+                     ["check", "--kb", str(bare), "--auto-theory"],
+                     ["compile", "--kb", str(bare), "--auto-theory",
+                      "--out", out],
+                     ["pi", "--kb", golden_kb]):
+            for system in ("K", "T"):
+                budgets.clear()
+                assert main(argv + ["--system", system,
+                                    "--node-budget", str(budget)]) == 0
+                assert budgets and set(budgets) == {budget}, argv
         assert "FAIL" not in capsys.readouterr().out
 
     def test_oracle_subcommand(self, capsys):

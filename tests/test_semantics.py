@@ -11,6 +11,7 @@ import pytest
 
 import modaltpi
 import modaltpi.formula as formula_module
+import modaltpi.semantics as semantics_module
 from modaltpi.errors import BudgetExceededError
 from modaltpi.formula import (
     FALSE, TRUE, box, dia, land, lnot, lor, nnf, parse, var,
@@ -265,6 +266,29 @@ class TestSharedTables:
         assert 0 < len(formula_module._nnf_of) <= 40
         clear_cache()
         assert not formula_module._interned and not formula_module._nnf_of
+
+    def test_limit_empties_sat_cache(self, rng, monkeypatch):
+        fs = [rand_formula(rng, depth=3, size=12) for _ in range(120)]
+        instances = []
+        for _ in range(6):
+            x, y = rand_instance(rng)
+            instances.append((x, y, [rand_clause(rng) for _ in range(8)]))
+        clear_cache()
+        want = _answers(fs, instances)
+        clear_cache()
+        monkeypatch.setattr(semantics_module, "_CACHE_LIMIT", 40)
+        sizes = []
+        real = semantics_module._solve
+
+        def solve(world, system, budget):
+            sizes.append(len(semantics_module._sat_cache))
+            return real(world, system, budget)
+
+        monkeypatch.setattr(semantics_module, "_solve", solve)
+        assert _answers(fs, instances) == want
+        sizes.append(len(semantics_module._sat_cache))
+        assert max(sizes) <= 40
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied
 
     def test_limit_empties_parse_memo(self, rng, monkeypatch):
         texts = [str(rand_formula(rng, depth=3, size=12)) for _ in range(150)]
