@@ -7,11 +7,12 @@ from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError, NonClausalQueryError, SchemaError
 from .formula import (
-    Formula, TRUE, box, classify, land, lnot, nnf, parse, sort_formulas,
+    FalseF, Formula, TRUE, box, classify, land, lnot, nnf, parse,
+    sort_formulas,
 )
 from .pi import CompilationResult
 from .semantics import (
-    DEFAULT_NODE_BUDGET, System, clause_test, find_model,
+    DEFAULT_NODE_BUDGET, System, find_model, query_test,
     entails_mod,  # not called here; bench/layers.py wraps it by name
 )
 
@@ -41,12 +42,16 @@ def answer_query(comp: CompilationResult, q: Formula, strict: bool = False,
 
     Default reading: true iff some compiled clause entails the query
     modulo the boxed theory.  `strict` switches to requiring every
-    compiled clause to entail it, kept for comparison.  The entailment
-    test is `semantics.clause_test`, prepared once per query.
+    compiled clause to entail it, kept for comparison.  The query is a
+    literal, a clause or `false`, the empty clause.  The entailment test
+    is `semantics.query_test`, prepared once per query and theory, until
+    `clear_cache()`, and each verdict it reaches is kept for the later
+    clauses and queries.
     """
-    if classify(nnf(q)) not in ("literal", "clause"):
+    n = nnf(q)
+    if not isinstance(n, FalseF) and classify(n) not in ("literal", "clause"):
         raise NonClausalQueryError(f"not a clausal query: {q}")
-    entails = clause_test(q, comp.y, comp.system, node_budget)
+    entails = query_test(q, comp.y, comp.system, node_budget)
     # an empty omega compiles the knowledge base true; read it as the one
     # clause true so that neither reading answers vacuously
     pool = comp.omega() or (TRUE,)

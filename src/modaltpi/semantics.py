@@ -24,7 +24,7 @@ __all__ = [
     "System", "KripkeModel", "evaluate",
     "is_satisfiable", "find_model",
     "entails", "entails_mod", "equivalent", "equivalent_mod", "clause_test",
-    "DEFAULT_NODE_BUDGET", "clear_cache", "tree_model",
+    "query_test", "DEFAULT_NODE_BUDGET", "clear_cache", "tree_model",
 ]
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -35,6 +35,10 @@ class System(enum.Enum):
 
     K = "K"
     T = "T"
+
+    # members are singletons, and Enum's own hash is a Python-level call
+    # on every sat-cache and query-test key
+    __hash__ = object.__hash__
 
     @classmethod
     def from_name(cls, name: str) -> "System":
@@ -145,12 +149,16 @@ class _Witness:
 _sat_cache: dict = {}
 _CACHE_LIMIT = 400_000
 _KEY = attrgetter("key")
+# query tests: (query key, theory key, system, node budget) -> the
+# predicate `clause_test` prepared, kept by `formula._memo`
+_query_tests: dict = {}
 
 
 def clear_cache():
-    """Empty the sat cache, the intern table, the NNF memo and the parse
-    memo."""
+    """Empty the sat cache, the query tests, the intern table, the NNF
+    memo and the parse memo."""
     _sat_cache.clear()
+    _query_tests.clear()
     clear_tables()
 
 
@@ -324,39 +332,92 @@ def clause_test(q: Formula, y: Formula, system: System,
     - otherwise false and the disjuncts of q entail it, <>phi does iff
       phi & y & ~chi is unsatisfiable, []psi does iff psi & y & ~chi &
       ~zeta is for some zeta, and no other literal (true included) does.
-    A literal's verdict is kept for the later clauses.
+    A clause's verdict in T, and a literal's in K, is kept for the later
+    clauses.
     """
     if system is System.T:
-        by, not_q = box(y), nnf(lnot(q))
-        return lambda pi: not is_satisfiable((pi, by, not_q), system,
-                                             node_budget)
+        return _ClauseTest(q, y, system, node_budget,
+                           (box(y), nnf(lnot(q))), (), {}).clause
     q = nnf(q)
     # false is the empty clause: no literals, and not valid
     parts = (Parts(lor, ()) if isinstance(q, FalseF)
              else decompose_clause(q))
-    body = (nnf(y),) + tuple(nnf(lnot(c)) for c in parts.dia)
-    not_zetas = [nnf(lnot(z)) for z in parts.box]
+    test = _ClauseTest(q, y, system, node_budget,
+                       (nnf(y),) + tuple(nnf(lnot(c)) for c in parts.dia),
+                       tuple(nnf(lnot(z)) for z in parts.box),
+                       {l.key: True for l in disjuncts(q) + (FALSE,)})
+    if contradictory(parts.prop) or any(test.unsat(z)
+                                        for z in test.not_zetas):
+        return _valid
+    return test.literals
 
-    def unsat(*fs):
-        return not is_satisfiable(body + fs, system, node_budget)
 
-    if contradictory(parts.prop) or any(unsat(z) for z in not_zetas):
-        return lambda pi: True
-    known = {l.key: True for l in disjuncts(q) + (FALSE,)}
+def _valid(pi):
+    """`clause_test` of a query valid modulo the theory."""
+    return True
 
-    def literal(l):
-        v = known.get(l.key)
+
+class _ClauseTest:
+    """A prepared `clause_test`: `premises` are the formulas every
+    tableau call conjoins, []y and ~q in T and the body y & ~chi in K,
+    and `known` keeps each verdict reached, under a clause's key in T
+    and a literal's in K.  One object with slots, so that a kept test
+    holds few objects."""
+
+    __slots__ = ("q", "y", "system", "node_budget", "premises",
+                 "not_zetas", "known")
+
+    def __init__(self, q, y, system, node_budget, premises, not_zetas,
+                 known):
+        self.q, self.y, self.system = q, y, system
+        self.node_budget, self.premises = node_budget, premises
+        self.not_zetas, self.known = not_zetas, known
+
+    def unsat(self, *fs):
+        return not is_satisfiable(self.premises + fs, self.system,
+                                  self.node_budget)
+
+    def clause(self, pi):
+        """T: pi & []y & ~q unsatisfiable."""
+        v = self.known.get(pi.key)
         if v is None:
-            if isinstance(l, Dia):
-                v = unsat(l.child)
-            elif isinstance(l, Box):
-                v = any(unsat(l.child, z) for z in not_zetas)
-            elif is_literal(l) or isinstance(l, TrueF):
-                v = False
-            else:  # not a literal, so pi is not a clause
-                v = not is_satisfiable((l, box(y), lnot(q)), system,
-                                       node_budget)
-            known[l.key] = v
+            v = self.known[pi.key] = self.unsat(pi)
         return v
 
-    return lambda pi: all(literal(l) for l in disjuncts(nnf(pi)))
+    def literals(self, pi):
+        """K: every literal of pi entails q."""
+        known = self.known
+        for l in disjuncts(nnf(pi)):
+            v = known.get(l.key)
+            if v is None:
+                v = known[l.key] = self.literal(l)
+            if not v:
+                return False
+        return True
+
+    def literal(self, l):
+        if isinstance(l, Dia):
+            return self.unsat(l.child)
+        if isinstance(l, Box):
+            return any(self.unsat(l.child, z) for z in self.not_zetas)
+        if is_literal(l) or isinstance(l, TrueF):
+            return False
+        # not a literal, so pi is not a clause
+        return not is_satisfiable((l, box(self.y), lnot(self.q)),
+                                  self.system, self.node_budget)
+
+
+def query_test(q: Formula, y: Formula, system: System,
+               node_budget: int = DEFAULT_NODE_BUDGET):
+    """`clause_test(q, y, system, node_budget)`, prepared once per query,
+    theory, system and budget and kept in `_query_tests` until
+    `clear_cache()`.  Its verdicts depend on nothing else, so every
+    compilation with the same theory shares it; a preparation that runs
+    out of budget keeps nothing."""
+    return _memo(_query_tests, (q.key, y.key, system, node_budget),
+                 _prepare, q, y, system, node_budget)
+
+
+def _prepare(key, q, y, system, node_budget):
+    """`query_test` of a key missing from the table."""
+    return clause_test(q, y, system, node_budget)

@@ -8,12 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modaltpi
 import modaltpi.semantics as semantics_module
 from modaltpi.cli import main
 from modaltpi.errors import (
-    FormulaSyntaxError, NonClausalQueryError, SchemaError,
+    BudgetExceededError, FormulaSyntaxError, NonClausalQueryError,
+    SchemaError,
 )
 from modaltpi.formula import FALSE, TRUE, box, land, lnot, nnf, parse, var
 from modaltpi.pi import compile_kb
@@ -22,10 +24,13 @@ from modaltpi.qa import (
     load_kb, save_compilation,
 )
 from modaltpi.oracle import clause_vocabulary
-from modaltpi.semantics import System, entails_mod, evaluate, is_satisfiable
+from modaltpi.semantics import (
+    System, clear_cache, entails_mod, evaluate, is_satisfiable,
+)
 
 from conftest import (
-    AT_NESTING_LIMIT, IFF_CHAIN, IFF_CHAINS, TOO_DEEP, rand_instance,
+    AT_NESTING_LIMIT, IFF_CHAIN, IFF_CHAINS, TOO_DEEP, rand_clause,
+    rand_instance,
 )
 
 
@@ -79,6 +84,24 @@ class TestAnswerQuery:
             answer_query(golden_k, parse("p1 & p2"))
 
     @pytest.mark.parametrize("system", [System.K, System.T])
+    @pytest.mark.parametrize("x, y", [
+        (X_GOLDEN, Y_GOLDEN),
+        ("p & <>q & []~q", "true"),  # inconsistent
+        ("<>false | []a", "true"),
+        ("false", "true"),
+    ])
+    def test_false_is_the_empty_clause(self, system, x, y):
+        x, y = parse(x), parse(y)
+        comp = compile_kb(x, y, system)
+        direct = answer_query_direct(x, y, FALSE, system).answer
+        for q in (FALSE, parse("~true"), parse("false | false")):
+            verdict = answer_query(comp, q)
+            assert verdict.answer == direct, q
+            if verdict.answer:
+                assert not is_satisfiable((verdict.witness, comp.box_y),
+                                          system)
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
     def test_empty_compilation_is_the_clause_true(self, system):
         comp = compile_kb(TRUE, TRUE, system)
         assert comp.omega() == ()
@@ -129,6 +152,66 @@ class TestClauseTest:
                      for pi in comp.omega()]
             assert answer_query(comp, q).answer == any(holds), q
             assert answer_query(comp, q, strict=True).answer == all(holds), q
+
+
+class TestQueryTests:
+    """`semantics._query_tests`: one prepared clause test per query,
+    theory, system and node budget, shared by every compilation."""
+
+    @pytest.fixture(scope="class")
+    def comps(self, golden_k, golden_t):
+        # the last two compile different bases against one theory
+        y = parse(Y_GOLDEN)
+        return [golden_k, golden_t,
+                compile_kb(parse("p1 & <>p2"), y, System.K),
+                compile_kb(parse("p2 & [](p1 | ~p3)"), y, System.K)]
+
+    def test_cold_and_warm_agree(self, comps):
+        queries = clause_vocabulary(("p1", "p2", "p3"))
+        cold = []
+        for comp in comps:
+            for q in queries:
+                semantics_module._query_tests.clear()
+                v = answer_query(comp, q)
+                cold.append((v.answer, v.witness))
+        clear_cache()
+        for _ in range(2):  # filling the table, then reading it
+            warm = [answer_query(comp, q) for comp in comps for q in queries]
+            assert [(v.answer, v.witness) for v in warm] == cold
+        assert len(semantics_module._query_tests) == 2 * len(queries)
+        clear_cache()
+        assert not semantics_module._query_tests
+
+    def test_budgets_never_share(self, golden_k):
+        clear_cache()
+        q = parse("[]p1 | <>p2")
+        for budget in (10 ** 5, 10 ** 6, 10 ** 5):
+            answer_query(golden_k, q, node_budget=budget)
+        keys = sorted(semantics_module._query_tests, key=lambda k: k[3])
+        assert keys == [(q.key, golden_k.y.key, System.K, budget)
+                        for budget in (10 ** 5, 10 ** 6)]
+
+    def test_exhausted_preparation_keeps_nothing(self, golden_k):
+        # in K a query with a []-literal is prepared with tableau calls
+        q = parse("[]p1 | p3")
+        clear_cache()
+        with pytest.raises(BudgetExceededError):
+            answer_query(golden_k, q, node_budget=2)
+        assert not semantics_module._query_tests
+        direct = answer_query_direct(golden_k.x, golden_k.y, q, System.K)
+        assert answer_query(golden_k, q).answer == direct.answer
+
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_compiled_equals_direct_in_k(self, rng):
+        x, y = rand_instance(rng)
+        queries = [rand_clause(rng) for _ in range(6)] + [FALSE]
+        clear_cache()
+        comp = compile_kb(x, y, System.K)
+        for q in queries:
+            direct = answer_query_direct(x, y, q, System.K).answer
+            for _ in range(2):  # cold, then warm
+                assert answer_query(comp, q).answer == direct, (x, y, q)
 
 
 class TestAnswerQueryDirect:
@@ -323,6 +406,17 @@ class TestCli:
         assert main(["query", "--compilation", out,
                      "--query", "~[]p3"]) in (0, 1)
         assert "answering directly" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("system", ["K", "T"])
+    def test_false_query_answered_from_compilation(self, golden_kb, tmp_path,
+                                                   capsys, system):
+        out = str(tmp_path / "comp.json")
+        main(["compile", "--kb", golden_kb, "--system", system, "--out", out])
+        capsys.readouterr()
+        assert main(["query", "--compilation", out, "--query", "false"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("false")
+        assert "answering directly" not in captured.err
 
     def test_non_clausal_query_routed_directly(self, golden_kb, tmp_path,
                                                capsys):

@@ -21,6 +21,8 @@ from modaltpi.semantics import (
     equivalent, equivalent_mod, evaluate, find_model, is_satisfiable,
 )
 from modaltpi.oracle import sat_by_enumeration, sufficient_bounds
+from modaltpi.pi import compile_kb
+from modaltpi.qa import answer_query
 
 from conftest import rand_clause, rand_formula, rand_instance
 
@@ -226,7 +228,8 @@ class TestSystemRelationship:
 
 def _answers(fs, instances):
     """NNF keys of the negations, K and T verdicts of the formulas, and
-    each instance's literal-wise clause test over the clauses."""
+    each instance's literal-wise clause test over the clauses and its
+    compiled K answers to them."""
     out = []
     for f in fs:
         out.append(nnf(lnot(f)).key)
@@ -235,6 +238,10 @@ def _answers(fs, instances):
         for q in clauses:
             test = clause_test(q, y, System.K)
             out.append([test(pi) for pi in clauses + [x]])
+        comp = compile_kb(x, y, System.K)
+        for q in clauses:
+            v = answer_query(comp, q)
+            out.append((v.answer, v.witness))
     return out
 
 
@@ -260,12 +267,24 @@ class TestSharedTables:
             return real(cls, arg)
 
         monkeypatch.setattr(formula_module, "_shared", shared)
+        tests = []
+        prepare = semantics_module._prepare
+
+        def prepared(*args):
+            tests.append(len(semantics_module._query_tests))
+            return prepare(*args)
+
+        monkeypatch.setattr(semantics_module, "_prepare", prepared)
         assert _answers(fs, instances) == want
         assert max(sizes) <= 40
         assert any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied
         assert 0 < len(formula_module._nnf_of) <= 40
+        tests.append(len(semantics_module._query_tests))
+        assert max(tests) <= 40
+        assert any(b < a for a, b in zip(tests, tests[1:]))  # emptied
         clear_cache()
         assert not formula_module._interned and not formula_module._nnf_of
+        assert not semantics_module._query_tests
 
     def test_limit_empties_sat_cache(self, rng, monkeypatch):
         fs = [rand_formula(rng, depth=3, size=12) for _ in range(120)]
