@@ -152,7 +152,7 @@ def sort_formulas(fs) -> tuple:
 # `_nnf_of` maps each node not in negation normal form to its `nnf`;
 # `_parsed` maps each text `parse` has read without error to its result.
 # All three, and the sat cache and query tests of `semantics`, go
-# through `_memo`.
+# through `_memo` and its one limit, `_TABLE_LIMIT`.
 _interned: dict = {}
 _nnf_of: dict = {}
 _parsed: dict = {}
@@ -167,16 +167,16 @@ def clear_tables():
     _parsed.clear()
 
 
-def _memo(table, key, make, *args, limit=None):
-    """table[key], or else make(key, *args), kept in the table; a table
-    that holds `limit` entries (by default `_TABLE_LIMIT`, read at call
-    time) is emptied whole first.  The table is read with get and then
-    set, so a concurrent `clear` costs at most a value made twice, never
-    an error; a `make` that raises keeps nothing."""
+def _memo(table, key, make, *args):
+    """table[key], or else make(*args), kept in the table; a table that
+    holds `_TABLE_LIMIT` entries (read at call time) is emptied whole
+    first.  The table is read with get and then set, so a concurrent
+    `clear` costs at most a value made twice, never an error; a `make`
+    that raises keeps nothing."""
     value = table.get(key, _ABSENT)
     if value is _ABSENT:
-        value = make(key, *args)
-        if len(table) >= (_TABLE_LIMIT if limit is None else limit):
+        value = make(*args)
+        if len(table) >= _TABLE_LIMIT:
             table.clear()
         table[key] = value
     return value
@@ -184,12 +184,7 @@ def _memo(table, key, make, *args, limit=None):
 
 def _shared(cls, arg):
     """The node cls(arg), built only when no such node is interned."""
-    return _memo(_interned, (cls, arg), _build)
-
-
-def _build(key):
-    cls, arg = key
-    return cls(arg)
+    return _memo(_interned, (cls, arg), cls, arg)
 
 
 def var(name: str) -> Var:
@@ -408,7 +403,7 @@ def parse(text: str, source=None) -> Formula:
     node kept for it in `_parsed`; a text that fails is never kept, so it
     fails again on every call, with that call's `source`.
     """
-    return _memo(_parsed, text, _read, source)
+    return _memo(_parsed, text, _read, text, source)
 
 
 def _read(text: str, source) -> Formula:
@@ -425,7 +420,7 @@ def nnf(f: Formula) -> Formula:
     A formula already in negation normal form is returned itself; the
     result for any other is kept in `_nnf_of`.
     """
-    return f if f.in_nnf else _memo(_nnf_of, f, _pushed)
+    return f if f.in_nnf else _memo(_nnf_of, f, _pushed, f)
 
 
 def _pushed(f: Formula) -> Formula:

@@ -15,13 +15,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError
 from .formula import (
     And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var, FALSE,
     box, dia, lnot, lor, land, nnf, modal_depth, sort_formulas, var, variables,
 )
 from .semantics import (
-    KripkeModel, System, _Witness, entails_mod, evaluate, tree_model,
+    KripkeModel, System, _Budget, _Witness, entails_mod, evaluate,
+    tree_model,
 )
 
 __all__ = [
@@ -178,12 +178,7 @@ def sat_by_enumeration(f: Formula, system: System, bounds: OracleBounds,
              in itertools.product((False, True), repeat=len(names)))
     valuations = []
     types = {}  # truth vector -> (size, witness) of its smallest tree
-    ticks = itertools.count(1)
-
-    def tick():
-        if next(ticks) > budget:
-            raise BudgetExceededError("oracle enumeration budget exhausted")
-
+    tick = _Budget(budget, "oracle enumeration budget exhausted").tick
     for depth in range(bounds.max_depth + 1):
         # depth 0 is the one aggregate of no children
         combos = (_child_combos(types, bounds.max_branching, tick) if depth

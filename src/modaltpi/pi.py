@@ -5,9 +5,10 @@ into outer-level DNF, generate per-term candidate clauses, distribute one
 candidate per term into disjunctions, then minimize modulo the theory in
 one pass over the clauses in canonical order, keeping the first clause of
 each equivalence class unless another clause strictly entails it.
-Each check `a & []y |= b` is made by `semantics.clause_test(b, ...)`,
-prepared once per conclusion, so in K it goes literal by literal, with
-the verdicts of the literals kept, as compiled answers do.
+Each check `a & []y |= b` is made by `semantics.query_test(b, ...)`, the
+test compiled answers use, kept in the same table: in K it goes literal
+by literal, and the verdicts it reaches are shared with every later
+compile and query with the same theory, system and budget.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .formula import (
 )
 from .normal_forms import DEFAULT_SIZE_CAP, distribute, to_cnf, to_dnf
 from .semantics import (
-    DEFAULT_NODE_BUDGET, System, clause_test, entails,
+    DEFAULT_NODE_BUDGET, System, entails, query_test,
     # not called here; bench/layers.py wraps them by name
     entails_mod, equivalent_mod,
 )
@@ -102,18 +103,15 @@ def _minimize(clauses, theory: Formula, system: System,
     dropped (it is equivalent to an earlier clause, or weaker); otherwise
     it removes every survivor it entails, each now strictly entailed, and
     joins them.  Each ordered pair is checked at most once, with the
-    test `semantics.clause_test` prepared once per conclusion."""
+    conclusion's `semantics.query_test`, so a verdict kept by an earlier
+    compile or query with the same theory costs no tableau call."""
     y = theory.child if isinstance(theory, Box) else theory
-    tests = {}
     calls = 0
 
     def implies(a, b):
         nonlocal calls
         calls += 1
-        test = tests.get(b.key)
-        if test is None:
-            test = tests[b.key] = clause_test(b, y, system, node_budget)
-        return test(a)
+        return query_test(b, y, system, node_budget)(a)
 
     cs = sort_formulas(set(clauses))
     # cheap sweep first: a clause whose disjuncts strictly contain another

@@ -44,14 +44,15 @@ def answer_query(comp: CompilationResult, q: Formula, strict: bool = False,
     modulo the boxed theory.  `strict` switches to requiring every
     compiled clause to entail it, kept for comparison.  The query is a
     literal, a clause or `false`, the empty clause.  The entailment test
-    is `semantics.query_test`, prepared once per query and theory, until
-    `clear_cache()`, and each verdict it reaches is kept for the later
-    clauses and queries.
+    is `semantics.query_test` of the query's NNF, prepared once per
+    query and theory, until `clear_cache()`, so spellings with one NNF
+    share it, and each verdict it reaches is kept for the later clauses,
+    queries and compiles.
     """
     n = nnf(q)
     if not isinstance(n, FalseF) and classify(n) not in ("literal", "clause"):
         raise NonClausalQueryError(f"not a clausal query: {q}")
-    entails = query_test(q, comp.y, comp.system, node_budget)
+    entails = query_test(n, comp.y, comp.system, node_budget)
     # an empty omega compiles the knowledge base true; read it as the one
     # clause true so that neither reading answers vacuously
     pool = comp.omega() or (TRUE,)

@@ -122,15 +122,20 @@ def evaluate(model: KripkeModel, world, f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Budget:
-    __slots__ = ("left",)
+    """Steps left: the tableau's nodes, or the oracle's ticks; `tick`
+    spends one and raises BudgetExceededError with `message` when none
+    is left."""
 
-    def __init__(self, nodes):
-        self.left = nodes
+    __slots__ = ("left", "message")
+
+    def __init__(self, steps, message="tableau node budget exhausted"):
+        self.left = steps
+        self.message = message
 
     def tick(self):
         self.left -= 1
         if self.left < 0:
-            raise BudgetExceededError("tableau node budget exhausted")
+            raise BudgetExceededError(self.message)
 
 
 class _Witness:
@@ -145,12 +150,12 @@ class _Witness:
 
 
 # cache: (formula keys of a world, read by _KEY, system) -> _Witness | None,
-# kept by `formula._memo` with its own limit
+# kept by `formula._memo`
 _sat_cache: dict = {}
-_CACHE_LIMIT = 400_000
 _KEY = attrgetter("key")
 # query tests: (query key, theory key, system, node budget) -> the
-# predicate `clause_test` prepared, kept by `formula._memo`
+# predicate `clause_test` prepared, kept by `formula._memo` for
+# `answer_query` and `pi._minimize`
 _query_tests: dict = {}
 
 
@@ -224,12 +229,11 @@ def _solve(world, system: System, budget: _Budget):
     on the hash seed.
     """
     return _memo(_sat_cache, (tuple(map(_KEY, world)), system),
-                 _expand, world, system, budget, limit=_CACHE_LIMIT)
+                 _expand, world, system, budget)
 
 
-def _expand(key, world, system: System, budget: _Budget):
-    """`_solve` of a world missing from the cache (`_memo` passes its
-    key first)."""
+def _expand(world, system: System, budget: _Budget):
+    """`_solve` of a world missing from the cache."""
     for pos, dias, boxes in _branches(list(world), system, budget):
         children = []
         for d in sort_formulas(dias):
@@ -411,13 +415,9 @@ def query_test(q: Formula, y: Formula, system: System,
                node_budget: int = DEFAULT_NODE_BUDGET):
     """`clause_test(q, y, system, node_budget)`, prepared once per query,
     theory, system and budget and kept in `_query_tests` until
-    `clear_cache()`.  Its verdicts depend on nothing else, so every
-    compilation with the same theory shares it; a preparation that runs
-    out of budget keeps nothing."""
+    `clear_cache()`.  Its verdicts depend on nothing else, so the
+    queries and the minimizations of every compilation with the same
+    theory share it; a preparation that runs out of budget keeps
+    nothing."""
     return _memo(_query_tests, (q.key, y.key, system, node_budget),
-                 _prepare, q, y, system, node_budget)
-
-
-def _prepare(key, q, y, system, node_budget):
-    """`query_test` of a key missing from the table."""
-    return clause_test(q, y, system, node_budget)
+                 clause_test, q, y, system, node_budget)

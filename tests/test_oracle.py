@@ -62,6 +62,13 @@ class TestSatByEnumeration:
         f = parse("(a | b) & (~a | c) & <>(a & ~c) & [](b | c)")
         with pytest.raises(BudgetExceededError):
             sat_by_enumeration(f, System.K, sufficient_bounds(f), budget=2)
+        # the smallest budget that decides f; the oracle ticks the
+        # tableau's budget counter, with its own message
+        f = parse("<>a & <>~a & [](b | c) & <>(~b & ~c | d)")
+        with pytest.raises(BudgetExceededError, match="oracle"):
+            sat_by_enumeration(f, System.K, sufficient_bounds(f), budget=2752)
+        assert sat_by_enumeration(f, System.K, sufficient_bounds(f),
+                                  budget=2753).satisfiable
 
     def test_agreement_with_tableau(self, rng):
         for _ in range(150):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modaltpi.pi as pi_module
+import modaltpi.semantics as semantics_module
 from modaltpi.errors import (
     CapacityError, InconsistentTermError, PreconditionError,
 )
@@ -17,11 +18,11 @@ from modaltpi.pi import (
     prime_implicates, term_candidates,
 )
 from modaltpi.semantics import (
-    System, clause_test, entails, entails_mod, equivalent, equivalent_mod,
-    is_satisfiable,
+    System, clause_test, clear_cache, entails, entails_mod, equivalent,
+    equivalent_mod, is_satisfiable,
 )
 
-from conftest import rand_instance
+from conftest import rand_clause, rand_instance
 
 
 X_GOLDEN = "(p1 | p2) & <>[]~p3 & []<>p2"
@@ -169,8 +170,8 @@ class TestResidue:
         assert _minimize(clauses, theory, system)[0] == want
 
     def test_counts_the_checks_it_runs(self, monkeypatch, rng):
-        # every check is a call of a predicate that clause_test returned
-        real = pi_module.clause_test
+        # every check is a call of a predicate that query_test returned
+        real = pi_module.query_test
         runs = []
 
         def prepared(*args, **kwargs):
@@ -182,7 +183,7 @@ class TestResidue:
 
             return counted
 
-        monkeypatch.setattr(pi_module, "clause_test", prepared)
+        monkeypatch.setattr(pi_module, "query_test", prepared)
         instances = [(parse(X_GOLDEN), parse(Y_GOLDEN))]
         instances += [rand_instance(rng) for _ in range(5)]
         for x, y in instances:
@@ -329,6 +330,48 @@ class TestCompileKb:
     def test_precondition_violation(self):
         with pytest.raises(PreconditionError):
             compile_kb(var("p"), var("q"), System.T)
+
+    def test_warm_compiles_equal_cold_ones(self, monkeypatch):
+        # minimization keeps its tests in the query-test table, so later
+        # compiles with the same theory reuse them; pairs of bases share
+        # a theory, and the golden instance is compiled twice
+        rng = random.Random(1407)
+        instances = [(parse(X_GOLDEN), parse(Y_GOLDEN))] * 2
+        for _ in range(8):
+            x, y = rand_instance(rng)
+            instances += [(x, y), (land(x, rand_clause(rng)), y)]
+        jobs = [(x, y, system) for x, y in instances
+                for system in (System.K, System.T)]
+        prepared = []
+        real = semantics_module.clause_test
+
+        def counted(*args):
+            prepared.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(semantics_module, "clause_test", counted)
+
+        def compile_all(cold):
+            out = []
+            clear_cache()
+            for x, y, system in jobs:
+                if cold:
+                    clear_cache()
+                try:
+                    comp = compile_kb(x, y, system)
+                except CapacityError:
+                    out.append(None)
+                    continue
+                out.append((comp.candidates, comp.theta,
+                            comp.stats["entailment_calls"]))
+            return out
+
+        cold = compile_all(True)
+        cold_prepared = len(prepared)
+        prepared.clear()
+        assert compile_all(False) == cold
+        assert len(prepared) < cold_prepared  # the warm run did share
+        clear_cache()
 
 
 class TestIsHorn:

@@ -182,6 +182,18 @@ class TestQueryTests:
         clear_cache()
         assert not semantics_module._query_tests
 
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_one_test_per_nnf(self, system):
+        comp = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), system)
+        clear_cache()
+        verdicts = [answer_query(comp, parse(text))
+                    for text in ("~(p1 & p3)", "~p1 | ~p3")]
+        assert len({(v.answer, v.witness) for v in verdicts}) == 1
+        assert list(semantics_module._query_tests) == [
+            (parse("~p1 | ~p3").key, comp.y.key, system,
+             semantics_module.DEFAULT_NODE_BUDGET)]
+        clear_cache()
+
     def test_budgets_never_share(self, golden_k):
         clear_cache()
         q = parse("[]p1 | <>p2")

@@ -268,13 +268,13 @@ class TestSharedTables:
 
         monkeypatch.setattr(formula_module, "_shared", shared)
         tests = []
-        prepare = semantics_module._prepare
+        prepare = semantics_module.clause_test
 
         def prepared(*args):
             tests.append(len(semantics_module._query_tests))
             return prepare(*args)
 
-        monkeypatch.setattr(semantics_module, "_prepare", prepared)
+        monkeypatch.setattr(semantics_module, "clause_test", prepared)
         assert _answers(fs, instances) == want
         assert max(sizes) <= 40
         assert any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied
@@ -295,7 +295,7 @@ class TestSharedTables:
         clear_cache()
         want = _answers(fs, instances)
         clear_cache()
-        monkeypatch.setattr(semantics_module, "_CACHE_LIMIT", 40)
+        monkeypatch.setattr(formula_module, "_TABLE_LIMIT", 40)
         sizes = []
         real = semantics_module._solve
 
