@@ -167,56 +167,99 @@ def clear_cache():
     clear_tables()
 
 
-def _branches(todo, system, budget, state=None):
+def _branches(todo, system, budget):
     """Clash-free saturated branches of one world, produced lazily.
 
-    `todo` is a stack of NNF formulas, expanded from its end; `state` is
-    the (seen keys, positive atoms, negated atoms, dia bodies, box bodies)
-    of the branch so far.  The call owns both and updates them in place,
-    and hands each disjunct its own copies.  Each branch is (positive
-    atoms, dia bodies, box bodies) with the propositional connectives
-    and, for T, the reflexivity rule fully applied.
+    `todo` is a list of NNF formulas, expanded from its end.  A branch is
+    the state (todo, seen keys, positive atoms, negated atoms, dia bodies,
+    box bodies, waiting disjunctions), kept on an explicit stack.  Each
+    branch first expands every formula but `Or`, spending one node per
+    formula it has not seen and, for T, applying the reflexivity rule; it
+    sets each `Or` aside as the tuple of its disjuncts.  Then one pass
+    over the waiting tuples drops those with a disjunct already seen,
+    closes the branch when none is left open (every disjunct a
+    propositional literal that clashes), and expands a lone open
+    disjunct as a unit; the two steps repeat until no unit is left.  Only
+    then does the branch split, on its first waiting tuple, one branch
+    per open disjunct in canonical order, and only there are its sets
+    copied.  Each branch yielded is (positive atoms, dia bodies, box
+    bodies).
     """
-    seen, pos, neg, dias, boxes = state or (set(), set(), set(), set(), set())
-    while todo:
-        f = todo.pop()
-        if f.key in seen:
+    reflexive = system is System.T
+    tick = budget.tick
+    stack = [(todo, set(), set(), set(), set(), set(), [])]
+    while stack:
+        todo, seen, pos, neg, dias, boxes, ors = stack.pop()
+        closed = False
+        while todo:
+            while todo:  # expand everything but Or
+                f = todo.pop()
+                key = f.key
+                if key in seen:
+                    continue
+                tick()
+                seen.add(key)
+                cls = type(f)  # node classes have no subclasses
+                if cls is Var:
+                    if f.name in neg:
+                        closed = True
+                        break
+                    pos.add(f.name)
+                elif cls is Not:
+                    if f.child.name in pos:
+                        closed = True
+                        break
+                    neg.add(f.child.name)
+                elif cls is And:
+                    todo.extend(f.children)
+                elif cls is Or:
+                    ors.append(f.children)
+                elif cls is Box:
+                    boxes.add(f.child)
+                    if reflexive:
+                        todo.append(f.child)
+                elif cls is Dia:
+                    dias.add(f.child)
+                elif cls is FalseF:
+                    closed = True
+                    break
+                elif cls is not TrueF:
+                    raise TypeError(f"unknown node {f!r}")
+            if closed or not ors:
+                break
+            waiting = []  # one propagation pass
+            for alts in ors:
+                left = []
+                for c in alts:
+                    if c.key in seen:
+                        break
+                    cls = type(c)
+                    if not ((cls is Var and c.name in neg)
+                            or (cls is Not and c.child.name in pos)):
+                        left.append(c)
+                else:
+                    if not left:
+                        closed = True
+                        break
+                    if len(left) == 1:
+                        todo.append(left[0])
+                    else:
+                        waiting.append(alts if len(left) == len(alts)
+                                       else tuple(left))
+            if closed:
+                break
+            ors = waiting
+        if closed:
             continue
-        budget.tick()
-        seen.add(f.key)
-        if isinstance(f, FalseF):
-            return
-        if isinstance(f, TrueF):
+        if not ors:
+            yield frozenset(pos), dias, boxes
             continue
-        if isinstance(f, Var):
-            if f.name in neg:
-                return
-            pos.add(f.name)
-            continue
-        if isinstance(f, Not):
-            if f.child.name in pos:
-                return
-            neg.add(f.child.name)
-            continue
-        if isinstance(f, And):
-            todo.extend(f.children)
-            continue
-        if isinstance(f, Or):
-            for c in f.children:
-                yield from _branches(todo + [c], system, budget,
-                                     [set(s) for s in (seen, pos, neg,
-                                                       dias, boxes)])
-            return
-        if isinstance(f, Box):
-            boxes.add(f.child)
-            if system is System.T:
-                todo.append(f.child)
-            continue
-        if isinstance(f, Dia):
-            dias.add(f.child)
-            continue
-        raise TypeError(f"unknown node {f!r}")
-    yield frozenset(pos), dias, boxes
+        first, rest = ors[0], ors[1:]
+        # the last disjunct, explored last, takes the branch's own sets
+        stack.append(([first[-1]], seen, pos, neg, dias, boxes, rest))
+        for c in reversed(first[:-1]):
+            stack.append(([c], set(seen), set(pos), set(neg), set(dias),
+                          set(boxes), list(rest)))
 
 
 def _solve(world, system: System, budget: _Budget):

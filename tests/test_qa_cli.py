@@ -8,14 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import modaltpi
 import modaltpi.semantics as semantics_module
 from modaltpi.cli import main
 from modaltpi.errors import (
-    BudgetExceededError, FormulaSyntaxError, NonClausalQueryError,
-    SchemaError,
+    BudgetExceededError, CapacityError, FormulaSyntaxError,
+    NonClausalQueryError, SchemaError,
 )
 from modaltpi.formula import FALSE, TRUE, box, land, lnot, nnf, parse, var
 from modaltpi.pi import compile_kb
@@ -215,11 +215,16 @@ class TestQueryTests:
 
     @settings(max_examples=40, deadline=None)
     @given(rng=st.randoms(use_true_random=False))
+    # distribution passes its size cap on this KB
+    @example(rng=random.Random(177))
     def test_compiled_equals_direct_in_k(self, rng):
         x, y = rand_instance(rng)
         queries = [rand_clause(rng) for _ in range(6)] + [FALSE]
         clear_cache()
-        comp = compile_kb(x, y, System.K)
+        try:
+            comp = compile_kb(x, y, System.K)
+        except CapacityError:
+            reject()  # as the seeded loops skip such a KB
         for q in queries:
             direct = answer_query_direct(x, y, q, System.K).answer
             for _ in range(2):  # cold, then warm

@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modaltpi
 import modaltpi.formula as formula_module
@@ -84,6 +85,33 @@ class TestSatisfiability:
         f = parse("(a | b) & (b | c) & <>(a & c) & [](a | c)")
         with pytest.raises(BudgetExceededError):
             is_satisfiable(f, System.K, node_budget=2)
+
+
+class TestPropagation:
+    def test_units_close_the_branch_before_any_split(self):
+        # each ~xi makes xi | yi a unit; a tableau that splits first
+        # tries 2 ** 20 choices before the only one left meets <>c & []~c
+        n = 20
+        f = land([lor(var(f"x{i}"), var(f"y{i}")) for i in range(n)]
+                 + [lnot(var(f"x{i}")) for i in range(n)]
+                 + [dia(var("c")), box(lnot(var("c")))])
+        for system in (System.K, System.T):
+            clear_cache()
+            assert not is_satisfiable(f, system, node_budget=1000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_agrees_with_enumeration(self, rng):
+        f = rand_formula(rng, depth=2, size=12)
+        bounds = sufficient_bounds(f)
+        for system in (System.K, System.T):
+            clear_cache()
+            sat = is_satisfiable(f, system)
+            assert sat == sat_by_enumeration(f, system, bounds).satisfiable, \
+                (f, system)
+            if sat:
+                m, w = find_model(f, system)
+                assert evaluate(m, w, f), (f, system)
 
 
 class TestFindModel:
