@@ -1,18 +1,11 @@
 """Shared generators and fixtures for the test suite."""
 
-import os
 import random
 
 import pytest
-from hypothesis import settings
 
 from modaltpi.formula import MAX_NESTING, TRUE, box, dia, land, lnot, lor, var
 
-
-# HYPOTHESIS_PROFILE=ci prints a failing draw's @reproduce_failure blob,
-# so a draw that fails only in CI can be replayed locally
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 NAMES = ("a", "b", "c")
 

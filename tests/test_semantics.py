@@ -99,7 +99,9 @@ class TestPropagation:
             clear_cache()
             assert not is_satisfiable(f, system, node_budget=1000)
 
-    @settings(max_examples=200, deadline=None)
+    # acceptance 6 already checks 1,000 fixed-seed formulas of this shape;
+    # this adds the find_model check and, outside CI, fresh draws each run
+    @settings(max_examples=50, deadline=None)
     @given(rng=st.randoms(use_true_random=False))
     def test_agrees_with_enumeration(self, rng):
         f = rand_formula(rng, depth=2, size=12)
