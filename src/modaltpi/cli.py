@@ -13,7 +13,7 @@ import sys
 from .errors import (
     BudgetExceededError, CapacityError, ModalTpiError, NonClausalQueryError,
 )
-from .formula import land, nnf, parse
+from .formula import land, parse
 from .normal_forms import DEFAULT_SIZE_CAP
 from .oracle import (
     DEFAULT_ENUM_BUDGET, OracleBounds, sat_by_enumeration, sufficient_bounds,
@@ -24,7 +24,7 @@ from .qa import (
     load_theory, save_compilation,
 )
 from .semantics import (
-    DEFAULT_NODE_BUDGET, System, entails_mod, equivalent_mod, evaluate,
+    DEFAULT_NODE_BUDGET, System, entails_mod, equivalent_mod,
 )
 
 EXIT_OK = 0
@@ -44,7 +44,7 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _resolve_theory(args, kb, system):
+def _resolve_theory(args, kb):
     """The theory: the --theory file (its formulas and its [theory]
     section together), else the KB's own [theory] section, else with
     --auto-theory the KB's propositional clauses, else true."""
@@ -52,14 +52,14 @@ def _resolve_theory(args, kb, system):
         return load_theory(args.theory)
     if kb.theory or not args.auto_theory:
         return kb.theory_formula()
-    return default_theory(kb.kb_formula(), system, args.node_budget)
+    return default_theory(kb.kb_formula())
 
 
 def _cmd_compile(args) -> int:
     kb = load_kb(args.kb)
     system = System.from_name(args.system)
     x = kb.kb_formula()
-    y = _resolve_theory(args, kb, system)
+    y = _resolve_theory(args, kb)
     comp = compile_kb(x, y, system,
                       max_clauses=args.max_terms,
                       node_budget=args.node_budget)
@@ -103,7 +103,7 @@ def _cmd_check(args) -> int:
     kb = load_kb(args.kb)
     system = System.from_name(args.system)
     x = kb.kb_formula()
-    y = _resolve_theory(args, kb, system)
+    y = _resolve_theory(args, kb)
     budget = args.node_budget
     comp = compile_kb(x, y, system, node_budget=budget)
     by = comp.box_y
@@ -143,7 +143,6 @@ def _cmd_oracle(args) -> int:
     outcome = sat_by_enumeration(f, system, bounds, budget=args.budget)
     print(outcome.verdict)
     if outcome.satisfiable:
-        assert evaluate(outcome.model, outcome.world, nnf(f))
         print(json.dumps({"world": outcome.world,
                           "model": outcome.model.to_dict()}, indent=2))
     elif not outcome.definitive:

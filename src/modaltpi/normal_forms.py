@@ -28,18 +28,12 @@ class Cnf:
 
     clauses: tuple
 
-    def formula(self) -> Formula:
-        return land(self.clauses)
-
 
 @dataclass(frozen=True)
 class Dnf:
     """Disjunction of terms; an empty tuple is the constant false."""
 
     terms: tuple
-
-    def formula(self) -> Formula:
-        return lor(self.terms)
 
 
 def distribute(groups, combine, cap) -> list:

@@ -45,7 +45,6 @@ class CompilationResult:
     system: System
     candidates: tuple
     theta: tuple
-    box_y: Formula
     horn_advisory: bool
     stats: dict
 
@@ -53,6 +52,11 @@ class CompilationResult:
         extra = set() if isinstance(self.box_y, TrueF) else {self.box_y}
         object.__setattr__(self, "_omega",
                            sort_formulas(set(self.theta) | extra))
+
+    @property
+    def box_y(self) -> Formula:
+        """The boxed theory []y."""
+        return box(self.y)
 
     def omega(self) -> tuple:
         """The compiled clause set: theta together with the boxed theory,
@@ -144,14 +148,10 @@ def is_horn(y: Formula) -> bool:
     return True
 
 
-def default_theory(x: Formula, system: System = System.T,
-                   node_budget: int = DEFAULT_NODE_BUDGET) -> Formula:
-    """Propositional clauses of the CNF of x, re-verified as entailed."""
-    props = [c for c in to_cnf(nnf(x)).clauses if modal_depth(c) == 0]
-    y = land(props)
-    if not entails(x, y, system, node_budget):
-        raise PreconditionError("extracted theory is not entailed")
-    return y
+def default_theory(x: Formula) -> Formula:
+    """The propositional clauses of the outer CNF of x, conjoined; the
+    CNF is equivalent to x, so x entails each of them."""
+    return land(c for c in to_cnf(nnf(x)).clauses if modal_depth(c) == 0)
 
 
 def compile_kb(x: Formula, y: Formula, system: System = System.T,
@@ -174,7 +174,7 @@ def compile_kb(x: Formula, y: Formula, system: System = System.T,
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return CompilationResult(
         x=x, y=y, system=system,
-        candidates=cands, theta=theta, box_y=by,
+        candidates=cands, theta=theta,
         horn_advisory=is_horn(y),
         stats={
             "nb_cl_candidates": len(cands),

@@ -83,7 +83,6 @@ def answer_query_direct(x: Formula, y: Formula, q: Formula, system: System,
 class KnowledgeBaseFile:
     formulas: tuple
     theory: tuple
-    path: str
 
     def kb_formula(self) -> Formula:
         return land(self.formulas)
@@ -120,7 +119,7 @@ def load_kb(path: str) -> KnowledgeBaseFile:
     if not formulas:
         raise FormulaSyntaxError("knowledge base has no formulas",
                                  line=1, column=1, source=path)
-    return KnowledgeBaseFile(formulas, theory, path)
+    return KnowledgeBaseFile(formulas, theory)
 
 
 def load_theory(path: str) -> Formula:
@@ -142,12 +141,7 @@ def save_compilation(comp: CompilationResult, path: str) -> None:
         "box_y": comp.box_y.key,
         "candidates": [c.key for c in comp.candidates],
         "theta": [c.key for c in comp.theta],
-        "stats": {
-            "nb_cl_candidates": comp.stats["nb_cl_candidates"],
-            "nb_cl_theta": comp.stats["nb_cl_theta"],
-            "entailment_calls": comp.stats["entailment_calls"],
-            "elapsed_ms": comp.stats["elapsed_ms"],
-        },
+        "stats": comp.stats,
         "horn_advisory": comp.horn_advisory,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -166,10 +160,11 @@ def load_compilation(path: str) -> CompilationResult:
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: top level is a JSON "
                           f"{type(payload).__name__}, expected an object")
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise SchemaError(
-            f"{path}: unsupported schema {payload.get('schema')!r}, "
-            f"expected {SCHEMA_VERSION}")
+    schema = payload.get("schema")
+    # an exact int: true and 1.0 compare equal to 1 but are not schema 1
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise SchemaError(f"{path}: unsupported schema {schema!r}, "
+                          f"expected {SCHEMA_VERSION}")
 
     def field(name, kind=object):
         if name not in payload:
@@ -204,7 +199,6 @@ def load_compilation(path: str) -> CompilationResult:
         system=system,
         candidates=clauses("candidates"),
         theta=clauses("theta"),
-        box_y=box_y,
         horn_advisory=field("horn_advisory", bool),
         stats=dict(field("stats", dict)),
     )

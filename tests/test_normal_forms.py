@@ -74,14 +74,14 @@ class TestToDnf:
         for _ in range(50):
             f = rand_formula(rng, depth=2, size=8)
             for system in (System.K, System.T):
-                assert equivalent(f, to_cnf(f).formula(), system)
-                assert equivalent(f, to_dnf(f).formula(), system)
+                assert equivalent(f, land(to_cnf(f).clauses), system)
+                assert equivalent(f, lor(to_dnf(f).terms), system)
 
     def test_fixpoint_on_term_sets(self, rng):
         for _ in range(60):
             f = rand_formula(rng, depth=2, size=8)
             d1 = to_dnf(f)
-            d2 = to_dnf(d1.formula())
+            d2 = to_dnf(lor(d1.terms))
             assert set(d1.terms) == set(d2.terms)
 
 

@@ -217,7 +217,7 @@ class TestResidue:
     @pytest.mark.parametrize("text", ["p & []false & <>q", "[]false & <>q"])
     def test_false_candidate(self, text, system):
         x = parse(text)
-        for y in (TRUE, default_theory(x, system)):
+        for y in (TRUE, default_theory(x)):
             comp = compile_kb(x, y, system)
             assert FALSE in comp.candidates
             assert comp.theta == (FALSE,)
@@ -391,8 +391,8 @@ class TestIsHorn:
 
 class TestDefaultTheory:
     def test_extracts_propositional_clauses(self):
-        y = default_theory(parse(X_GOLDEN), System.T)
+        y = default_theory(parse(X_GOLDEN))
         assert y == parse("p1 | p2")
 
     def test_no_propositional_part_gives_true(self):
-        assert default_theory(parse("<>a & []b"), System.K) is TRUE
+        assert default_theory(parse("<>a & []b")) is TRUE

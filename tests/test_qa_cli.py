@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 import modaltpi
+import modaltpi.pi as pi_module
 import modaltpi.semantics as semantics_module
 from modaltpi.cli import main
 from modaltpi.errors import (
@@ -230,6 +231,26 @@ class TestQueryTests:
             for _ in range(2):  # cold, then warm
                 assert answer_query(comp, q).answer == direct, (x, y, q)
 
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    # distribution passes its size cap on this KB
+    @example(rng=random.Random(177))
+    def test_compiled_answers_sound_in_t(self, rng):
+        # in T compiled answers may miss a true direct answer, never
+        # contradict a false one
+        x, y = rand_instance(rng)
+        queries = [rand_clause(rng) for _ in range(6)] + [FALSE]
+        clear_cache()
+        try:
+            comp = compile_kb(x, y, System.T)
+        except CapacityError:
+            reject()  # as the seeded loops skip such a KB
+        for q in queries:
+            direct = answer_query_direct(x, y, q, System.T).answer
+            for strict in (False, True):
+                if answer_query(comp, q, strict=strict).answer:
+                    assert direct, (x, y, q, strict)
+
 
 class TestAnswerQueryDirect:
     def test_trivial(self):
@@ -347,6 +368,9 @@ class TestPersistence:
         {"box_y": "[]p3"}, {"horn_advisory": "no"},
         pytest.param("[" * 100_000, id="deep-list"),
         pytest.param('{"a":' * 50_000, id="deep-object"),
+        # equal to 1 in Python, but not the integer 1
+        pytest.param({"schema": True}, id="schema-true"),
+        pytest.param({"schema": 1.0}, id="schema-float"),
     ])
     def test_malformed_fields_exit_2(self, tmp_path, golden_t, capsys,
                                      change):
@@ -382,6 +406,17 @@ class TestPersistence:
                      "--query", "p1"]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: missing field '{name}'\n")
+
+    @pytest.mark.parametrize("extra", [False, True],
+                             ids=["empty", "extra-key"])
+    def test_loaded_stats_saved_as_held(self, tmp_path, golden_t, extra):
+        stats = {**golden_t.stats, "note": "kept"} if extra else {}
+        path, again = tmp_path / "comp.json", tmp_path / "again.json"
+        save_compilation(golden_t, str(path))
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "stats": stats}))
+        save_compilation(load_compilation(str(path)), str(again))
+        assert load_compilation(str(again)).stats == stats
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "comp.json"
@@ -458,7 +493,7 @@ class TestCli:
 
     def test_node_budget_reaches_every_tableau_call(self, golden_kb, tmp_path,
                                                     monkeypatch, capsys):
-        # check's own tests and --auto-theory's entailment test included
+        # check's own tests included
         budget = 654_321
         budgets = []
         real = semantics_module.is_satisfiable
@@ -481,6 +516,30 @@ class TestCli:
                 assert main(argv + ["--system", system,
                                     "--node-budget", str(budget)]) == 0
                 assert budgets and set(budgets) == {budget}, argv
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("system", ["K", "T"])
+    @pytest.mark.parametrize("command", ["compile", "check"])
+    def test_auto_theory_proved_once(self, tmp_path, monkeypatch, capsys,
+                                     command, system):
+        # the KB entails its own outer CNF clauses; only the compile's
+        # precondition proves x |= y
+        calls = []
+        real = pi_module.entails
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pi_module, "entails", spy)
+        bare = tmp_path / "bare.kb"
+        bare.write_text("p1 | p2\n<>[]~p3\n[]<>p2\n")
+        argv = [command, "--kb", str(bare), "--auto-theory",
+                "--system", system]
+        if command == "compile":
+            argv += ["--out", str(tmp_path / "comp.json")]
+        assert main(argv) == 0
+        assert len(calls) == 1
         assert "FAIL" not in capsys.readouterr().out
 
     def test_oracle_subcommand(self, capsys):

@@ -58,6 +58,10 @@ class TestEvaluate:
         m = model([0], set(), {0: set()})
         assert evaluate(m, 0, box(FALSE))
 
+    def test_box_false_with_a_successor(self):
+        m = model([0, 1], {(0, 1)}, {0: set(), 1: set()})
+        assert not evaluate(m, 0, box(FALSE))
+
     def test_unknown_world(self):
         m = model([0], set(), {0: set()})
         with pytest.raises(ValueError):
@@ -186,6 +190,17 @@ class TestFormulaSets:
         assert find_model((TRUE, FALSE), System.T) is None
         m, w = find_model((), System.K)
         assert evaluate(m, w, TRUE)
+        # constants under a modality; ~<>true is []false in NNF
+        for text in ("<>true", "[]false", "~<>true", "<>true & []false"):
+            f = parse(text)
+            for system in (System.K, System.T):
+                sat = is_satisfiable(f, system)
+                assert sat == sat_by_enumeration(
+                    f, system, sufficient_bounds(f)).satisfiable, text
+                got = find_model(f, system)
+                assert (got is not None) == sat, text
+                if got is not None:
+                    assert evaluate(got[0], got[1], f), text
 
     def test_entailment_unchanged(self, rng):
         for _ in range(100):
