@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import FormulaSyntaxError, NonClausalQueryError, SchemaError
+from .errors import FormulaSyntaxError, SchemaError
 from .formula import (
-    FalseF, Formula, TRUE, box, classify, land, lnot, nnf, parse,
-    sort_formulas,
+    Formula, TRUE, box, land, lnot, nnf, parse, sort_formulas,
 )
 from .pi import CompilationResult
 from .semantics import (
@@ -25,8 +25,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class QueryVerdict:
+class QueryVerdict(NamedTuple):
     """Answer plus the evidence: an entailing compiled clause for a true
     compiled answer, a countermodel (model, world) for a false direct one."""
 
@@ -43,16 +42,15 @@ def answer_query(comp: CompilationResult, q: Formula, strict: bool = False,
     Default reading: true iff some compiled clause entails the query
     modulo the boxed theory.  `strict` switches to requiring every
     compiled clause to entail it, kept for comparison.  The query is a
-    literal, a clause or `false`, the empty clause.  The entailment test
-    is `semantics.query_test` of the query's NNF, prepared once per
-    query and theory, until `clear_cache()`, so spellings with one NNF
-    share it, and each verdict it reaches is kept for the later clauses,
-    queries and compiles.
+    literal, a clause, `false` (the empty clause) or `true` (the valid
+    clause); any other raises `NonClausalQueryError`.  The entailment
+    test is `semantics.query_test` of the query's NNF, which checks the
+    query's clausality once per query and theory, until `clear_cache()`,
+    so spellings with one NNF share it, and keeps each clause's verdict
+    for the later queries and compiles: a repeated query costs one
+    lookup per compiled clause.
     """
-    n = nnf(q)
-    if not isinstance(n, FalseF) and classify(n) not in ("literal", "clause"):
-        raise NonClausalQueryError(f"not a clausal query: {q}")
-    entails = query_test(n, comp.y, comp.system, node_budget)
+    entails = query_test(nnf(q), comp.y, comp.system, node_budget)
     # an empty omega compiles the knowledge base true; read it as the one
     # clause true so that neither reading answers vacuously
     pool = comp.omega() or (TRUE,)

@@ -13,11 +13,11 @@ import enum
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, NonClausalQueryError
 from .formula import (
     And, Box, Dia, FALSE, FalseF, Formula, Not, Or, TrueF, Var,
     Parts, _memo, box, clear_tables, conjuncts, contradictory,
-    decompose_clause, disjuncts, is_literal, lnot, lor, nnf, sort_formulas,
+    disjuncts, is_literal, lnot, lor, nnf, sort_formulas,
 )
 
 __all__ = [
@@ -366,9 +366,10 @@ def equivalent_mod(f: Formula, g: Formula, theory: Formula, system: System,
 
 def clause_test(q: Formula, y: Formula, system: System,
                 node_budget: int = DEFAULT_NODE_BUDGET):
-    """Predicate `pi -> pi & []y |= q` for a clausal query q (false is
-    the empty clause), prepared once for testing many clauses pi
-    against it.
+    """Predicate `pi -> pi & []y |= q` for a clausal query q, prepared
+    once for testing many clauses pi against it.  A query whose NNF is
+    no literal, no clause, not `false` (the empty clause) and not `true`
+    (the valid clause) raises `NonClausalQueryError`.
 
     In T each clause takes one tableau call.  In K a clause entails q iff
     each of its literals does (Bienvenu, JAIR 36, 2009), and each literal
@@ -379,16 +380,19 @@ def clause_test(q: Formula, y: Formula, system: System,
     - otherwise false and the disjuncts of q entail it, <>phi does iff
       phi & y & ~chi is unsatisfiable, []psi does iff psi & y & ~chi &
       ~zeta is for some zeta, and no other literal (true included) does.
-    A clause's verdict in T, and a literal's in K, is kept for the later
-    clauses.
+    In both systems each clause's verdict is kept for the later clauses,
+    and in K each literal's too.
     """
+    q = nnf(q)
+    if isinstance(q, TrueF):
+        return _valid
+    if not isinstance(q, FalseF) and not all(map(is_literal, disjuncts(q))):
+        raise NonClausalQueryError(f"not a clausal query: {q}")
     if system is System.T:
         return _ClauseTest(q, y, system, node_budget,
-                           (box(y), nnf(lnot(q))), (), {}).clause
-    q = nnf(q)
+                           (box(y), nnf(lnot(q))), None, {}).clause
     # false is the empty clause: no literals, and not valid
-    parts = (Parts(lor, ()) if isinstance(q, FalseF)
-             else decompose_clause(q))
+    parts = Parts(lor, () if isinstance(q, FalseF) else disjuncts(q))
     test = _ClauseTest(q, y, system, node_budget,
                        (nnf(y),) + tuple(nnf(lnot(c)) for c in parts.dia),
                        tuple(nnf(lnot(z)) for z in parts.box),
@@ -396,7 +400,7 @@ def clause_test(q: Formula, y: Formula, system: System,
     if contradictory(parts.prop) or any(test.unsat(z)
                                         for z in test.not_zetas):
         return _valid
-    return test.literals
+    return test.clause
 
 
 def _valid(pi):
@@ -406,10 +410,11 @@ def _valid(pi):
 
 class _ClauseTest:
     """A prepared `clause_test`: `premises` are the formulas every
-    tableau call conjoins, []y and ~q in T and the body y & ~chi in K,
-    and `known` keeps each verdict reached, under a clause's key in T
-    and a literal's in K.  One object with slots, so that a kept test
-    holds few objects."""
+    tableau call conjoins, []y and ~q in T and the body y & ~chi in K;
+    `not_zetas` are the negated []-bodies of q in K, and None in T,
+    which decides a clause whole; `known` keeps each verdict reached,
+    under a clause's key, and in K under a literal's too.  One object
+    with slots, so that a kept test holds few objects."""
 
     __slots__ = ("q", "y", "system", "node_budget", "premises",
                  "not_zetas", "known")
@@ -425,22 +430,24 @@ class _ClauseTest:
                                   self.node_budget)
 
     def clause(self, pi):
-        """T: pi & []y & ~q unsatisfiable."""
-        v = self.known.get(pi.key)
-        if v is None:
-            v = self.known[pi.key] = self.unsat(pi)
-        return v
-
-    def literals(self, pi):
-        """K: every literal of pi entails q."""
+        """pi & []y |= q: in T pi & []y & ~q unsatisfiable, in K every
+        literal of pi entailing q."""
         known = self.known
-        for l in disjuncts(nnf(pi)):
-            v = known.get(l.key)
-            if v is None:
-                v = known[l.key] = self.literal(l)
-            if not v:
-                return False
-        return True
+        v = known.get(pi.key)
+        if v is None:
+            if self.not_zetas is None:
+                v = self.unsat(pi)
+            else:
+                v = True
+                for l in disjuncts(nnf(pi)):
+                    w = known.get(l.key)
+                    if w is None:
+                        w = known[l.key] = self.literal(l)
+                    if not w:
+                        v = False
+                        break
+            known[pi.key] = v
+        return v
 
     def literal(self, l):
         if isinstance(l, Dia):
@@ -458,9 +465,10 @@ def query_test(q: Formula, y: Formula, system: System,
                node_budget: int = DEFAULT_NODE_BUDGET):
     """`clause_test(q, y, system, node_budget)`, prepared once per query,
     theory, system and budget and kept in `_query_tests` until
-    `clear_cache()`.  Its verdicts depend on nothing else, so the
-    queries and the minimizations of every compilation with the same
-    theory share it; a preparation that runs out of budget keeps
-    nothing."""
+    `clear_cache()`, so that q's clausality is checked once and a kept
+    test answers a clause it has judged with one lookup.  Its verdicts
+    depend on nothing else, so the queries and the minimizations of
+    every compilation with the same theory share it; a preparation that
+    runs out of budget, or of a non-clausal query, keeps nothing."""
     return _memo(_query_tests, (q.key, y.key, system, node_budget),
                  clause_test, q, y, system, node_budget)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 import modaltpi
+import modaltpi.formula as formula_module
 import modaltpi.pi as pi_module
 import modaltpi.semantics as semantics_module
 from modaltpi.cli import main
@@ -21,8 +23,8 @@ from modaltpi.errors import (
 from modaltpi.formula import FALSE, TRUE, box, land, lnot, nnf, parse, var
 from modaltpi.pi import compile_kb
 from modaltpi.qa import (
-    KnowledgeBaseFile, answer_query, answer_query_direct, load_compilation,
-    load_kb, save_compilation,
+    KnowledgeBaseFile, QueryVerdict, answer_query, answer_query_direct,
+    load_compilation, load_kb, save_compilation,
 )
 from modaltpi.oracle import clause_vocabulary
 from modaltpi.semantics import (
@@ -80,9 +82,23 @@ class TestAnswerQuery:
         assert existential.answer is True
         assert strict.answer is False
 
-    def test_non_clausal_query_rejected(self, golden_k):
-        with pytest.raises(NonClausalQueryError):
-            answer_query(golden_k, parse("p1 & p2"))
+    def test_non_clausal_query_rejected(self, golden_k, golden_t):
+        # on every ask, and a rejected query keeps no test
+        clear_cache()
+        for comp in (golden_k, golden_t, golden_k):
+            with pytest.raises(NonClausalQueryError):
+                answer_query(comp, parse("p1 & p2"))
+        assert not semantics_module._query_tests
+
+    def test_verdict_is_a_tuple(self, golden_k):
+        verdict = QueryVerdict(parse("p1"), True, parse("p1 | p2"),
+                               "compiled")
+        assert (verdict.query, verdict.answer, verdict.witness,
+                verdict.method) == tuple(verdict)
+        assert tuple(verdict) == (parse("p1"), True, parse("p1 | p2"),
+                                  "compiled")
+        assert answer_query(golden_k, parse("p1 | p2")) == (
+            parse("p1 | p2"), True, parse("p1 | p2"), "compiled")
 
     @pytest.mark.parametrize("system", [System.K, System.T])
     @pytest.mark.parametrize("x, y", [
@@ -101,6 +117,20 @@ class TestAnswerQuery:
             if verdict.answer:
                 assert not is_satisfiable((verdict.witness, comp.box_y),
                                           system)
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    @pytest.mark.parametrize("x, y", [(X_GOLDEN, Y_GOLDEN), ("true", "true")])
+    def test_true_is_the_valid_clause(self, system, x, y):
+        x, y = parse(x), parse(y)
+        comp = compile_kb(x, y, system)
+        witness = (comp.omega() or (TRUE,))[0]
+        for text in ("true", "p1 | true", "[]true", "~false"):
+            q = parse(text)
+            assert answer_query_direct(x, y, q, system).answer is True
+            for strict in (False, True):
+                verdict = answer_query(comp, q, strict=strict)
+                assert verdict.answer is True, text
+                assert verdict.witness == witness, text
 
     @pytest.mark.parametrize("system", [System.K, System.T])
     def test_empty_compilation_is_the_clause_true(self, system):
@@ -193,6 +223,40 @@ class TestQueryTests:
         assert list(semantics_module._query_tests) == [
             (parse("~p1 | ~p3").key, comp.y.key, system,
              semantics_module.DEFAULT_NODE_BUDGET)]
+        clear_cache()
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_warm_ask_only_reads_kept_verdicts(self, system, monkeypatch):
+        # a repeated query neither checks its clausality again nor
+        # decides a literal: each compiled clause's verdict is kept
+        comp = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), system)
+        queries = [parse(t) for t in ("p1 | p2", "<>p2 | []p3", "[]p1",
+                                      "<><>p2 | ~p1", "p3", "false")]
+        calls = collections.Counter()
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        # the clausal checks, wherever a module imported them
+        for name in ("classify", "is_literal"):
+            real = getattr(formula_module, name)
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("modaltpi")
+                        and getattr(module, name, None) is real):
+                    monkeypatch.setattr(module, name, counted(name, real))
+        monkeypatch.setattr(semantics_module._ClauseTest, "literal",
+                            counted("literal",
+                                    semantics_module._ClauseTest.literal))
+        clear_cache()
+        cold = [answer_query(comp, q) for q in queries]
+        assert calls["classify"] + calls["is_literal"] > 0
+        assert (calls["literal"] > 0) == (system is System.K)
+        calls.clear()
+        assert [answer_query(comp, q) for q in queries] == cold
+        assert calls == {}
         clear_cache()
 
     def test_budgets_never_share(self, golden_k):
@@ -469,6 +533,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out.startswith("false")
         assert "answering directly" not in captured.err
+
+    @pytest.mark.parametrize("system", ["K", "T"])
+    def test_true_query_answered_from_compilation(self, golden_kb, tmp_path,
+                                                  capsys, system):
+        out = str(tmp_path / "comp.json")
+        main(["compile", "--kb", golden_kb, "--system", system, "--out", out])
+        capsys.readouterr()
+        assert main(["query", "--compilation", out, "--query", "true"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("true\nwitness: ")
+        assert captured.err == ""
 
     def test_non_clausal_query_routed_directly(self, golden_kb, tmp_path,
                                                capsys):
