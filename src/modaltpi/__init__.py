@@ -9,7 +9,7 @@ the README documents; the modules hold the rest.
 from .errors import (
     BudgetExceededError, CapacityError, FormulaSyntaxError,
     InconsistentTermError, ModalTpiError, NonClausalQueryError,
-    NotAClauseError, NotATermError, PreconditionError, SchemaError,
+    PreconditionError, SchemaError,
 )
 from .formula import (
     Formula, TRUE, FALSE, parse, nnf, var, land, lor, lnot, box, dia,

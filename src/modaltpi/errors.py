@@ -20,14 +20,6 @@ class FormulaSyntaxError(ModalTpiError):
         super().__init__(f"{where}: {message}")
 
 
-class NotAClauseError(ModalTpiError):
-    """The formula is not a clause in the literal/clause grammar."""
-
-
-class NotATermError(ModalTpiError):
-    """The formula is not a term in the literal/term grammar."""
-
-
 class InconsistentTermError(ModalTpiError):
     """A term whose propositional literals contain a complementary pair."""
 

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import re
 
-from .errors import FormulaSyntaxError, NotAClauseError, NotATermError
+from .errors import FormulaSyntaxError
 
 __all__ = [
     "Formula", "Var", "TrueF", "FalseF", "Not", "And", "Or", "Box", "Dia",
     "TRUE", "FALSE",
     "var", "land", "lor", "lnot", "box", "dia",
-    "parse", "nnf", "classify", "contradictory",
-    "Parts", "decompose_clause", "decompose_term",
+    "parse", "nnf", "is_clause", "contradictory", "Parts",
     "variables", "modal_depth", "canonical_key", "sort_formulas",
     "conjuncts", "disjuncts", "MAX_NESTING", "MAX_EXPANSION",
 ]
@@ -411,7 +410,7 @@ def _read(text: str, source) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form and the literal/clause/term grammar
+# Negation normal form, the literal and clause tests, clause/term parts
 # ---------------------------------------------------------------------------
 
 def nnf(f: Formula) -> Formula:
@@ -467,19 +466,11 @@ def is_literal(f: Formula) -> bool:
     return False
 
 
-def classify(f: Formula) -> str:
-    """Most specific of literal / clause / term / general.
-
-    Expects input in negation normal form; anything with a negated
-    non-variable is reported as general.
-    """
-    if is_literal(f):
-        return "literal"
-    if isinstance(f, Or) and all(is_literal(c) for c in f.children):
-        return "clause"
-    if isinstance(f, And) and all(is_literal(c) for c in f.children):
-        return "term"
-    return "general"
+def is_clause(f: Formula) -> bool:
+    """Whether the NNF f is a clause: true, false, or a disjunction of
+    literals (a single literal included)."""
+    return (isinstance(f, (TrueF, FalseF))
+            or all(map(is_literal, disjuncts(f))))
 
 
 def contradictory(literals) -> bool:
@@ -491,14 +482,12 @@ def contradictory(literals) -> bool:
 
 
 class Parts:
-    """A clause (`join` is `lor`) or a term (`join` is `land`), given as
-    its literals, split into propositional literals, <>-bodies and
-    []-bodies."""
+    """A clause or a term, given as its literals, split into
+    propositional literals, <>-bodies and []-bodies."""
 
-    __slots__ = ("join", "prop", "dia", "box")
+    __slots__ = ("prop", "dia", "box")
 
-    def __init__(self, join, literals):
-        self.join = join
+    def __init__(self, literals):
         prop, dias, boxes = [], [], []
         for lit in literals:
             if isinstance(lit, Dia):
@@ -510,22 +499,6 @@ class Parts:
         self.prop = frozenset(prop)
         self.dia = sort_formulas(dias)
         self.box = sort_formulas(boxes)
-
-    def formula(self) -> Formula:
-        return self.join(list(self.prop) + [dia(b) for b in self.dia]
-                         + [box(b) for b in self.box])
-
-
-def decompose_clause(c: Formula) -> Parts:
-    if classify(c) not in ("literal", "clause"):
-        raise NotAClauseError(f"not a clause: {c}")
-    return Parts(lor, disjuncts(c))
-
-
-def decompose_term(t: Formula) -> Parts:
-    if classify(t) not in ("literal", "term"):
-        raise NotATermError(f"not a term: {t}")
-    return Parts(land, t.children if isinstance(t, And) else (t,))
 
 
 def variables(f: Formula) -> frozenset:

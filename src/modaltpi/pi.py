@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .errors import InconsistentTermError, PreconditionError
 from .formula import (
-    Box, Formula, TrueF, Var, FALSE, TRUE,
-    box, contradictory, decompose_term, dia, disjuncts, land, lor,
+    And, Formula, Parts, TrueF, Var, FALSE, TRUE,
+    box, contradictory, dia, disjuncts, is_clause, land, lor,
     modal_depth, nnf, sort_formulas,
 )
 from .normal_forms import DEFAULT_SIZE_CAP, distribute, to_cnf, to_dnf
@@ -38,7 +38,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompilationResult:
-    """Everything the query answerer needs, plus bookkeeping counters."""
+    """Everything the query answerer needs, plus bookkeeping counters.
+    Every theta member must be a clause after NNF (`is_clause`), or
+    construction raises `ValueError`."""
 
     x: Formula
     y: Formula
@@ -49,6 +51,9 @@ class CompilationResult:
     stats: dict
 
     def __post_init__(self):
+        for c in self.theta:
+            if not is_clause(nnf(c)):
+                raise ValueError(f"theta member {c} is not a clause")
         extra = set() if isinstance(self.box_y, TrueF) else {self.box_y}
         object.__setattr__(self, "_omega",
                            sort_formulas(set(self.theta) | extra))
@@ -64,15 +69,17 @@ class CompilationResult:
         return self._omega
 
 
-def term_candidates(parts) -> tuple:
-    """Candidate implicate clauses of a single term, given as its `Parts`.
+def term_candidates(t: Formula) -> tuple:
+    """Candidate implicate clauses of a single term t, a literal or a
+    conjunction of literals.
 
     Propositional literals pass through; each <>-body is bundled with the
     conjunction of all []-bodies under <>; the []-bodies are bundled under
     a single [].  The construction is syntactic, the same in K and T.
     """
+    parts = Parts(t.children if isinstance(t, And) else (t,))
     if contradictory(parts.prop):
-        raise InconsistentTermError(f"term {parts.formula()} is contradictory")
+        raise InconsistentTermError(f"term {t} is contradictory")
     out = list(parts.prop)
     boxed = land(parts.box)
     for b in parts.dia:
@@ -94,14 +101,15 @@ def candidates(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
         return (FALSE,)
     if len(terms) == 1 and isinstance(terms[0], TrueF):
         return ()
-    per_term = [term_candidates(decompose_term(t)) for t in terms]
+    per_term = [term_candidates(t) for t in terms]
     return sort_formulas(set(distribute(per_term, lor, max_clauses)))
 
 
-def _minimize(clauses, theory: Formula, system: System,
+def _minimize(clauses, y: Formula, system: System,
               node_budget: int = DEFAULT_NODE_BUDGET):
-    """The strongest clauses modulo the theory, one per equivalence class;
-    returns (surviving clauses, number of clause-pair entailment checks).
+    """The strongest clauses modulo []y, for y the propositional theory,
+    one per equivalence class; returns (surviving clauses, number of
+    clause-pair entailment checks).
 
     One pass in canonical order: a clause that some survivor entails is
     dropped (it is equivalent to an earlier clause, or weaker); otherwise
@@ -109,7 +117,6 @@ def _minimize(clauses, theory: Formula, system: System,
     joins them.  Each ordered pair is checked at most once, with the
     conclusion's `semantics.query_test`, so a verdict kept by an earlier
     compile or query with the same theory costs no tableau call."""
-    y = theory.child if isinstance(theory, Box) else theory
     calls = 0
 
     def implies(a, b):
@@ -168,9 +175,8 @@ def compile_kb(x: Formula, y: Formula, system: System = System.T,
     if not entails(x, y, system, node_budget):
         raise PreconditionError("knowledge base does not entail the theory")
     started = time.perf_counter()
-    by = box(y)
-    cands = candidates(land(x, by), max_clauses)
-    theta, calls = _minimize(cands, by, system, node_budget)
+    cands = candidates(land(x, box(y)), max_clauses)
+    theta, calls = _minimize(cands, y, system, node_budget)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return CompilationResult(
         x=x, y=y, system=system,

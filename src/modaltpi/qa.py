@@ -191,12 +191,15 @@ def load_compilation(path: str) -> CompilationResult:
     if box_y != box(y):
         raise SchemaError(f"{path}: field 'box_y' holds {box_y.key!r}, "
                           f"expected {box(y).key!r}")
-    return CompilationResult(
-        x=formula(field("x"), "x"),
-        y=y,
-        system=system,
-        candidates=clauses("candidates"),
-        theta=clauses("theta"),
-        horn_advisory=field("horn_advisory", bool),
-        stats=dict(field("stats", dict)),
-    )
+    try:
+        return CompilationResult(
+            x=formula(field("x"), "x"),
+            y=y,
+            system=system,
+            candidates=clauses("candidates"),
+            theta=clauses("theta"),
+            horn_advisory=field("horn_advisory", bool),
+            stats=dict(field("stats", dict)),
+        )
+    except ValueError as err:  # a theta member that is no clause
+        raise SchemaError(f"{path}: {err}") from None

@@ -17,7 +17,7 @@ from .errors import BudgetExceededError, NonClausalQueryError
 from .formula import (
     And, Box, Dia, FALSE, FalseF, Formula, Not, Or, TrueF, Var,
     Parts, _memo, box, clear_tables, conjuncts, contradictory,
-    disjuncts, is_literal, lnot, lor, nnf, sort_formulas,
+    disjuncts, is_clause, lnot, nnf, sort_formulas,
 )
 
 __all__ = [
@@ -368,8 +368,7 @@ def clause_test(q: Formula, y: Formula, system: System,
                 node_budget: int = DEFAULT_NODE_BUDGET):
     """Predicate `pi -> pi & []y |= q` for a clausal query q, prepared
     once for testing many clauses pi against it.  A query whose NNF is
-    no literal, no clause, not `false` (the empty clause) and not `true`
-    (the valid clause) raises `NonClausalQueryError`.
+    no clause (`is_clause`) raises `NonClausalQueryError`.
 
     In T each clause takes one tableau call.  In K a clause entails q iff
     each of its literals does (Bienvenu, JAIR 36, 2009), and each literal
@@ -386,14 +385,14 @@ def clause_test(q: Formula, y: Formula, system: System,
     q = nnf(q)
     if isinstance(q, TrueF):
         return _valid
-    if not isinstance(q, FalseF) and not all(map(is_literal, disjuncts(q))):
+    if not is_clause(q):
         raise NonClausalQueryError(f"not a clausal query: {q}")
     if system is System.T:
-        return _ClauseTest(q, y, system, node_budget,
-                           (box(y), nnf(lnot(q))), None, {}).clause
+        return _ClauseTest(system, node_budget, (box(y), nnf(lnot(q))),
+                           None, {}).clause
     # false is the empty clause: no literals, and not valid
-    parts = Parts(lor, () if isinstance(q, FalseF) else disjuncts(q))
-    test = _ClauseTest(q, y, system, node_budget,
+    parts = Parts(() if isinstance(q, FalseF) else disjuncts(q))
+    test = _ClauseTest(system, node_budget,
                        (nnf(y),) + tuple(nnf(lnot(c)) for c in parts.dia),
                        tuple(nnf(lnot(z)) for z in parts.box),
                        {l.key: True for l in disjuncts(q) + (FALSE,)})
@@ -416,22 +415,19 @@ class _ClauseTest:
     under a clause's key, and in K under a literal's too.  One object
     with slots, so that a kept test holds few objects."""
 
-    __slots__ = ("q", "y", "system", "node_budget", "premises",
-                 "not_zetas", "known")
+    __slots__ = ("system", "node_budget", "premises", "not_zetas", "known")
 
-    def __init__(self, q, y, system, node_budget, premises, not_zetas,
-                 known):
-        self.q, self.y, self.system = q, y, system
-        self.node_budget, self.premises = node_budget, premises
-        self.not_zetas, self.known = not_zetas, known
+    def __init__(self, system, node_budget, premises, not_zetas, known):
+        self.system, self.node_budget = system, node_budget
+        self.premises, self.not_zetas, self.known = premises, not_zetas, known
 
     def unsat(self, *fs):
         return not is_satisfiable(self.premises + fs, self.system,
                                   self.node_budget)
 
     def clause(self, pi):
-        """pi & []y |= q: in T pi & []y & ~q unsatisfiable, in K every
-        literal of pi entailing q."""
+        """pi & []y |= q, for a clause pi: in T pi & []y & ~q
+        unsatisfiable, in K every literal of pi entailing q."""
         known = self.known
         v = known.get(pi.key)
         if v is None:
@@ -454,11 +450,8 @@ class _ClauseTest:
             return self.unsat(l.child)
         if isinstance(l, Box):
             return any(self.unsat(l.child, z) for z in self.not_zetas)
-        if is_literal(l) or isinstance(l, TrueF):
-            return False
-        # not a literal, so pi is not a clause
-        return not is_satisfiable((l, box(self.y), lnot(self.q)),
-                                  self.system, self.node_budget)
+        # a propositional literal that is no disjunct of q, or true
+        return False
 
 
 def query_test(q: Formula, y: Formula, system: System,

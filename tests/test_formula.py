@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modaltpi.formula as formula_module
-from modaltpi.errors import FormulaSyntaxError, NotAClauseError, NotATermError
+from modaltpi.errors import FormulaSyntaxError
 from modaltpi.formula import (
-    MAX_EXPANSION, MAX_NESTING, And, Box, Dia, Not, Or, Var, TRUE, FALSE,
-    box, dia, classify, decompose_clause, decompose_term,
+    MAX_EXPANSION, MAX_NESTING, And, Box, Dia, Not, Or, Parts, Var, TRUE,
+    FALSE, box, dia, is_clause, is_literal,
     land, lnot, lor, modal_depth, nnf, parse, sort_formulas, var, variables,
     _negated,
 )
@@ -391,39 +391,54 @@ def _grammar_class(f):
 
 class TestClassify:
     def test_boxed_clause_is_literal(self):
-        assert classify(parse("[](p | q)")) == "literal"
+        assert is_literal(parse("[](p | q)"))
 
     def test_clause(self):
-        assert classify(parse("p | <>q")) == "clause"
+        f = parse("p | <>q")
+        assert is_clause(f) and not is_literal(f)
 
     def test_not_a_term(self):
-        assert classify(parse("p & (q | r)")) == "general"
+        assert not is_clause(parse("p & (q | r)"))
 
     def test_term(self):
-        assert classify(parse("p & <>q & []r")) == "term"
+        # a conjunction of literals is no clause
+        assert not is_clause(parse("p & <>q & []r"))
+
+    def test_constants_are_clauses(self):
+        assert is_clause(TRUE) and is_clause(FALSE)
 
     def test_agrees_with_independent_acceptor(self, rng):
         for _ in range(300):
             f = nnf(rand_formula(rng, depth=2, size=8))
-            assert classify(f) == _grammar_class(f)
+            assert is_clause(f) == (_grammar_class(f) in ("literal", "clause")
+                                    or f in (TRUE, FALSE))
+
+    def test_rejects_non_clause(self):
+        assert not is_clause(parse("p & q"))
+        assert not is_clause(parse("p | (q & r)"))
 
 
-class TestDecompose:
+def _reassemble(parts, join):
+    return join(list(parts.prop) + [dia(b) for b in parts.dia]
+                + [box(b) for b in parts.box])
+
+
+class TestParts:
     def test_clause_parts(self):
-        parts = decompose_clause(parse("p1 | <>a | []b"))
+        parts = Parts(parse("p1 | <>a | []b").children)
         assert parts.prop == {var("p1")}
         assert parts.dia == (var("a"),)
         assert parts.box == (var("b"),)
 
     def test_golden_term_parts(self):
         t = parse("p1 & <>[]~p3 & []<>p2 & [](p1 | p2)")
-        parts = decompose_term(t)
+        parts = Parts(t.children)
         assert parts.prop == {var("p1")}
         assert parts.dia == (box(lnot(var("p3"))),)
         assert set(parts.box) == {dia(var("p2")), lor(var("p1"), var("p2"))}
 
     def test_single_literal(self):
-        parts = decompose_clause(parse("~q"))
+        parts = Parts((parse("~q"),))
         assert parts.prop == {lnot(var("q"))}
         assert parts.dia == () and parts.box == ()
 
@@ -431,19 +446,15 @@ class TestDecompose:
         seen = 0
         while seen < 100:
             f = nnf(rand_formula(rng, depth=2, size=8))
-            kind = classify(f)
+            kind = _grammar_class(f)
             if kind in ("literal", "clause"):
-                assert decompose_clause(f).formula() == f
+                parts = Parts(f.children if isinstance(f, Or) else (f,))
+                assert _reassemble(parts, lor) == f
                 seen += 1
             if kind in ("literal", "term"):
-                assert decompose_term(f).formula() == f
+                parts = Parts(f.children if isinstance(f, And) else (f,))
+                assert _reassemble(parts, land) == f
                 seen += 1
-
-    def test_rejects_non_clause(self):
-        with pytest.raises(NotAClauseError):
-            decompose_clause(parse("p & q"))
-        with pytest.raises(NotATermError):
-            decompose_term(parse("p | (q & r)"))
 
 
 class TestMeasures:

@@ -1,7 +1,7 @@
 import pytest
 
 from modaltpi.errors import CapacityError
-from modaltpi.formula import classify, land, lor, nnf, parse
+from modaltpi.formula import And, is_clause, is_literal, land, lor, nnf, parse
 from modaltpi.normal_forms import Cnf, Dnf, to_cnf, to_dnf
 from modaltpi.semantics import System, entails, equivalent
 
@@ -66,9 +66,10 @@ class TestToDnf:
         for _ in range(80):
             f = rand_formula(rng, depth=2, size=8)
             for t in to_dnf(f).terms:
-                assert classify(t) in ("literal", "term")
+                assert all(map(is_literal,
+                               t.children if isinstance(t, And) else (t,)))
             for c in to_cnf(f).clauses:
-                assert classify(c) in ("literal", "clause")
+                assert is_clause(c)
 
     def test_equivalence_random(self, rng):
         for _ in range(50):

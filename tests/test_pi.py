@@ -9,7 +9,7 @@ from modaltpi.errors import (
     CapacityError, InconsistentTermError, PreconditionError,
 )
 from modaltpi.formula import (
-    FALSE, TRUE, box, decompose_term, dia, land, lnot, lor, modal_depth,
+    FALSE, TRUE, box, dia, land, lnot, lor, modal_depth,
     parse, sort_formulas, var,
 )
 from modaltpi.oracle import clause_vocabulary, enumerate_implicates
@@ -55,7 +55,7 @@ PROP_CLAUSES = [c for c in VOCABULARY if modal_depth(c) == 0]
 class TestTermCandidates:
     def test_golden_term(self):
         t = parse("p1 & <>[]~p3 & []<>p2 & [](p1 | p2)")
-        got = set(term_candidates(decompose_term(t)))
+        got = set(term_candidates(t))
         assert got == {
             parse("p1"),
             parse("<>([]~p3 & <>p2 & (p1 | p2))"),
@@ -63,11 +63,11 @@ class TestTermCandidates:
         }
 
     def test_propositional_term(self):
-        got = set(term_candidates(decompose_term(parse("p & q"))))
+        got = set(term_candidates(parse("p & q")))
         assert got == {var("p"), var("q")}
 
     def test_dia_box_bundling(self):
-        got = set(term_candidates(decompose_term(parse("<>a & []b"))))
+        got = set(term_candidates(parse("<>a & []b")))
         assert got == {parse("<>(a & b)"), parse("[]b")}
         # every candidate is entailed by the term
         for c in got:
@@ -80,7 +80,7 @@ class TestTermCandidates:
 
     def test_inconsistent_term_rejected(self):
         with pytest.raises(InconsistentTermError):
-            term_candidates(decompose_term(parse("p & ~p & <>q")))
+            term_candidates(parse("p & ~p & <>q"))
 
 
 class TestCandidates:
@@ -124,14 +124,14 @@ class TestResidue:
 
     def test_golden_minimization_reproduces_example_in_k(self):
         cands = [parse(s) for s in PAPER_CANDIDATES]
-        got = _minimize(cands, parse("[](p1 | p2)"), System.K)[0]
+        got = _minimize(cands, parse("p1 | p2"), System.K)[0]
         assert set(got) == {parse(s) for s in PAPER_THETA}
 
     def test_reflexivity_also_removes_theory_entailed_clause(self):
         # in T the boxed theory forces its body at the root, so the
         # propositional clause is strictly entailed and drops out
         cands = [parse(s) for s in PAPER_CANDIDATES]
-        got = _minimize(cands, parse("[](p1 | p2)"), System.T)[0]
+        got = _minimize(cands, parse("p1 | p2"), System.T)[0]
         assert set(got) == {parse("[](<>p2 & (p1 | p2))"),
                             parse("<>([]~p3 & <>p2 & (p1 | p2))")}
 
@@ -145,7 +145,7 @@ class TestResidue:
         for _ in range(10):
             x, y = rand_instance(rng)
             by = box(y)
-            theta = _minimize(candidates(land(x, by)), by, System.T)[0]
+            theta = _minimize(candidates(land(x, by)), y, System.T)[0]
             for s in theta:
                 for t in theta:
                     if s.key != t.key:
@@ -153,21 +153,21 @@ class TestResidue:
 
     @settings(max_examples=300, deadline=None)
     @given(clauses=st.lists(st.sampled_from(VOCABULARY), max_size=7),
-           theory=st.one_of(
+           y=st.one_of(
                st.just(TRUE),
                st.lists(st.sampled_from(PROP_CLAUSES), min_size=1,
-                        max_size=2).map(lambda cs: box(land(cs)))),
+                        max_size=2).map(land)),
            system=st.sampled_from(list(System)))
-    def test_matches_entailment_matrix(self, clauses, theory, system):
+    def test_matches_entailment_matrix(self, clauses, y, system):
         # keep c unless some other clause entails it and either c does not
         # entail it back or it comes first in canonical order
         cs = sort_formulas(set(clauses))
-        implies = [[entails_mod(a, theory, b, system) for b in cs] for a in cs]
+        implies = [[entails_mod(a, box(y), b, system) for b in cs] for a in cs]
         want = tuple(
             c for j, c in enumerate(cs)
             if not any(implies[i][j] and (not implies[j][i] or i < j)
                        for i in range(len(cs)) if i != j))
-        assert _minimize(clauses, theory, system)[0] == want
+        assert _minimize(clauses, y, system)[0] == want
 
     def test_counts_the_checks_it_runs(self, monkeypatch, rng):
         # every check is a call of a predicate that query_test returned

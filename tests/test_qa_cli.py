@@ -172,17 +172,22 @@ class TestClauseTest:
                     assert strict.witness == (pool[0] if all(holds) else None)
 
     @pytest.mark.parametrize("system", [System.K, System.T])
-    def test_non_clause_in_theta(self, system):
-        # a compilation file may hold any formula in theta; a disjunct that
-        # is no literal takes a tableau call of its own
-        comp = dataclasses.replace(
-            compile_kb(parse("a & <>b"), var("a"), system),
-            theta=(parse("(a & <>b) | []c"), parse("<>(b & c) | (a & []~b)")))
-        for q in clause_vocabulary(("a", "b", "c"))[::5]:
-            holds = [entails_mod(pi, comp.box_y, q, system)
-                     for pi in comp.omega()]
-            assert answer_query(comp, q).answer == any(holds), q
-            assert answer_query(comp, q, strict=True).answer == all(holds), q
+    def test_non_clause_in_theta_rejected(self, system, tmp_path, capsys):
+        # theta holds clauses only, whether built in Python or loaded
+        comp = compile_kb(parse("a & <>b"), var("a"), system)
+        bad = parse("(a & <>b) | []c")
+        with pytest.raises(ValueError, match="not a clause"):
+            dataclasses.replace(comp, theta=(bad,))
+        path = tmp_path / "comp.json"
+        save_compilation(comp, str(path))
+        payload = json.loads(path.read_text())
+        payload["theta"].append(bad.key)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="not a clause"):
+            load_compilation(str(path))
+        assert main(["query", "--compilation", str(path),
+                     "--query", "a"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 class TestQueryTests:
@@ -241,7 +246,7 @@ class TestQueryTests:
             return wrapper
 
         # the clausal checks, wherever a module imported them
-        for name in ("classify", "is_literal"):
+        for name in ("is_clause", "is_literal"):
             real = getattr(formula_module, name)
             for module in list(sys.modules.values()):
                 if (getattr(module, "__name__", "").startswith("modaltpi")
@@ -252,7 +257,7 @@ class TestQueryTests:
                                     semantics_module._ClauseTest.literal))
         clear_cache()
         cold = [answer_query(comp, q) for q in queries]
-        assert calls["classify"] + calls["is_literal"] > 0
+        assert calls["is_clause"] > 0
         assert (calls["literal"] > 0) == (system is System.K)
         calls.clear()
         assert [answer_query(comp, q) for q in queries] == cold
