@@ -44,22 +44,22 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _resolve_theory(args, kb):
-    """The theory: the --theory file (its formulas and its [theory]
-    section together), else the KB's own [theory] section, else with
-    --auto-theory the KB's propositional clauses, else true."""
+def _read_kb(args):
+    """(x, y): the --kb formula and the theory, which is the --theory file
+    (formulas and [theory] section), else the KB's [theory] section, else
+    with --auto-theory the KB's propositional clauses, else true."""
+    kb = load_kb(args.kb)
+    x = kb.kb_formula()
     if args.theory:
-        return load_theory(args.theory)
+        return x, load_theory(args.theory)
     if kb.theory or not args.auto_theory:
-        return kb.theory_formula()
-    return default_theory(kb.kb_formula())
+        return x, kb.theory_formula()
+    return x, default_theory(x)
 
 
 def _cmd_compile(args) -> int:
-    kb = load_kb(args.kb)
     system = System.from_name(args.system)
-    x = kb.kb_formula()
-    y = _resolve_theory(args, kb)
+    x, y = _read_kb(args)
     comp = compile_kb(x, y, system,
                       max_clauses=args.max_terms,
                       node_budget=args.node_budget)
@@ -100,10 +100,8 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    kb = load_kb(args.kb)
     system = System.from_name(args.system)
-    x = kb.kb_formula()
-    y = _resolve_theory(args, kb)
+    x, y = _read_kb(args)
     budget = args.node_budget
     comp = compile_kb(x, y, system, node_budget=budget)
     by = comp.box_y

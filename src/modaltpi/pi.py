@@ -16,9 +16,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import InconsistentTermError, PreconditionError
+from .errors import CapacityError, InconsistentTermError, PreconditionError
 from .formula import (
-    And, Formula, Parts, TrueF, Var, FALSE, TRUE,
+    And, Formula, Parts, TrueF, Var, TRUE,
     box, contradictory, dia, disjuncts, is_clause, land, lor,
     modal_depth, nnf, sort_formulas,
 )
@@ -95,10 +95,7 @@ def candidates(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
     Returns (false,) when the formula has no satisfiable terms at the
     propositional level, and () when it is the constant true.
     """
-    g = nnf(f)
-    terms = to_dnf(g, max_clauses).terms
-    if not terms:
-        return (FALSE,)
+    terms = to_dnf(f, max_clauses).terms
     if len(terms) == 1 and isinstance(terms[0], TrueF):
         return ()
     per_term = [term_candidates(t) for t in terms]
@@ -140,25 +137,28 @@ def _minimize(clauses, y: Formula, system: System,
 def prime_implicates(x: Formula, system: System = System.T,
                      max_clauses: int = DEFAULT_SIZE_CAP,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> tuple:
-    """Entailment-minimal implicates of x (theory-free minimization)."""
-    return _minimize(candidates(x, max_clauses), TRUE, system,
-                     node_budget)[0]
+    """Entailment-minimal implicates of x: its theory prime implicates
+    modulo the trivial theory, `compile_kb(x, true).theta`."""
+    return compile_kb(x, TRUE, system, max_clauses, node_budget).theta
 
 
 def is_horn(y: Formula) -> bool:
-    """At most one positive literal per clause of the propositional CNF."""
+    """At most one positive literal per clause of the propositional CNF;
+    False when that CNF passes the size cap (the check is advisory)."""
     if modal_depth(y) != 0:
         raise ValueError("horn check expects a propositional formula")
-    for clause in to_cnf(y).clauses:
-        if sum(1 for l in disjuncts(clause) if isinstance(l, Var)) > 1:
-            return False
-    return True
+    try:
+        clauses = to_cnf(y).clauses
+    except CapacityError:
+        return False
+    return all(sum(isinstance(l, Var) for l in disjuncts(c)) <= 1
+               for c in clauses)
 
 
 def default_theory(x: Formula) -> Formula:
     """The propositional clauses of the outer CNF of x, conjoined; the
     CNF is equivalent to x, so x entails each of them."""
-    return land(c for c in to_cnf(nnf(x)).clauses if modal_depth(c) == 0)
+    return land(c for c in to_cnf(x).clauses if modal_depth(c) == 0)
 
 
 def compile_kb(x: Formula, y: Formula, system: System = System.T,

@@ -17,13 +17,13 @@ from .errors import BudgetExceededError, NonClausalQueryError
 from .formula import (
     And, Box, Dia, FALSE, FalseF, Formula, Not, Or, TrueF, Var,
     Parts, _memo, box, clear_tables, conjuncts, contradictory,
-    disjuncts, is_clause, lnot, nnf, sort_formulas,
+    disjuncts, is_clause, is_literal, lnot, nnf, sort_formulas,
 )
 
 __all__ = [
     "System", "KripkeModel", "evaluate",
     "is_satisfiable", "find_model",
-    "entails", "entails_mod", "equivalent", "equivalent_mod", "clause_test",
+    "entails", "entails_mod", "equivalent", "equivalent_mod",
     "query_test", "DEFAULT_NODE_BUDGET", "clear_cache", "tree_model",
 ]
 
@@ -154,7 +154,7 @@ class _Witness:
 _sat_cache: dict = {}
 _KEY = attrgetter("key")
 # query tests: (query key, theory key, system, node budget) -> the
-# predicate `clause_test` prepared, kept by `formula._memo` for
+# predicate `_prepare` makes, kept by `formula._memo` for
 # `answer_query` and `pi._minimize`
 _query_tests: dict = {}
 
@@ -364,24 +364,8 @@ def equivalent_mod(f: Formula, g: Formula, theory: Formula, system: System,
             and entails_mod(g, theory, f, system, node_budget))
 
 
-def clause_test(q: Formula, y: Formula, system: System,
-                node_budget: int = DEFAULT_NODE_BUDGET):
-    """Predicate `pi -> pi & []y |= q` for a clausal query q, prepared
-    once for testing many clauses pi against it.  A query whose NNF is
-    no clause (`is_clause`) raises `NonClausalQueryError`.
-
-    In T each clause takes one tableau call.  In K a clause entails q iff
-    each of its literals does (Bienvenu, JAIR 36, 2009), and each literal
-    is decided one modal level down, on bodies; with P, <>chi and []zeta
-    the parts of q and ~chi the conjunction of the negated chi:
-    - q is valid modulo []y iff P holds a complementary pair or some
-      y & ~chi & ~zeta is unsatisfiable, and then every clause entails it;
-    - otherwise false and the disjuncts of q entail it, <>phi does iff
-      phi & y & ~chi is unsatisfiable, []psi does iff psi & y & ~chi &
-      ~zeta is for some zeta, and no other literal (true included) does.
-    In both systems each clause's verdict is kept for the later clauses,
-    and in K each literal's too.
-    """
+def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
+    """The test `query_test` keeps for q, y, system and node_budget."""
     q = nnf(q)
     if isinstance(q, TrueF):
         return _valid
@@ -403,12 +387,12 @@ def clause_test(q: Formula, y: Formula, system: System,
 
 
 def _valid(pi):
-    """`clause_test` of a query valid modulo the theory."""
+    """The test of a query valid modulo the theory."""
     return True
 
 
 class _ClauseTest:
-    """A prepared `clause_test`: `premises` are the formulas every
+    """A prepared `query_test`: `premises` are the formulas every
     tableau call conjoins, []y and ~q in T and the body y & ~chi in K;
     `not_zetas` are the negated []-bodies of q in K, and None in T,
     which decides a clause whole; `known` keeps each verdict reached,
@@ -451,17 +435,33 @@ class _ClauseTest:
         if isinstance(l, Box):
             return any(self.unsat(l.child, z) for z in self.not_zetas)
         # a propositional literal that is no disjunct of q, or true
-        return False
+        if isinstance(l, TrueF) or is_literal(l):
+            return False
+        raise ValueError(f"clause disjunct {l} is no literal")
 
 
 def query_test(q: Formula, y: Formula, system: System,
                node_budget: int = DEFAULT_NODE_BUDGET):
-    """`clause_test(q, y, system, node_budget)`, prepared once per query,
-    theory, system and budget and kept in `_query_tests` until
-    `clear_cache()`, so that q's clausality is checked once and a kept
-    test answers a clause it has judged with one lookup.  Its verdicts
-    depend on nothing else, so the queries and the minimizations of
-    every compilation with the same theory share it; a preparation that
-    runs out of budget, or of a non-clausal query, keeps nothing."""
+    """Predicate `pi -> pi & []y |= q` for a clausal query q, prepared
+    once per query, theory, system and budget and kept in `_query_tests`
+    until `clear_cache()`.  Its verdicts depend on nothing else, so the
+    queries and the minimizations of every compilation with the same
+    theory share it.  A query whose NNF is no clause (`is_clause`)
+    raises `NonClausalQueryError`; a preparation that runs out of budget,
+    or of a non-clausal query, keeps nothing.
+
+    In T each clause takes one tableau call.  In K a clause entails q iff
+    each of its literals does (Bienvenu, JAIR 36, 2009), and each literal
+    is decided one modal level down, on bodies; with P, <>chi and []zeta
+    the parts of q and ~chi the conjunction of the negated chi:
+    - q is valid modulo []y iff P holds a complementary pair or some
+      y & ~chi & ~zeta is unsatisfiable, and then every clause entails it;
+    - otherwise false and the disjuncts of q entail it, <>phi does iff
+      phi & y & ~chi is unsatisfiable, []psi does iff psi & y & ~chi &
+      ~zeta is for some zeta, and no other literal (true included) does,
+      while a disjunct that is no literal raises `ValueError`.
+    In both systems each clause's verdict is kept, so a clause already
+    judged costs one lookup, and in K each literal's too.
+    """
     return _memo(_query_tests, (q.key, y.key, system, node_budget),
-                 clause_test, q, y, system, node_budget)
+                 _prepare, q, y, system, node_budget)

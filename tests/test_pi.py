@@ -18,8 +18,8 @@ from modaltpi.pi import (
     prime_implicates, term_candidates,
 )
 from modaltpi.semantics import (
-    System, clause_test, clear_cache, entails, entails_mod, equivalent,
-    equivalent_mod, is_satisfiable,
+    System, clear_cache, entails, entails_mod, equivalent, equivalent_mod,
+    is_satisfiable, query_test,
 )
 
 from conftest import rand_clause, rand_instance
@@ -208,7 +208,7 @@ class TestResidue:
             for theory in (y, TRUE):
                 cands = candidates(land(x, box(theory)))
                 for b in cands:
-                    test = clause_test(b, theory, system)
+                    test = query_test(b, theory, system)
                     for a in cands:
                         assert test(a) == entails_mod(a, box(theory), b,
                                                       system), (a, b)
@@ -343,13 +343,13 @@ class TestCompileKb:
         jobs = [(x, y, system) for x, y in instances
                 for system in (System.K, System.T)]
         prepared = []
-        real = semantics_module.clause_test
+        real = semantics_module._prepare
 
         def counted(*args):
             prepared.append(args)
             return real(*args)
 
-        monkeypatch.setattr(semantics_module, "clause_test", counted)
+        monkeypatch.setattr(semantics_module, "_prepare", counted)
 
         def compile_all(cold):
             out = []
@@ -387,6 +387,15 @@ class TestIsHorn:
     def test_recorded_on_compilation(self):
         comp = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.K)
         assert comp.horn_advisory is False
+
+    def test_cnf_past_size_cap_is_not_horn(self):
+        # the theory's CNF has 2**14 clauses, past the 10,000 cap, while
+        # the compile itself is small; the advisory must not fail it
+        y = lor(land(var(f"a{i}"), var(f"b{i}")) for i in range(14))
+        assert is_horn(y) is False
+        comp = compile_kb(parse("a0 & b0 & <>c"), y, System.K)
+        assert comp.horn_advisory is False
+        assert len(comp.theta) == 3
 
 
 class TestDefaultTheory:

@@ -21,14 +21,14 @@ from modaltpi.errors import (
     NonClausalQueryError, SchemaError,
 )
 from modaltpi.formula import FALSE, TRUE, box, land, lnot, nnf, parse, var
-from modaltpi.pi import compile_kb
+from modaltpi.pi import compile_kb, default_theory
 from modaltpi.qa import (
     KnowledgeBaseFile, QueryVerdict, answer_query, answer_query_direct,
     load_compilation, load_kb, save_compilation,
 )
 from modaltpi.oracle import clause_vocabulary
 from modaltpi.semantics import (
-    System, clear_cache, entails_mod, evaluate, is_satisfiable,
+    System, clear_cache, entails_mod, evaluate, is_satisfiable, query_test,
 )
 
 from conftest import (
@@ -262,6 +262,20 @@ class TestQueryTests:
         calls.clear()
         assert [answer_query(comp, q) for q in queries] == cold
         assert calls == {}
+        clear_cache()
+
+    def test_non_clause_tested_in_k_raises(self):
+        # K's test goes literal by literal, so a disjunct that is no
+        # literal has no verdict there; T's one tableau call decides it
+        clear_cache()
+        test = query_test(var("a"), TRUE, System.K)
+        for text in ("a & b", "a | (b & c)"):
+            for _ in range(2):  # no verdict was kept
+                with pytest.raises(ValueError, match="is no literal"):
+                    test(parse(text))
+        assert test(parse("a | c")) is False
+        assert test(parse("a")) is True
+        assert query_test(var("a"), TRUE, System.T)(parse("a & b")) is True
         clear_cache()
 
     def test_budgets_never_share(self, golden_k):
@@ -603,7 +617,8 @@ class TestCli:
     def test_auto_theory_proved_once(self, tmp_path, monkeypatch, capsys,
                                      command, system):
         # the KB entails its own outer CNF clauses; only the compile's
-        # precondition proves x |= y
+        # precondition proves x |= y, and check's plain prime implicates
+        # compile against true
         calls = []
         real = pi_module.entails
 
@@ -619,7 +634,9 @@ class TestCli:
         if command == "compile":
             argv += ["--out", str(tmp_path / "comp.json")]
         assert main(argv) == 0
-        assert len(calls) == 1
+        y = default_theory(load_kb(str(bare)).kb_formula())
+        assert [args[1] for args in calls] == (
+            [y] if command == "compile" else [y, TRUE])
         assert "FAIL" not in capsys.readouterr().out
 
     def test_oracle_subcommand(self, capsys):
@@ -794,3 +811,82 @@ class TestCli:
         out = str(tmp_path / "comp.json")
         assert main(["compile", "--kb", str(kb), "--out", out,
                      "--max-terms", "5"]) == 3
+
+
+# formula text: well formed, or drawn token by token from the grammar;
+# KB text: lines of formula text, comments and section headers
+_ATOMS = ("a", "b", "p1", "true", "false")
+_UNARY = ("~", "[]", "<>")
+_BINARY = ("&", "|", "->", "<->")
+_FORMULA_TEXT = st.recursive(
+    st.sampled_from(_ATOMS),
+    lambda inner: (
+        st.tuples(st.sampled_from(_UNARY), inner).map("".join)
+        | st.tuples(inner, st.sampled_from(_BINARY), inner).map(
+            lambda t: "({} {} {})".format(*t))),
+    max_leaves=6) | st.lists(
+        st.sampled_from(_ATOMS + _UNARY + _BINARY + ("(", ")", " ")),
+        max_size=24).map("".join)
+_KB_TEXT = st.lists(
+    _FORMULA_TEXT | st.sampled_from(("", "#", "[theory]"))
+    | _FORMULA_TEXT.map("# {}".format),
+    max_size=6).map("\n".join)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+
+def _exit_code(argv):
+    """`main(argv)`, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestCliFuzz:
+    """Drawn KB text and damaged compilation files through `cli.main`:
+    every run exits with 0, 1, 2 or 3 and raises nothing else."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory, golden_k, golden_t):
+        path = tmp_path_factory.mktemp("fuzz")
+        for comp in (golden_k, golden_t):
+            save_compilation(comp, str(path / f"{comp.system.value}.json"))
+        return path
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_damaged_compilation(self, workdir, data):
+        system = data.draw(st.sampled_from("KT"))
+        payload = json.loads((workdir / f"{system}.json").read_text())
+        name = data.draw(st.sampled_from(sorted(payload)))
+        deleted = object()
+        value = data.draw(st.just(deleted) | _JSON | _FORMULA_TEXT
+                          | st.lists(_FORMULA_TEXT, max_size=3))
+        if value is deleted:
+            del payload[name]
+        else:
+            payload[name] = value
+        path = workdir / "damaged.json"
+        path.write_text(json.dumps(payload))
+        query = data.draw(_FORMULA_TEXT)
+        assert _exit_code(["query", "--compilation", str(path),
+                           "--query", query]) in range(4)
+
+    @pytest.mark.parametrize("command", ["compile", "pi", "check"])
+    @settings(max_examples=60, deadline=None)
+    @given(text=_KB_TEXT, system=st.sampled_from("KT"), auto=st.booleans())
+    def test_drawn_kb_text(self, workdir, command, text, system, auto):
+        kb = workdir / "drawn.kb"
+        kb.write_text(text)
+        argv = [command, "--kb", str(kb), "--system", system]
+        if command != "pi" and auto:
+            argv.append("--auto-theory")
+        if command == "compile":
+            argv += ["--out", str(workdir / "drawn.json")]
+        assert _exit_code(argv) in range(4)

@@ -18,8 +18,8 @@ from modaltpi.formula import (
     FALSE, TRUE, box, dia, land, lnot, lor, nnf, parse, var,
 )
 from modaltpi.semantics import (
-    KripkeModel, System, clear_cache, clause_test, entails, entails_mod,
-    equivalent, equivalent_mod, evaluate, find_model, is_satisfiable,
+    KripkeModel, System, clear_cache, entails, entails_mod, equivalent,
+    equivalent_mod, evaluate, find_model, is_satisfiable, query_test,
 )
 from modaltpi.oracle import sat_by_enumeration, sufficient_bounds
 from modaltpi.pi import compile_kb
@@ -281,8 +281,8 @@ def _answers(fs, instances):
         out += [is_satisfiable(lnot(f), system) for system in System]
     for x, y, clauses in instances:
         for q in clauses:
-            test = clause_test(q, y, System.K)
-            out.append([test(pi) for pi in clauses + [x]])
+            test = query_test(q, y, System.K)
+            out.append([test(pi) for pi in clauses])
         comp = compile_kb(x, y, System.K)
         for q in clauses:
             v = answer_query(comp, q)
@@ -313,13 +313,13 @@ class TestSharedTables:
 
         monkeypatch.setattr(formula_module, "_shared", shared)
         tests = []
-        prepare = semantics_module.clause_test
+        prepare = semantics_module._prepare
 
         def prepared(*args):
             tests.append(len(semantics_module._query_tests))
             return prepare(*args)
 
-        monkeypatch.setattr(semantics_module, "clause_test", prepared)
+        monkeypatch.setattr(semantics_module, "_prepare", prepared)
         assert _answers(fs, instances) == want
         assert max(sizes) <= 40
         assert any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied
