@@ -79,10 +79,11 @@ def _cmd_query(args) -> int:
     comp = load_compilation(args.compilation)
     q = parse(args.query)
     try:
-        verdict = answer_query(comp, q, strict=args.strict_paper_qa)
+        verdict = answer_query(comp, q, args.strict_paper_qa, args.node_budget)
     except NonClausalQueryError:
         print("note: query is not clausal, answering directly", file=sys.stderr)
-        verdict = answer_query_direct(comp.x, comp.y, q, comp.system)
+        verdict = answer_query_direct(comp.x, comp.y, q, comp.system,
+                                      args.node_budget)
     print("true" if verdict.answer else "false")
     if verdict.answer and verdict.method == "compiled" and verdict.witness is not None:
         print(f"witness: {verdict.witness}")
@@ -184,6 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--strict-paper-qa", action="store_true",
                    help="require every compiled clause to entail the query")
+    _shared_flags(p, "--node-budget")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("pi", help="print the prime implicates of a KB")

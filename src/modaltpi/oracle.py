@@ -172,7 +172,7 @@ def sat_by_enumeration(f: Formula, system: System, bounds: OracleBounds,
     missing = set(suff.variables) - set(bounds.variables)
     if missing:
         raise ValueError(f"bounds do not cover variables {sorted(missing)}")
-    reflexive = system is System.T
+    reflexive = system.reflexive
     names = tuple(sorted(bounds.variables))
     drawn = (frozenset(itertools.compress(names, mask)) for mask
              in itertools.product((False, True), repeat=len(names)))

@@ -45,9 +45,7 @@ class CompilationResult:
     x: Formula
     y: Formula
     system: System
-    candidates: tuple
     theta: tuple
-    horn_advisory: bool
     stats: dict
 
     def __post_init__(self):
@@ -62,6 +60,17 @@ class CompilationResult:
     def box_y(self) -> Formula:
         """The boxed theory []y."""
         return box(self.y)
+
+    @property
+    def candidates(self) -> tuple:
+        """The paper's candidate set of x & []y, rebuilt on each read
+        under the default size cap (the compile only counts it)."""
+        return candidates(land(self.x, self.box_y))
+
+    @property
+    def horn_advisory(self) -> bool:
+        """`is_horn(y)`, computed on each read."""
+        return is_horn(self.y)
 
     def omega(self) -> tuple:
         """The compiled clause set: theta together with the boxed theory,
@@ -167,21 +176,21 @@ def compile_kb(x: Formula, y: Formula, system: System = System.T,
     """Compile x against the boxed propositional theory y: the theory
     prime implicates of x, ready for queries together with []y.
 
-    Requires y propositional and x |= y; candidates are computed for
-    x & []y and minimized modulo []y.
+    Requires y propositional and x |= y, proved by tableau unless x
+    states y's conjuncts itself; candidates are computed for x & []y and
+    minimized modulo []y.
     """
     if modal_depth(y) != 0:
         raise PreconditionError("theory must be propositional")
-    if not entails(x, y, system, node_budget):
+    # x & y is x itself when x states each conjunct of y (or x is false)
+    if land(x, y) != x and not entails(x, y, system, node_budget):
         raise PreconditionError("knowledge base does not entail the theory")
     started = time.perf_counter()
     cands = candidates(land(x, box(y)), max_clauses)
     theta, calls = _minimize(cands, y, system, node_budget)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return CompilationResult(
-        x=x, y=y, system=system,
-        candidates=cands, theta=theta,
-        horn_advisory=is_horn(y),
+        x=x, y=y, system=system, theta=theta,
         stats={
             "nb_cl_candidates": len(cands),
             "nb_cl_theta": len(theta),

@@ -22,7 +22,7 @@ __all__ = [
     "load_compilation", "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class QueryVerdict(NamedTuple):
@@ -136,11 +136,8 @@ def save_compilation(comp: CompilationResult, path: str) -> None:
         "system": comp.system.value,
         "x": comp.x.key,
         "y": comp.y.key,
-        "box_y": comp.box_y.key,
-        "candidates": [c.key for c in comp.candidates],
         "theta": [c.key for c in comp.theta],
         "stats": comp.stats,
-        "horn_advisory": comp.horn_advisory,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -179,27 +176,14 @@ def load_compilation(path: str) -> CompilationResult:
                               "expected formula text")
         return parse(text, source=f"{path}, field {name!r}")
 
-    def clauses(name):
-        return sort_formulas(formula(t, name) for t in field(name, list))
-
-    try:
-        system = System.from_name(field("system", str))
-    except ValueError as err:
-        raise SchemaError(f"{path}: {err}") from None
-    y, box_y = formula(field("y"), "y"), formula(field("box_y"), "box_y")
-    # queries read the theory from y, so box_y must be the same theory
-    if box_y != box(y):
-        raise SchemaError(f"{path}: field 'box_y' holds {box_y.key!r}, "
-                          f"expected {box(y).key!r}")
     try:
         return CompilationResult(
+            system=System.from_name(field("system", str)),
             x=formula(field("x"), "x"),
-            y=y,
-            system=system,
-            candidates=clauses("candidates"),
-            theta=clauses("theta"),
-            horn_advisory=field("horn_advisory", bool),
+            y=formula(field("y"), "y"),
+            theta=sort_formulas(formula(t, "theta")
+                                for t in field("theta", list)),
             stats=dict(field("stats", dict)),
         )
-    except ValueError as err:  # a theta member that is no clause
+    except ValueError as err:  # an unknown system, or a non-clause in theta
         raise SchemaError(f"{path}: {err}") from None

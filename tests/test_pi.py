@@ -331,6 +331,55 @@ class TestCompileKb:
         with pytest.raises(PreconditionError):
             compile_kb(var("p"), var("q"), System.T)
 
+    @pytest.fixture
+    def proofs(self, monkeypatch):
+        """The (x, y) of each precondition the compile proves by tableau."""
+        calls = []
+        real = pi_module.entails
+
+        def spy(x, y, system, node_budget):
+            calls.append((x, y))
+            return real(x, y, system, node_budget)
+
+        monkeypatch.setattr(pi_module, "entails", spy)
+        return calls
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_stated_theory_is_entailed(self, proofs, system):
+        # rand_instance's theory is x's propositional conjuncts, so every
+        # draw is accepted without a proof, and each must be entailed
+        rng = random.Random(2111)
+        accepted = 0
+        for _ in range(60):
+            x, y = rand_instance(rng)
+            proofs.clear()
+            try:
+                compile_kb(x, y, system)
+            except CapacityError:
+                continue
+            if not proofs:
+                accepted += 1
+                assert entails(x, y, system), (x, y)
+        assert accepted >= 50
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_unstated_theory_is_proved(self, proofs, system):
+        x, y = parse("p & q"), parse("p | r")
+        assert compile_kb(x, y, system).theta == (var("p"), var("q"))
+        assert proofs == [(x, y)]
+        # one conjunct stated is not enough
+        with pytest.raises(PreconditionError):
+            compile_kb(x, parse("p & r"), system)
+        assert proofs[1:] == [(x, parse("p & r"))]
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_false_kb_or_theory(self, system):
+        for x, y in [("false", "true"), ("false", "p"), ("false", "false"),
+                     ("p & ~p", "false")]:
+            assert compile_kb(parse(x), parse(y), system).theta == (FALSE,)
+        with pytest.raises(PreconditionError):
+            compile_kb(var("p"), FALSE, system)
+
     def test_warm_compiles_equal_cold_ones(self, monkeypatch):
         # minimization keeps its tests in the query-test table, so later
         # compiles with the same theory reuse them; pairs of bases share

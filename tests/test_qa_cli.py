@@ -421,21 +421,18 @@ class TestPersistence:
         save_compilation(golden_t, str(path))
         loaded = load_compilation(str(path))
         assert loaded.theta == golden_t.theta
-        assert loaded.candidates == golden_t.candidates
         assert loaded.x == golden_t.x
         assert loaded.y == golden_t.y
-        assert loaded.box_y == golden_t.box_y
         assert loaded.system is System.T
-        assert loaded.horn_advisory == golden_t.horn_advisory
+        assert loaded.stats == golden_t.stats
 
     def test_schema_fields(self, tmp_path, golden_t):
         path = tmp_path / "comp.json"
         save_compilation(golden_t, str(path))
         payload = json.loads(path.read_text())
-        assert payload["schema"] == 1
-        assert set(payload) == {"schema", "system", "x", "y", "box_y",
-                                "candidates", "theta", "stats",
-                                "horn_advisory"}
+        assert payload["schema"] == 2
+        assert set(payload) == {"schema", "system", "x", "y", "theta",
+                                "stats"}
         assert set(payload["stats"]) == {"nb_cl_candidates", "nb_cl_theta",
                                          "entailment_calls", "elapsed_ms"}
 
@@ -445,10 +442,25 @@ class TestPersistence:
         with pytest.raises(SchemaError):
             load_compilation(str(path))
 
+    def test_schema_1_file_exit_2(self, tmp_path, golden_t, capsys):
+        # a file in the earlier format, which also kept box_y, the
+        # candidate set and the Horn hint
+        path = tmp_path / "comp.json"
+        save_compilation(golden_t, str(path))
+        payload = {**json.loads(path.read_text()), "schema": 1,
+                   "box_y": golden_t.box_y.key,
+                   "candidates": [c.key for c in golden_t.candidates],
+                   "horn_advisory": False}
+        path.write_text(json.dumps(payload))
+        assert main(["query", "--compilation", str(path),
+                     "--query", "p1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: unsupported schema 1, expected 2\n")
+
     @pytest.mark.parametrize("change", [
-        "[1, 2]", '"text"', {"x": 5}, {"candidates": [1]}, {"theta": "p"},
-        {"system": 5}, {"system": "S5"}, {"stats": 3}, {"box_y": "[]("},
-        {"box_y": "[]p3"}, {"horn_advisory": "no"},
+        "[1, 2]", '"text"', {"x": 5}, {"theta": [1]}, {"theta": "p"},
+        {"system": 5}, {"system": "S5"}, {"stats": 3}, {"y": "[]("},
+        {"y": 5}, {"theta": ["p1", 2]},
         pytest.param("[" * 100_000, id="deep-list"),
         pytest.param('{"a":' * 50_000, id="deep-object"),
         # equal to 1 in Python, but not the integer 1
@@ -464,7 +476,7 @@ class TestPersistence:
             save_compilation(golden_t, str(path))
             path.write_text(json.dumps({**json.loads(path.read_text()),
                                         **change}))
-        with pytest.raises(SchemaError if change != {"box_y": "[]("}
+        with pytest.raises(SchemaError if change != {"y": "[]("}
                            else FormulaSyntaxError):
             load_compilation(str(path))
         assert main(["query", "--compilation", str(path),
@@ -474,8 +486,7 @@ class TestPersistence:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", [
-        "system", "x", "y", "box_y", "candidates", "theta", "stats",
-        "horn_advisory",
+        "system", "x", "y", "theta", "stats",
     ])
     def test_missing_field_exit_2(self, tmp_path, golden_t, capsys, name):
         path = tmp_path / "comp.json"
@@ -587,22 +598,26 @@ class TestCli:
 
     def test_node_budget_reaches_every_tableau_call(self, golden_kb, tmp_path,
                                                     monkeypatch, capsys):
-        # check's own tests included
+        # check's own tests included; every tableau call, whether it
+        # decides satisfiability or builds a model, starts at _solve_root
         budget = 654_321
         budgets = []
-        real = semantics_module.is_satisfiable
+        real = semantics_module._solve_root
 
-        def spy(f, system, node_budget=semantics_module.DEFAULT_NODE_BUDGET):
+        def spy(f, system, node_budget):
             budgets.append(node_budget)
             return real(f, system, node_budget)
 
-        monkeypatch.setattr(semantics_module, "is_satisfiable", spy)
+        monkeypatch.setattr(semantics_module, "_solve_root", spy)
         bare = tmp_path / "bare.kb"
         bare.write_text("p1 | p2\n<>[]~p3\n[]<>p2\n")
+        # not a conjunct of the KB, so the precondition takes a proof
+        theory = tmp_path / "theory.txt"
+        theory.write_text("p1 | p2 | p3\n")
         out = str(tmp_path / "comp.json")
         for argv in (["check", "--kb", golden_kb],
                      ["check", "--kb", str(bare), "--auto-theory"],
-                     ["compile", "--kb", str(bare), "--auto-theory",
+                     ["compile", "--kb", str(bare), "--theory", str(theory),
                       "--out", out],
                      ["pi", "--kb", golden_kb]):
             for system in ("K", "T"):
@@ -610,15 +625,25 @@ class TestCli:
                 assert main(argv + ["--system", system,
                                     "--node-budget", str(budget)]) == 0
                 assert budgets and set(budgets) == {budget}, argv
+                if argv[0] != "compile":
+                    continue
+                # the compiled answer of a query not asked before, and
+                # the direct answer of a non-clausal one
+                for query, code in (("p3", 1), ("(p1 | p2) & []<>p2", 0)):
+                    budgets.clear()
+                    assert main(["query", "--compilation", out,
+                                 "--query", query,
+                                 "--node-budget", str(budget)]) == code
+                    assert budgets and set(budgets) == {budget}, query
         assert "FAIL" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("system", ["K", "T"])
     @pytest.mark.parametrize("command", ["compile", "check"])
     def test_auto_theory_proved_once(self, tmp_path, monkeypatch, capsys,
                                      command, system):
-        # the KB entails its own outer CNF clauses; only the compile's
-        # precondition proves x |= y, and check's plain prime implicates
-        # compile against true
+        # the theory is the KB's own outer CNF clause p1 | p2, and check's
+        # plain prime implicates compile against true: the KB states both
+        # outright, so no compile proves x |= y by tableau
         calls = []
         real = pi_module.entails
 
@@ -634,9 +659,9 @@ class TestCli:
         if command == "compile":
             argv += ["--out", str(tmp_path / "comp.json")]
         assert main(argv) == 0
-        y = default_theory(load_kb(str(bare)).kb_formula())
-        assert [args[1] for args in calls] == (
-            [y] if command == "compile" else [y, TRUE])
+        assert default_theory(load_kb(str(bare)).kb_formula()) == parse(
+            "p1 | p2")
+        assert calls == []
         assert "FAIL" not in capsys.readouterr().out
 
     def test_oracle_subcommand(self, capsys):
