@@ -68,7 +68,7 @@ def _cmd_compile(args) -> int:
     print(f"  system              {system.value}")
     print(f"  theory              {y}")
     print(f"  candidates          {comp.stats['nb_cl_candidates']}")
-    print(f"  theory prime impl.  {comp.stats['nb_cl_theta']}")
+    print(f"  theory prime impl.  {len(comp.theta)}")
     print(f"  entailment checks   {comp.stats['entailment_calls']}")
     print(f"  elapsed ms          {comp.stats['elapsed_ms']:.1f}")
     print(f"  horn theory         {'yes' if comp.horn_advisory else 'no'}")
@@ -79,13 +79,13 @@ def _cmd_query(args) -> int:
     comp = load_compilation(args.compilation)
     q = parse(args.query)
     try:
-        verdict = answer_query(comp, q, args.strict_paper_qa, args.node_budget)
+        verdict = answer_query(comp, q, args.node_budget)
     except NonClausalQueryError:
         print("note: query is not clausal, answering directly", file=sys.stderr)
         verdict = answer_query_direct(comp.x, comp.y, q, comp.system,
                                       args.node_budget)
     print("true" if verdict.answer else "false")
-    if verdict.answer and verdict.method == "compiled" and verdict.witness is not None:
+    if verdict.answer and verdict.method == "compiled":
         print(f"witness: {verdict.witness}")
     return EXIT_OK if verdict.answer else EXIT_FALSE
 
@@ -183,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="answer a clausal query")
     p.add_argument("--compilation", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--strict-paper-qa", action="store_true",
-                   help="require every compiled clause to entail the query")
     _shared_flags(p, "--node-budget")
     p.set_defaults(func=_cmd_query)
 

@@ -39,8 +39,8 @@ __all__ = [
 @dataclass(frozen=True)
 class CompilationResult:
     """Everything the query answerer needs, plus bookkeeping counters.
-    Every theta member must be a clause after NNF (`is_clause`), or
-    construction raises `ValueError`."""
+    The theory y must be propositional and every theta member a clause
+    after NNF (`is_clause`), or construction raises `ValueError`."""
 
     x: Formula
     y: Formula
@@ -49,6 +49,8 @@ class CompilationResult:
     stats: dict
 
     def __post_init__(self):
+        if modal_depth(self.y) != 0:
+            raise ValueError(f"theory {self.y} is not propositional")
         for c in self.theta:
             if not is_clause(nnf(c)):
                 raise ValueError(f"theta member {c} is not a clause")
@@ -193,7 +195,6 @@ def compile_kb(x: Formula, y: Formula, system: System = System.T,
         x=x, y=y, system=system, theta=theta,
         stats={
             "nb_cl_candidates": len(cands),
-            "nb_cl_theta": len(theta),
             "entailment_calls": calls,
             "elapsed_ms": elapsed_ms,
         },

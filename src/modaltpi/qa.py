@@ -35,33 +35,26 @@ class QueryVerdict(NamedTuple):
     method: str
 
 
-def answer_query(comp: CompilationResult, q: Formula, strict: bool = False,
+def answer_query(comp: CompilationResult, q: Formula,
                  node_budget: int = DEFAULT_NODE_BUDGET) -> QueryVerdict:
-    """Answer a clausal query from the compiled clause set.
+    """Answer a clausal query from the compiled clause set: true iff some
+    compiled clause entails the query modulo the boxed theory (Marquis
+    1995; Bienvenu, JAIR 36, 2009), with the first such clause as witness.
 
-    Default reading: true iff some compiled clause entails the query
-    modulo the boxed theory.  `strict` switches to requiring every
-    compiled clause to entail it, kept for comparison.  The query is a
-    literal, a clause, `false` (the empty clause) or `true` (the valid
-    clause); any other raises `NonClausalQueryError`.  The entailment
-    test is `semantics.query_test` of the query's NNF, which checks the
-    query's clausality once per query and theory, until `clear_cache()`,
-    so spellings with one NNF share it, and keeps each clause's verdict
-    for the later queries and compiles: a repeated query costs one
-    lookup per compiled clause.
+    The query is a literal, a clause, `false` (the empty clause) or
+    `true` (the valid clause); any other raises `NonClausalQueryError`.
+    The entailment test is `semantics.query_test` of the query's NNF,
+    which checks the query's clausality once per query and theory, until
+    `clear_cache()`, so spellings with one NNF share it, and keeps each
+    clause's verdict for the later queries and compiles: a repeated
+    query costs one lookup per compiled clause.
     """
     entails = query_test(nnf(q), comp.y, comp.system, node_budget)
-    # an empty omega compiles the knowledge base true; read it as the one
-    # clause true so that neither reading answers vacuously
-    pool = comp.omega() or (TRUE,)
-    for pi in pool:
+    # an empty omega compiles the knowledge base true: read it as the one
+    # clause true, which entails exactly the valid queries
+    for pi in comp.omega() or (TRUE,):
         if entails(pi):
-            if not strict:
-                return QueryVerdict(q, True, pi, "compiled")
-        elif strict:
-            return QueryVerdict(q, False, None, "compiled")
-    if strict:
-        return QueryVerdict(q, True, pool[0], "compiled")
+            return QueryVerdict(q, True, pi, "compiled")
     return QueryVerdict(q, False, None, "compiled")
 
 
@@ -185,5 +178,5 @@ def load_compilation(path: str) -> CompilationResult:
                                 for t in field("theta", list)),
             stats=dict(field("stats", dict)),
         )
-    except ValueError as err:  # an unknown system, or a non-clause in theta
+    except ValueError as err:  # an unknown system, a modal y or a non-clause
         raise SchemaError(f"{path}: {err}") from None
