@@ -6,9 +6,10 @@ candidate per term into disjunctions, then minimize modulo the theory in
 one pass over the clauses in canonical order, keeping the first clause of
 each equivalence class unless another clause strictly entails it.
 Each check `a & []y |= b` is made by `semantics.query_test(b, ...)`, the
-test compiled answers use, kept in the same table: in K it goes literal
-by literal, and the verdicts it reaches are shared with every later
-compile and query with the same theory, system and budget.
+test compiled answers use, kept in the same table: in K and in T it goes
+literal by literal against the open branches of `[]y & ~b`, and the
+verdicts it reaches are shared with every later compile and query with
+the same theory, system and budget.
 """
 
 from __future__ import annotations

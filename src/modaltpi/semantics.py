@@ -15,9 +15,9 @@ from operator import attrgetter
 
 from .errors import BudgetExceededError, NonClausalQueryError
 from .formula import (
-    And, Box, Dia, FALSE, FalseF, Formula, Not, Or, TrueF, Var,
-    Parts, _memo, box, clear_tables, conjuncts, contradictory,
-    disjuncts, is_clause, is_literal, lnot, nnf, sort_formulas,
+    And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var,
+    _memo, box, clear_tables, conjuncts, disjuncts, is_clause, lnot, nnf,
+    sort_formulas,
 )
 
 __all__ = [
@@ -171,7 +171,7 @@ def clear_cache():
     clear_tables()
 
 
-def _branches(todo, system, budget):
+def _branches(todo, system, budget, state=None):
     """Clash-free saturated branches of one world, produced lazily.
 
     `todo` is a list of NNF formulas, expanded from its end.  A branch is
@@ -186,12 +186,16 @@ def _branches(todo, system, budget):
     disjunct as a unit; the two steps repeat until no unit is left.  Only
     then does the branch split, on its first waiting tuple, one branch
     per open disjunct in canonical order, and only there are its sets
-    copied.  Each branch yielded is (positive atoms, dia bodies, box
-    bodies).
+    copied.  Each branch yielded is its state (seen keys, positive atoms,
+    negated atoms, dia bodies, box bodies), sets that no other branch
+    shares.  Given `state`, a branch's state as iterables, the root
+    starts from a copy of it: so a kept branch resumes with `todo` and
+    stays as it is.
     """
     reflexive = system.reflexive
     tick = budget.tick
-    stack = [(todo, set(), set(), set(), set(), set(), [])]
+    stack = [(todo, *map(set, state), []) if state else
+             (todo, set(), set(), set(), set(), set(), [])]
     while stack:
         todo, seen, pos, neg, dias, boxes, ors = stack.pop()
         closed = False
@@ -256,7 +260,7 @@ def _branches(todo, system, budget):
         if closed:
             continue
         if not ors:
-            yield frozenset(pos), dias, boxes
+            yield seen, pos, neg, dias, boxes
             continue
         first, rest = ors[0], ors[1:]
         # the last disjunct, explored last, takes the branch's own sets
@@ -281,7 +285,7 @@ def _solve(world, system: System, budget: _Budget):
 
 def _expand(world, system: System, budget: _Budget):
     """`_solve` of a world missing from the cache."""
-    for pos, dias, boxes in _branches(list(world), system, budget):
+    for _, pos, _, dias, boxes in _branches(list(world), system, budget):
         children = []
         for d in sort_formulas(dias):
             sub = _solve(sort_formulas(boxes | {d}), system, budget)
@@ -289,8 +293,15 @@ def _expand(world, system: System, budget: _Budget):
                 break
             children.append(sub)
         else:
-            return _Witness(pos, children)
+            return _Witness(frozenset(pos), children)
     return None
+
+
+def _open(dias, boxes, system: System, budget: _Budget) -> bool:
+    """Whether each of a branch's dia bodies has a successor world with
+    its box bodies: `_expand`'s test of a branch, without the witness."""
+    return all(_solve(sort_formulas({*boxes, d}), system, budget) is not None
+               for d in sort_formulas(dias))
 
 
 def tree_model(tree, system: System):
@@ -375,19 +386,19 @@ def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
         return _valid
     if not is_clause(q):
         raise NonClausalQueryError(f"not a clausal query: {q}")
-    if system.reflexive:
-        return _ClauseTest(system, node_budget, (box(y), nnf(lnot(q))),
-                           None, {}).clause
-    # false is the empty clause: no literals, and not valid
-    parts = Parts(() if isinstance(q, FalseF) else disjuncts(q))
-    test = _ClauseTest(system, node_budget,
-                       (nnf(y),) + tuple(nnf(lnot(c)) for c in parts.dia),
-                       tuple(nnf(lnot(z)) for z in parts.box),
-                       {l.key: True for l in disjuncts(q) + (FALSE,)})
-    if contradictory(parts.prop) or any(test.unsat(z)
-                                        for z in test.not_zetas):
+    budget = _Budget(node_budget)
+    lits = disjuncts(q)  # false is the empty clause, and its own disjunct
+    branches = tuple(
+        (tuple(seen), tuple(pos), tuple(neg), sort_formulas(dias),
+         sort_formulas(boxes))
+        for seen, pos, neg, dias, boxes in _branches(
+            [box(nnf(y))] + [nnf(lnot(l)) for l in lits], system, budget)
+        if _open(dias, boxes, system, budget))
+    if not branches:
         return _valid
-    return test.clause
+    # each disjunct of q entails q
+    return _ClauseTest(system, node_budget, branches,
+                       dict.fromkeys([l.key for l in lits], True)).clause
 
 
 def _valid(pi):
@@ -396,52 +407,60 @@ def _valid(pi):
 
 
 class _ClauseTest:
-    """A prepared `query_test`: `premises` are the formulas every
-    tableau call conjoins, []y and ~q in T and the body y & ~chi in K;
-    `not_zetas` are the negated []-bodies of q in K, and None in T,
-    which decides a clause whole; `known` keeps each verdict reached,
-    under a clause's key, and in K under a literal's too.  One object
-    with slots, so that a kept test holds few objects."""
+    """A prepared `query_test`: `branches` are the open root branches of
+    []y & ~q, each the state `_branches` yields, held in tuples; `known`
+    keeps each verdict reached, under a clause's or a literal's key.  One
+    object with slots, so that a kept test holds few objects."""
 
-    __slots__ = ("system", "node_budget", "premises", "not_zetas", "known")
+    __slots__ = ("system", "node_budget", "branches", "known")
 
-    def __init__(self, system, node_budget, premises, not_zetas, known):
+    def __init__(self, system, node_budget, branches, known):
         self.system, self.node_budget = system, node_budget
-        self.premises, self.not_zetas, self.known = premises, not_zetas, known
-
-    def unsat(self, *fs):
-        return not is_satisfiable(self.premises + fs, self.system,
-                                  self.node_budget)
+        self.branches, self.known = branches, known
 
     def clause(self, pi):
-        """pi & []y |= q, for a clause pi: in T pi & []y & ~q
-        unsatisfiable, in K every literal of pi entailing q."""
+        """pi & []y |= q, for a clause pi: each of its literals entails q."""
         known = self.known
         v = known.get(pi.key)
         if v is None:
-            if self.not_zetas is None:
-                v = self.unsat(pi)
-            else:
-                v = True
-                for l in disjuncts(nnf(pi)):
-                    w = known.get(l.key)
-                    if w is None:
-                        w = known[l.key] = self.literal(l)
-                    if not w:
-                        v = False
-                        break
+            v = True
+            for l in disjuncts(nnf(pi)):
+                w = known.get(l.key)
+                if w is None:
+                    w = known[l.key] = self.literal(l)
+                if not w:
+                    v = False
+                    break
             known[pi.key] = v
         return v
 
     def literal(self, l):
-        if isinstance(l, Dia):
-            return self.unsat(l.child)
-        if isinstance(l, Box):
-            return any(self.unsat(l.child, z) for z in self.not_zetas)
-        # a propositional literal that is no disjunct of q, or true
-        if isinstance(l, TrueF) or is_literal(l):
-            return False
-        raise ValueError(f"clause disjunct {l} is no literal")
+        """l & []y |= q: the literal l closes every kept branch."""
+        branches, system = self.branches, self.system
+        cls = type(l)
+        if cls is Var:
+            return all(l.name in neg for _, _, neg, _, _ in branches)
+        if cls is Not:
+            return all(l.child.name in pos for _, pos, _, _, _ in branches)
+        if cls is FalseF or cls is TrueF:
+            return cls is FalseF
+        if cls is not Dia and cls is not Box:
+            raise ValueError(f"clause disjunct {l} is no literal")
+        budget = _Budget(self.node_budget)
+        if cls is Dia:  # one more successor world, with the []-bodies
+            return all(_solve(sort_formulas({*boxes, l.child}), system,
+                              budget) is None
+                       for _, _, _, _, boxes in branches)
+        if system.reflexive:  # []psi asserts psi at the root too
+            return not any(_open(dias, boxes, system, budget)
+                           for b in branches
+                           for _, _, _, dias, boxes in _branches(
+                               [l], system, budget, b))
+        # in K psi only joins the []-bodies: a resume's verdict, without
+        # copying each branch into fresh sets
+        return all(any(_solve(sort_formulas({*boxes, l.child, d}), system,
+                              budget) is None for d in dias)
+                   for _, _, _, dias, boxes in branches)
 
 
 def query_test(q: Formula, y: Formula, system: System,
@@ -454,18 +473,24 @@ def query_test(q: Formula, y: Formula, system: System,
     raises `NonClausalQueryError`; a preparation that runs out of budget,
     or of a non-clausal query, keeps nothing.
 
-    In T each clause takes one tableau call.  In K a clause entails q iff
-    each of its literals does (Bienvenu, JAIR 36, 2009), and each literal
-    is decided one modal level down, on bodies; with P, <>chi and []zeta
-    the parts of q and ~chi the conjunction of the negated chi:
-    - q is valid modulo []y iff P holds a complementary pair or some
-      y & ~chi & ~zeta is unsatisfiable, and then every clause entails it;
-    - otherwise false and the disjuncts of q entail it, <>phi does iff
-      phi & y & ~chi is unsatisfiable, []psi does iff psi & y & ~chi &
-      ~zeta is for some zeta, and no other literal (true included) does,
-      while a disjunct that is no literal raises `ValueError`.
-    In both systems each clause's verdict is kept, so a clause already
-    judged costs one lookup, and in K each literal's too.
+    One design serves K and T.  The preparation expands []y & ~q once,
+    in NNF and under one budget, and keeps its open root branches: those
+    whose every <>-body has a successor world with the branch's
+    []-bodies.  With none left q is valid modulo []y, and every clause
+    entails it.  Otherwise a clause entails q iff each of its literals
+    does (Bienvenu, JAIR 36, 2009), and a literal does iff it closes
+    every kept branch, checked under a budget of its own that all the
+    worlds it tries share:
+    - p iff ~p is on every branch, and ~p iff p is, with no tableau step;
+      false always, and true never;
+    - <>phi iff on every branch phi has no successor world with the
+      []-bodies;
+    - []psi in K iff on every branch some <>-body has no successor world
+      with the []-bodies and psi; in T, where []psi also asserts psi at
+      the root, iff each branch resumed with it closes;
+    - a disjunct that is no literal raises `ValueError`.
+    Each clause's and each literal's verdict is kept, so a clause already
+    judged costs one lookup; a check that raises keeps neither.
     """
     return _memo(_query_tests, (q.key, y.key, system, node_budget),
                  _prepare, q, y, system, node_budget)

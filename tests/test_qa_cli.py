@@ -20,7 +20,9 @@ from modaltpi.errors import (
     BudgetExceededError, CapacityError, FormulaSyntaxError,
     NonClausalQueryError, SchemaError,
 )
-from modaltpi.formula import FALSE, TRUE, box, land, lnot, nnf, parse, var
+from modaltpi.formula import (
+    FALSE, TRUE, box, disjuncts, land, lnot, nnf, parse, var,
+)
 from modaltpi.pi import compile_kb, default_theory
 from modaltpi.qa import (
     KnowledgeBaseFile, QueryVerdict, answer_query, answer_query_direct,
@@ -170,6 +172,71 @@ class TestClauseTest:
                     assert found.witness == (pool[holds.index(True)]
                                              if any(holds) else None)
 
+    def test_t_branches_match_per_clause_entailment(self):
+        # the disjunctive theory leaves []y & ~q two open root branches in
+        # T, and a []-literal there asserts its body at the root too, so
+        # that []y itself, a compiled clause, entails a | b in T, not in K
+        x, y = parse("(a | b) & ([]~a | []c) & <>(b | c)"), parse("a | b")
+        comp = compile_kb(x, y, System.T)
+        pool = comp.omega()
+        queries = (FALSE,) + clause_vocabulary(("a", "b", "c"))
+        clear_cache()
+        split = reflexive = 0
+        for q in queries:
+            holds = [entails_mod(pi, comp.box_y, q, System.T) for pi in pool]
+            found = answer_query(comp, q)
+            assert found.answer == any(holds), q
+            assert found.witness == (pool[holds.index(True)]
+                                     if any(holds) else None)
+            kept = getattr(query_test(q, y, System.T), "__self__", None)
+            split += kept is not None and len(kept.branches) >= 2
+            reflexive += any(
+                h and not entails_mod(pi, comp.box_y, q, System.K)
+                for pi, h in zip(pool, holds))
+        assert split and reflexive
+        assert answer_query(comp, FALSE).answer is False
+        # each literal of the vocabulary against a sample of queries
+        literals = [c for c in clause_vocabulary(("a", "b", "c"))
+                    if len(disjuncts(c)) == 1]
+        for q in random.Random(3).sample(queries, 40) + [FALSE]:
+            test = query_test(q, y, System.T)
+            for l in literals:
+                assert test(l) == entails_mod(l, comp.box_y, q, System.T), (
+                    l, q)
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    @pytest.mark.parametrize("theory", ["(a & b) -> c", "~(a & b)"])
+    def test_theory_outside_nnf(self, system, theory, tmp_path, capsys):
+        # parse keeps a theory as written, so clause tests put []y in NNF
+        # themselves, whether the theory comes from Python, a KB's
+        # [theory] section or a saved compilation
+        y = parse(theory)
+        x = land(y, parse("<>(a | c) & [](a | b)"))
+        comp = compile_kb(x, y, system)
+        pool = comp.omega()
+        queries = random.Random(7).sample(
+            clause_vocabulary(("a", "b", "c")), 60) + [FALSE]
+        clear_cache()
+        answers = []
+        for q in queries:
+            holds = [entails_mod(pi, comp.box_y, q, system) for pi in pool]
+            found = answer_query(comp, q)
+            assert found.answer == any(holds), q
+            assert found.witness == (pool[holds.index(True)]
+                                     if any(holds) else None)
+            answers.append(found.answer)
+        assert any(answers) and not all(answers)
+        kb, out = tmp_path / "kb.txt", tmp_path / "comp.json"
+        kb.write_text(f"{x}\n[theory]\n{theory}\n")
+        assert main(["compile", "--kb", str(kb), "--system", system.value,
+                     "--out", str(out)]) == 0
+        clear_cache()
+        for q, answer in zip(queries, answers):
+            assert main(["query", "--compilation", str(out),
+                         "--query", str(q)]) == (0 if answer else 1), q
+        capsys.readouterr()
+        clear_cache()
+
     @pytest.mark.parametrize("system", [System.K, System.T])
     def test_non_clause_in_theta_rejected(self, system, tmp_path, capsys):
         # theta holds clauses only, whether built in Python or loaded
@@ -232,7 +299,8 @@ class TestQueryTests:
     @pytest.mark.parametrize("system", [System.K, System.T])
     def test_warm_ask_only_reads_kept_verdicts(self, system, monkeypatch):
         # a repeated query neither checks its clausality again nor
-        # decides a literal: each compiled clause's verdict is kept
+        # decides a literal: each compiled clause's verdict is kept, and
+        # a cold one decides literals in K and T alike
         comp = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), system)
         queries = [parse(t) for t in ("p1 | p2", "<>p2 | []p3", "[]p1",
                                       "<><>p2 | ~p1", "p3", "false")]
@@ -257,24 +325,24 @@ class TestQueryTests:
         clear_cache()
         cold = [answer_query(comp, q) for q in queries]
         assert calls["is_clause"] > 0
-        assert (calls["literal"] > 0) == (system is System.K)
+        assert calls["literal"] > 0
         calls.clear()
         assert [answer_query(comp, q) for q in queries] == cold
         assert calls == {}
         clear_cache()
 
-    def test_non_clause_tested_in_k_raises(self):
-        # K's test goes literal by literal, so a disjunct that is no
-        # literal has no verdict there; T's one tableau call decides it
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_non_clause_tested_raises(self, system):
+        # the test goes literal by literal in both systems, so a disjunct
+        # that is no literal has no verdict
         clear_cache()
-        test = query_test(var("a"), TRUE, System.K)
+        test = query_test(var("a"), TRUE, system)
         for text in ("a & b", "a | (b & c)"):
             for _ in range(2):  # no verdict was kept
                 with pytest.raises(ValueError, match="is no literal"):
                     test(parse(text))
         assert test(parse("a | c")) is False
         assert test(parse("a")) is True
-        assert query_test(var("a"), TRUE, System.T)(parse("a & b")) is True
         clear_cache()
 
     def test_budgets_never_share(self, golden_k):
@@ -295,6 +363,64 @@ class TestQueryTests:
         assert not semantics_module._query_tests
         direct = answer_query_direct(golden_k.x, golden_k.y, q, System.K)
         assert answer_query(golden_k, q).answer == direct.answer
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_propositional_literal_takes_no_tableau_step(self, system,
+                                                         monkeypatch):
+        # a kept branch holds its atoms, so an atom lookup decides a
+        # propositional literal; in T the theory a | c holds at the root,
+        # where ~q's ~a leaves c, so ~c entails q there and not in K
+        clear_cache()
+        y = parse("a | c")
+        test = query_test(parse("a | <>b | []~c"), y, system)
+        ticks = []
+        real = semantics_module._Budget.tick
+
+        def counted(budget):
+            ticks.append(budget)
+            return real(budget)
+
+        monkeypatch.setattr(semantics_module._Budget, "tick", counted)
+        verdicts = {text: test(parse(text)) for text in
+                    ("~a", "c", "~c", "b", "~a | c", "false", "true")}
+        assert ticks == []
+        monkeypatch.undo()
+        for text, verdict in verdicts.items():
+            assert verdict == entails_mod(parse(text), box(y),
+                                          parse("a | <>b | []~c"), system)
+        assert verdicts["~c"] is (system is System.T)
+        clear_cache()
+
+    @pytest.mark.parametrize("system, query, literal, budget", [
+        (System.K, "p", "<>(a & b & c)", 3),
+        (System.T, "p", "<>(a & b & c)", 3),
+        (System.T, "p", "[](a & b & c)", 3),
+        # the branch holds two <>-bodies: the preparation takes 6 nodes,
+        # each successor world of the check 5, and both share its budget
+        (System.K, "p | []~d | []~e", "[](a & b & c)", 6)])
+    def test_exhausted_literal_keeps_nothing(self, system, query, literal,
+                                             budget):
+        # the preparation of the query fits the budget, the literal check
+        # does not: it raises, keeps no verdict, and raises again, while
+        # a larger budget decides it
+        clear_cache()
+        q, clause = parse(query), parse(f"p | {literal}")
+        test = query_test(q, TRUE, system, node_budget=budget)
+        kept = dict(test.__self__.known)
+        for _ in range(2):
+            # cold worlds each time, as a sat cache kept from the first
+            # attempt would spare the second its first world
+            semantics_module._sat_cache.clear()
+            with pytest.raises(BudgetExceededError):
+                test(clause)
+            assert test.__self__.known == kept
+        assert query_test(q, TRUE, system)(clause) is False
+        # 4 nodes fit the preparation and each check alone: none shares
+        # another's budget
+        clear_cache()
+        assert query_test(parse("p | <>d"), TRUE, system, node_budget=4)(
+            parse("<>(d & e) | <>(d & f)")) is True
+        clear_cache()
 
     @settings(max_examples=40, deadline=None)
     @given(rng=st.randoms(use_true_random=False))
@@ -589,17 +715,25 @@ class TestCli:
 
     def test_node_budget_reaches_every_tableau_call(self, golden_kb, tmp_path,
                                                     monkeypatch, capsys):
-        # check's own tests included; every tableau call, whether it
-        # decides satisfiability or builds a model, starts at _solve_root
+        # check's own tests included; every tableau step, whether of a
+        # satisfiability call, a model, a clause test's preparation or
+        # one of its literal checks, ticks a _Budget made with the budget
         budget = 654_321
         budgets = []
-        real = semantics_module._solve_root
+        real = semantics_module._Budget
+        real_branches = semantics_module._branches
 
-        def spy(f, system, node_budget):
-            budgets.append(node_budget)
-            return real(f, system, node_budget)
+        class Spy(real):
+            def __init__(self, steps, *args):
+                budgets.append(steps)
+                super().__init__(steps, *args)
 
-        monkeypatch.setattr(semantics_module, "_solve_root", spy)
+        def branches(todo, system, node_budget, *state):
+            assert type(node_budget) is Spy
+            return real_branches(todo, system, node_budget, *state)
+
+        monkeypatch.setattr(semantics_module, "_Budget", Spy)
+        monkeypatch.setattr(semantics_module, "_branches", branches)
         bare = tmp_path / "bare.kb"
         bare.write_text("p1 | p2\n<>[]~p3\n[]<>p2\n")
         # not a conjunct of the KB, so the precondition takes a proof

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -421,28 +422,50 @@ class TestSharedTables:
 
 # Run in a fresh interpreter: for each formula set read from stdin, the
 # smallest node budget that decides it in K on a cold cache, and the
-# models find_model gives in K and in T.
+# models find_model gives in K and in T; for each (x, y) read, its T
+# compilation's answers and witnesses, and the smallest cold budgets of
+# T clause tests.
 _SEED_PROBE = """
 import json, sys
 from modaltpi.errors import BudgetExceededError
 from modaltpi.formula import parse
-from modaltpi.semantics import System, clear_cache, find_model, is_satisfiable
+from modaltpi.oracle import clause_vocabulary
+from modaltpi.pi import compile_kb
+from modaltpi.qa import answer_query
+from modaltpi.semantics import (
+    System, clear_cache, find_model, is_satisfiable, query_test,
+)
 
-def cold_budget(fs):
+def cold_budget(decide):
     budget = 0
     while True:
         clear_cache()
         try:
-            is_satisfiable(fs, System.K, node_budget=budget)
+            decide(budget)
             return budget
         except BudgetExceededError:
             budget += 1
 
-for texts in json.load(sys.stdin):
+cases = json.load(sys.stdin)
+for texts in cases["sets"]:
     fs = [parse(t) for t in texts]
     found = [find_model(fs, s) for s in (System.K, System.T)]
-    print(json.dumps([cold_budget(fs)]
+    print(json.dumps([cold_budget(
+        lambda b: is_satisfiable(fs, System.K, node_budget=b))]
                      + [f and f[0].to_dict() for f in found]))
+for x, y in cases["kbs"]:
+    x, y = parse(x), parse(y)
+    comp = compile_kb(x, y, System.T)
+    answers = [answer_query(comp, v)[1:3]
+               for v in clause_vocabulary(("a", "b"))]
+    print(json.dumps([[a, w and w.key] for a, w in answers] + [cold_budget(
+        lambda b: query_test(parse("[]a | <>~b | c"), y, System.T,
+                             node_budget=b)(pi)) for pi in comp.omega()]))
+# a branch with two <>-bodies, one of them closed by the []-literal
+for q, pi in cases["tests"]:
+    q, pi = parse(q), parse(pi)
+    print(cold_budget(
+        lambda b: query_test(q, parse("true"), System.T, node_budget=b)(pi)))
 """
 
 
@@ -451,12 +474,20 @@ class TestHashSeed:
     the order in which Python iterates a set of formulas."""
 
     def test_budgets_and_models_equal_across_seeds(self):
+        # and so do compiled T answers, built on branch states that
+        # iterate sets of formulas
         rng = random.Random(5)
-        cases = [["<>((a | b) & (c | d)) & [](~a | ~c) & [](e | f)"]]
+        sets = [["<>((a | b) & (c | d)) & [](~a | ~c) & [](e | f)"]]
         for _ in range(12):
             x, y = rand_instance(rng, names=("a", "b", "c", "d"),
                                  max_clauses=6)
-            cases.append([str(x), str(box(y))])
+            sets.append([str(x), str(box(y))])
+        kbs = [["(a | b) & ([]~a | []c) & <>(b | c)", "a | b"]]
+        for _ in range(8):
+            kbs.append(list(map(str, rand_instance(rng, names=("a", "b")))))
+        tests = [[f"[]{u} | []{v} | <>{w}", f"[]({u} | {w})"]
+                 for u, v, w in itertools.permutations("abcde", 3)]
+        cases = {"sets": sets, "kbs": kbs, "tests": tests}
         src = str(Path(modaltpi.__file__).resolve().parent.parent)
         path = os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -468,6 +499,6 @@ class TestHashSeed:
                 env=env, capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, done.stderr
             outputs.append(done.stdout.splitlines())
-        assert len(outputs[0]) == len(cases)
+        assert len(outputs[0]) == len(sets) + len(kbs) + len(tests)
         for seed, got in enumerate(outputs[1:], start=1):
             assert got == outputs[0], f"hash seed {seed} differs from 0"
