@@ -15,9 +15,7 @@ from .errors import (
 )
 from .formula import land, parse
 from .normal_forms import DEFAULT_SIZE_CAP
-from .oracle import (
-    DEFAULT_ENUM_BUDGET, OracleBounds, sat_by_enumeration, sufficient_bounds,
-)
+from .oracle import DEFAULT_ENUM_BUDGET, sat_by_enumeration
 from .pi import compile_kb, default_theory, prime_implicates
 from .qa import (
     answer_query, answer_query_direct, load_compilation, load_kb,
@@ -49,11 +47,11 @@ def _read_kb(args):
     (formulas and [theory] section), else the KB's [theory] section, else
     with --auto-theory the KB's propositional clauses, else true."""
     kb = load_kb(args.kb)
-    x = kb.kb_formula()
+    x = land(kb.formulas)
     if args.theory:
         return x, load_theory(args.theory)
     if kb.theory or not args.auto_theory:
-        return x, kb.theory_formula()
+        return x, land(kb.theory)
     return x, default_theory(x)
 
 
@@ -93,7 +91,7 @@ def _cmd_query(args) -> int:
 def _cmd_pi(args) -> int:
     kb = load_kb(args.kb)
     system = System.from_name(args.system)
-    for clause in prime_implicates(kb.kb_formula(), system,
+    for clause in prime_implicates(land(kb.formulas), system,
                                    max_clauses=args.max_terms,
                                    node_budget=args.node_budget):
         print(clause)
@@ -132,22 +130,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    f = parse(args.formula)
-    system = System.from_name(args.system)
-    suff = sufficient_bounds(f)
-    depth = args.max_depth if args.max_depth is not None else suff.max_depth
-    branching = (args.max_branching if args.max_branching is not None
-                 else suff.max_branching)
-    bounds = OracleBounds(depth, branching, suff.variables)
-    outcome = sat_by_enumeration(f, system, bounds, budget=args.budget)
-    print(outcome.verdict)
-    if outcome.satisfiable:
-        print(json.dumps({"world": outcome.world,
-                          "model": outcome.model.to_dict()}, indent=2))
-    elif not outcome.definitive:
-        print("note: bounds below the sufficient depth/branching for this "
-              "formula; unsat verdict is not definitive", file=sys.stderr)
-    return EXIT_OK if outcome.satisfiable else EXIT_FALSE
+    found = sat_by_enumeration(parse(args.formula),
+                               System.from_name(args.system), args.budget)
+    if found is None:
+        print("unsat")
+        return EXIT_FALSE
+    model, world = found
+    print("sat")
+    print(json.dumps({"world": world, "model": model.to_dict()}, indent=2))
+    return EXIT_OK
 
 
 # Flags that several subcommands take, each declared once.
@@ -198,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="bounded tree-model satisfiability")
     p.add_argument("--formula", required=True)
     _shared_flags(p, "--system")
-    p.add_argument("--max-depth", type=_nonnegative, default=None)
-    p.add_argument("--max-branching", type=_nonnegative, default=None)
     p.add_argument("--budget", type=_nonnegative, default=DEFAULT_ENUM_BUDGET)
     p.set_defaults(func=_cmd_oracle)
     return parser

@@ -1,31 +1,28 @@
 """Brute-force validation back end, independent of the tableau.
 
 Satisfiability is decided by exhaustively enumerating rooted tree models
-up to a depth and branching bound (for T every world carries a self-loop),
-organised as a bottom-up sweep over realizable world types: level d
-collects every truth assignment to the subformula closure that some tree
-of depth <= d can give its root.  A found witness is rebuilt as an
-explicit Kripke model and re-checked with `evaluate` before it is
-reported.  Only tests and the `oracle` CLI subcommand use this module;
-the compilation pipeline never does.
+(for T every world carries a self-loop) within the depth and branching
+the formula itself implies, organised as a bottom-up sweep over
+realizable world types: level d collects every truth assignment to the
+subformula closure that some tree of depth <= d can give its root.  A
+found witness is rebuilt as an explicit Kripke model and re-checked with
+`evaluate` before it is reported.  Only tests and the `oracle` CLI
+subcommand use this module; the compilation pipeline never does.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .formula import (
     And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var, FALSE,
     box, dia, lnot, lor, land, nnf, modal_depth, sort_formulas, var, variables,
 )
 from .semantics import (
-    KripkeModel, System, _Budget, _Witness, entails_mod, evaluate,
-    tree_model,
+    System, _Budget, _Witness, entails_mod, evaluate, tree_model,
 )
 
 __all__ = [
-    "OracleBounds", "EnumerationOutcome", "sufficient_bounds",
     "sat_by_enumeration", "enumerate_implicates", "check_decomposition",
     "DEFAULT_ENUM_BUDGET",
 ]
@@ -33,38 +30,12 @@ __all__ = [
 DEFAULT_ENUM_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class OracleBounds:
-    """Search space: tree depth, per-world branching, variable universe."""
-
-    max_depth: int
-    max_branching: int
-    variables: tuple
-
-    def __post_init__(self):
-        if self.max_depth < 0 or self.max_branching < 0:
-            raise ValueError("bounds must be nonnegative")
-
-
-@dataclass(frozen=True)
-class EnumerationOutcome:
-    """`satisfiable` is definitive; unsat is definitive only within bounds."""
-
-    satisfiable: bool
-    definitive: bool
-    model: KripkeModel | None
-    world: int | None
-
-    @property
-    def verdict(self) -> str:
-        return "sat" if self.satisfiable else "unsat-within-bounds"
-
-
 def _closure(g: Formula):
     """(order, index, bounds) for an NNF formula: its distinct subformulas
     in dependency order (children first, g last), the position of each
-    key, and the bounds that make an unsat verdict definitive (modal
-    depth, distinct diamonds, variables), all from one walk."""
+    key, and the (modal depth, distinct diamonds, variables) within which
+    a satisfiable g has a tree model (the bounded tree-model property of
+    K and T; Blackburn, de Rijke & Venema 2001), all from one walk."""
     order, index, depth = [], {}, []
 
     def walk(f):
@@ -80,15 +51,9 @@ def _closure(g: Formula):
                      + isinstance(f, (Box, Dia)))
 
     walk(g)
-    bounds = OracleBounds(depth[-1], sum(isinstance(f, Dia) for f in order),
-                          tuple(sorted(f.name for f in order
-                                       if isinstance(f, Var))))
+    bounds = (depth[-1], sum(isinstance(f, Dia) for f in order),
+              tuple(sorted(f.name for f in order if isinstance(f, Var))))
     return order, index, bounds
-
-
-def sufficient_bounds(f: Formula) -> OracleBounds:
-    """Bounds that make an unsat verdict definitive for f."""
-    return _closure(nnf(f))[2]
 
 
 def _eval_world(order, index, val, orv, andv, reflexive):
@@ -158,30 +123,29 @@ def _child_combos(types, max_branching, tick):
     return states
 
 
-def sat_by_enumeration(f: Formula, system: System, bounds: OracleBounds,
-                       budget: int = DEFAULT_ENUM_BUDGET) -> EnumerationOutcome:
-    """Exhaustive search for a satisfying tree model within bounds.
+def sat_by_enumeration(f: Formula, system: System,
+                       budget: int = DEFAULT_ENUM_BUDGET):
+    """(model, world) satisfying f, or None when f is unsatisfiable, as
+    `semantics.find_model` returns; the search covers every tree within
+    the bounds `_closure` reads off nnf(f), where a satisfiable f always
+    has a model.
 
-    Every world evaluated, under each valuation of `bounds.variables` and
-    each aggregate of children, costs one tick of `budget`, and so does
-    every candidate aggregate `_child_combos` builds; depth 0 draws the
+    Every world evaluated, under each valuation of f's variables and each
+    aggregate of children, costs one tick of `budget`, and so does every
+    candidate aggregate `_child_combos` builds; depth 0 draws the
     valuations one tick at a time and the deeper passes reuse them.
     """
     g = nnf(f)
-    order, index, suff = _closure(g)
-    missing = set(suff.variables) - set(bounds.variables)
-    if missing:
-        raise ValueError(f"bounds do not cover variables {sorted(missing)}")
+    order, index, (max_depth, max_branching, names) = _closure(g)
     reflexive = system.reflexive
-    names = tuple(sorted(bounds.variables))
     drawn = (frozenset(itertools.compress(names, mask)) for mask
              in itertools.product((False, True), repeat=len(names)))
     valuations = []
     types = {}  # truth vector -> (size, witness) of its smallest tree
     tick = _Budget(budget, "oracle enumeration budget exhausted").tick
-    for depth in range(bounds.max_depth + 1):
+    for depth in range(max_depth + 1):
         # depth 0 is the one aggregate of no children
-        combos = (_child_combos(types, bounds.max_branching, tick) if depth
+        combos = (_child_combos(types, max_branching, tick) if depth
                   else {(None, None): (0, [])})
         known = len(types)
         for (orv, andv), (size, trees) in sorted(
@@ -199,12 +163,10 @@ def sat_by_enumeration(f: Formula, system: System, bounds: OracleBounds,
                         if not evaluate(model, root, g):
                             raise AssertionError(
                                 "oracle witness failed evaluation")
-                        return EnumerationOutcome(True, True, model, root)
-        if len(types) == known or not bounds.max_branching:
+                        return model, root
+        if len(types) == known or not max_branching:
             break  # fixpoint, or no children: deeper trees add no types
-    definitive = (bounds.max_depth >= suff.max_depth
-                  and bounds.max_branching >= suff.max_branching)
-    return EnumerationOutcome(False, definitive, None, None)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -105,11 +105,9 @@ def candidates(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
     """Candidate implicates of a formula: distribute per-term candidates.
 
     Returns (false,) when the formula has no satisfiable terms at the
-    propositional level, and () when it is the constant true.
+    propositional level, and (true,) when it is the constant true.
     """
     terms = to_dnf(f, max_clauses).terms
-    if len(terms) == 1 and isinstance(terms[0], TrueF):
-        return ()
     per_term = [term_candidates(t) for t in terms]
     return sort_formulas(set(distribute(per_term, lor, max_clauses)))
 

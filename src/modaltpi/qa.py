@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .errors import FormulaSyntaxError, SchemaError
 from .formula import (
-    Formula, TRUE, box, land, lnot, nnf, parse, sort_formulas,
+    Formula, box, land, lnot, nnf, parse, sort_formulas,
 )
 from .pi import CompilationResult
 from .semantics import (
@@ -50,9 +50,7 @@ def answer_query(comp: CompilationResult, q: Formula,
     query costs one lookup per compiled clause.
     """
     entails = query_test(nnf(q), comp.y, comp.system, node_budget)
-    # an empty omega compiles the knowledge base true: read it as the one
-    # clause true, which entails exactly the valid queries
-    for pi in comp.omega() or (TRUE,):
+    for pi in comp.omega():
         if entails(pi):
             return QueryVerdict(q, True, pi, "compiled")
     return QueryVerdict(q, False, None, "compiled")
@@ -74,12 +72,6 @@ def answer_query_direct(x: Formula, y: Formula, q: Formula, system: System,
 class KnowledgeBaseFile:
     formulas: tuple
     theory: tuple
-
-    def kb_formula(self) -> Formula:
-        return land(self.formulas)
-
-    def theory_formula(self) -> Formula:
-        return land(self.theory)
 
 
 def _read_sections(path: str):

@@ -395,6 +395,10 @@ def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
             [box(nnf(y))] + [nnf(lnot(l)) for l in lits], system, budget)
         if _open(dias, boxes, system, budget))
     if not branches:
+        # kept apart from _ClauseTest, whose literal check needs a branch
+        # (it reads `true` as closing none): about half the tests a stream
+        # of distinct queries prepares are valid ones, and sending them
+        # through _ClauseTest made compiled answers 7-14% slower
         return _valid
     # each disjunct of q entails q
     return _ClauseTest(system, node_budget, branches,

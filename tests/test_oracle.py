@@ -5,11 +5,11 @@ import pytest
 from modaltpi import oracle
 from modaltpi.errors import BudgetExceededError
 from modaltpi.formula import (
-    TRUE, box, dia, land, lnot, lor, parse, var,
+    TRUE, box, dia, land, lnot, lor, nnf, parse, var,
 )
 from modaltpi.oracle import (
-    OracleBounds, _child_combos, check_decomposition, clause_vocabulary,
-    enumerate_implicates, sat_by_enumeration, sufficient_bounds,
+    _child_combos, _closure, check_decomposition, clause_vocabulary,
+    enumerate_implicates, sat_by_enumeration,
 )
 from modaltpi.pi import prime_implicates
 from modaltpi.semantics import System, entails, evaluate, is_satisfiable
@@ -19,64 +19,47 @@ from conftest import rand_formula, rand_prop
 
 class TestSatByEnumeration:
     def test_propositional_contradiction(self):
-        out = sat_by_enumeration(parse("p & ~p"), System.K,
-                                 OracleBounds(0, 0, ("p",)))
-        assert not out.satisfiable and out.definitive
+        assert sat_by_enumeration(parse("p & ~p"), System.K) is None
 
     def test_two_world_witness(self):
-        out = sat_by_enumeration(parse("<>p"), System.K,
-                                 OracleBounds(1, 1, ("p",)))
-        assert out.satisfiable
-        assert evaluate(out.model, out.world, parse("<>p"))
-        assert len(out.model.worlds) == 2
+        model, world = sat_by_enumeration(parse("<>p"), System.K)
+        assert evaluate(model, world, parse("<>p"))
+        assert len(model.worlds) == 2
 
     def test_reflexive_root_refutes_at_depth_zero(self):
-        out = sat_by_enumeration(parse("[]p & ~p"), System.T,
-                                 OracleBounds(0, 0, ("p",)))
-        assert not out.satisfiable
+        assert sat_by_enumeration(parse("[]p & ~p"), System.T) is None
 
-    def test_sufficient_bounds_cover_formula(self):
-        b = sufficient_bounds(parse("<>a | <>(b & <>c) | []a"))
-        assert b.max_depth == 2
-        assert b.max_branching == 3  # distinct diamonds after nnf
-        assert b.variables == ("a", "b", "c")
+    def test_bounds_cover_formula(self):
+        _, _, (depth, branching, names) = _closure(
+            nnf(parse("<>a | <>(b & <>c) | []a")))
+        assert depth == 2
+        assert branching == 3  # distinct diamonds after nnf
+        assert names == ("a", "b", "c")
 
     def test_deterministic_witness(self):
         f = parse("<>(a | b) & <>~a")
-        one = sat_by_enumeration(f, System.K, sufficient_bounds(f))
-        two = sat_by_enumeration(f, System.K, sufficient_bounds(f))
-        assert one.model.to_dict() == two.model.to_dict()
-        assert one.world == two.world
-
-    def test_unsat_within_insufficient_bounds_not_definitive(self):
-        out = sat_by_enumeration(parse("<>p"), System.K,
-                                 OracleBounds(0, 0, ("p",)))
-        assert not out.satisfiable and not out.definitive
-
-    def test_rejects_uncovered_variables(self):
-        with pytest.raises(ValueError):
-            sat_by_enumeration(parse("p & q"), System.K,
-                               OracleBounds(0, 0, ("p",)))
+        one_model, one_world = sat_by_enumeration(f, System.K)
+        two_model, two_world = sat_by_enumeration(f, System.K)
+        assert one_model.to_dict() == two_model.to_dict()
+        assert one_world == two_world
 
     def test_budget(self):
         f = parse("(a | b) & (~a | c) & <>(a & ~c) & [](b | c)")
         with pytest.raises(BudgetExceededError):
-            sat_by_enumeration(f, System.K, sufficient_bounds(f), budget=2)
+            sat_by_enumeration(f, System.K, budget=2)
         # the smallest budget that decides f; the oracle ticks the
         # tableau's budget counter, with its own message
         f = parse("<>a & <>~a & [](b | c) & <>(~b & ~c | d)")
         with pytest.raises(BudgetExceededError, match="oracle"):
-            sat_by_enumeration(f, System.K, sufficient_bounds(f), budget=2752)
-        assert sat_by_enumeration(f, System.K, sufficient_bounds(f),
-                                  budget=2753).satisfiable
+            sat_by_enumeration(f, System.K, budget=2752)
+        assert sat_by_enumeration(f, System.K, budget=2753) is not None
 
     def test_agreement_with_tableau(self, rng):
         for _ in range(150):
             f = rand_formula(rng, depth=2, size=10)
-            bounds = sufficient_bounds(f)
             for system in (System.K, System.T):
                 assert (is_satisfiable(f, system)
-                        == sat_by_enumeration(f, system, bounds).satisfiable)
+                        == (sat_by_enumeration(f, system) is not None))
 
     def test_child_combos_keep_smallest_realization(self, monkeypatch):
         # formula 598 of acceptance 6's corpus, unsatisfiable in T: its
@@ -91,7 +74,7 @@ class TestSatByEnumeration:
 
         monkeypatch.setattr(oracle, "_child_combos", recording)
         f = parse("<>(b & ~c & <>b & []c & <>~c)")
-        sat_by_enumeration(f, System.T, sufficient_bounds(f))
+        sat_by_enumeration(f, System.T)
         assert len(calls) == 2
         for types, max_branching, combos in calls:
             best = {}

@@ -129,7 +129,7 @@ class TestAnswerQuery:
     def test_true_is_the_valid_clause(self, system, x, y):
         x, y = parse(x), parse(y)
         comp = compile_kb(x, y, system)
-        witness = (comp.omega() or (TRUE,))[0]
+        witness = comp.omega()[0]
         for text in ("true", "p1 | true", "[]true", "~false"):
             q = parse(text)
             assert answer_query_direct(x, y, q, system).answer is True
@@ -140,7 +140,7 @@ class TestAnswerQuery:
     @pytest.mark.parametrize("system", [System.K, System.T])
     def test_empty_compilation_is_the_clause_true(self, system):
         comp = compile_kb(TRUE, TRUE, system)
-        assert comp.omega() == ()
+        assert comp.omega() == (TRUE,)
         for text in ("p | ~p", "p", "<>p | []~p", "[](p | ~p)", "<>p"):
             q = parse(text)
             direct = answer_query_direct(TRUE, TRUE, q, system).answer
@@ -156,13 +156,13 @@ class TestClauseTest:
         names = ("a", "b")
         kbs = [rand_instance(rng, names=names) for _ in range(6)]
         kbs += [(x, TRUE) for x, _ in kbs[:2]]
-        # the KB true (omega empty), the KB false, and a theory modulo
-        # which queries such as []a are valid
+        # the KB true (omega the clause true), the KB false, and a theory
+        # modulo which queries such as []a are valid
         kbs += [(TRUE, TRUE), (FALSE, TRUE), (FALSE, var("a")),
                 (parse("a & <>b"), var("a"))]
         for x, y in kbs:
             comp = compile_kb(x, y, system)
-            pool = comp.omega() or (TRUE,)
+            pool = comp.omega()
             for clause in clause_vocabulary(names):
                 for q in (clause, lnot(nnf(lnot(clause)))):
                     holds = [entails_mod(pi, comp.box_y, q, system)
@@ -497,8 +497,8 @@ class TestKbFiles:
         path = tmp_path / "kb.txt"
         path.write_text("p1 | p2\n<>[]~p3\n")
         kb = load_kb(str(path))
-        assert kb.kb_formula() == land(parse("p1 | p2"), parse("<>[]~p3"))
-        assert kb.theory_formula() is TRUE
+        assert land(kb.formulas) == land(parse("p1 | p2"), parse("<>[]~p3"))
+        assert land(kb.theory) is TRUE
 
     def test_comments_blanks_and_theory_section(self, tmp_path):
         path = tmp_path / "kb.txt"
@@ -507,7 +507,7 @@ class TestKbFiles:
             "[theory]\np1 | p2\n")
         kb = load_kb(str(path))
         assert len(kb.formulas) == 3
-        assert kb.theory_formula() == parse("p1 | p2")
+        assert land(kb.theory) == parse("p1 | p2")
 
     def test_malformed_line_cites_location(self, tmp_path):
         path = tmp_path / "kb.txt"
@@ -784,7 +784,7 @@ class TestCli:
         if command == "compile":
             argv += ["--out", str(tmp_path / "comp.json")]
         assert main(argv) == 0
-        assert default_theory(load_kb(str(bare)).kb_formula()) == parse(
+        assert default_theory(land(load_kb(str(bare)).formulas)) == parse(
             "p1 | p2")
         assert calls == []
         assert "FAIL" not in capsys.readouterr().out
@@ -911,16 +911,22 @@ class TestCli:
         assert exc.value.code == 2
         assert "not an integer: '1.5'" in capsys.readouterr().err
 
-    def test_negative_oracle_bounds_exit_2(self, capsys):
+    def test_oracle_search_bounds_are_not_flags(self, capsys):
+        # the oracle reads its depth and branching off the formula
         for flag in ("--max-depth", "--max-branching"):
-            self._rejected(["oracle", "--formula", "<>p"], flag, capsys)
+            with pytest.raises(SystemExit) as exc:
+                main(["oracle", "--formula", "<>p", flag, "0"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_oracle_unsat_below_sufficient_bounds(self, capsys):
-        assert main(["oracle", "--formula", "<>p", "--system", "K",
-                     "--max-depth", "0"]) == 1
+    @pytest.mark.parametrize("formula, system",
+                             [("<>p & []~p", "K"), ("[]p & ~p", "T")])
+    def test_oracle_unsat(self, formula, system, capsys):
+        assert main(["oracle", "--formula", formula,
+                     "--system", system]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "unsat-within-bounds\n"
-        assert "unsat verdict is not definitive" in captured.err
+        assert captured.out == "unsat\n"
+        assert captured.err == ""
 
     @staticmethod
     def _oracle_subprocess(formula, budget, **kwargs):

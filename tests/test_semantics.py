@@ -22,7 +22,7 @@ from modaltpi.semantics import (
     KripkeModel, System, clear_cache, entails, entails_mod, equivalent,
     equivalent_mod, evaluate, find_model, is_satisfiable, query_test,
 )
-from modaltpi.oracle import sat_by_enumeration, sufficient_bounds
+from modaltpi.oracle import sat_by_enumeration
 from modaltpi.pi import compile_kb
 from modaltpi.qa import answer_query
 
@@ -81,8 +81,7 @@ class TestSatisfiability:
     def test_golden_witness_body(self):
         f = parse("<>([]~p3 & <>p2 & (p1 | p2))")
         assert is_satisfiable(f, System.T)
-        outcome = sat_by_enumeration(f, System.T, sufficient_bounds(f))
-        assert outcome.satisfiable
+        assert sat_by_enumeration(f, System.T) is not None
 
     def test_budget_is_distinct_outcome(self):
         from modaltpi.semantics import clear_cache
@@ -110,11 +109,10 @@ class TestPropagation:
     @given(rng=st.randoms(use_true_random=False))
     def test_agrees_with_enumeration(self, rng):
         f = rand_formula(rng, depth=2, size=12)
-        bounds = sufficient_bounds(f)
         for system in (System.K, System.T):
             clear_cache()
             sat = is_satisfiable(f, system)
-            assert sat == sat_by_enumeration(f, system, bounds).satisfiable, \
+            assert sat == (sat_by_enumeration(f, system) is not None), \
                 (f, system)
             if sat:
                 m, w = find_model(f, system)
@@ -196,8 +194,8 @@ class TestFormulaSets:
             f = parse(text)
             for system in (System.K, System.T):
                 sat = is_satisfiable(f, system)
-                assert sat == sat_by_enumeration(
-                    f, system, sufficient_bounds(f)).satisfiable, text
+                assert sat == (sat_by_enumeration(f, system)
+                               is not None), text
                 got = find_model(f, system)
                 assert (got is not None) == sat, text
                 if got is not None:
@@ -238,8 +236,7 @@ class TestEntailment:
         by = parse("[](p1 | p2)")
         assert not entails_mod(lor(d, var("p2")), by, d, System.T)
         counter = land(lor(d, var("p2")), by, nnf(lnot(d)))
-        assert sat_by_enumeration(counter, System.T,
-                                  sufficient_bounds(counter)).satisfiable
+        assert sat_by_enumeration(counter, System.T) is not None
 
     def test_theory_does_not_decide_disjunct(self):
         assert not entails_mod(parse("p1 | p2"), parse("[](p1 | p2)"),
