@@ -7,9 +7,8 @@ the README documents; the modules hold the rest.
 """
 
 from .errors import (
-    BudgetExceededError, CapacityError, FormulaSyntaxError,
-    InconsistentTermError, ModalTpiError, NonClausalQueryError,
-    PreconditionError, SchemaError,
+    BudgetExceededError, CapacityError, FormulaSyntaxError, ModalTpiError,
+    NonClausalQueryError, PreconditionError, SchemaError,
 )
 from .formula import (
     Formula, TRUE, FALSE, parse, nnf, var, land, lor, lnot, box, dia,

@@ -20,10 +20,6 @@ class FormulaSyntaxError(ModalTpiError):
         super().__init__(f"{where}: {message}")
 
 
-class InconsistentTermError(ModalTpiError):
-    """A term whose propositional literals contain a complementary pair."""
-
-
 class PreconditionError(ModalTpiError):
     """A documented operation precondition does not hold."""
 

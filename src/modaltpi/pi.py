@@ -17,10 +17,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import CapacityError, InconsistentTermError, PreconditionError
+from .errors import CapacityError, PreconditionError
 from .formula import (
     And, Formula, Parts, TrueF, Var, TRUE,
-    box, contradictory, dia, disjuncts, is_clause, land, lor,
+    box, dia, disjuncts, is_clause, land, lor,
     modal_depth, nnf, sort_formulas,
 )
 from .normal_forms import DEFAULT_SIZE_CAP, distribute, to_cnf, to_dnf
@@ -40,8 +40,9 @@ __all__ = [
 @dataclass(frozen=True)
 class CompilationResult:
     """Everything the query answerer needs, plus bookkeeping counters.
-    The theory y must be propositional and every theta member a clause
-    after NNF (`is_clause`), or construction raises `ValueError`."""
+    The theory y must be propositional and theta a non-empty tuple of
+    clauses after NNF (`is_clause`), or construction raises
+    `ValueError`."""
 
     x: Formula
     y: Formula
@@ -52,6 +53,8 @@ class CompilationResult:
     def __post_init__(self):
         if modal_depth(self.y) != 0:
             raise ValueError(f"theory {self.y} is not propositional")
+        if not self.theta:
+            raise ValueError("theta holds no clause")
         for c in self.theta:
             if not is_clause(nnf(c)):
                 raise ValueError(f"theta member {c} is not a clause")
@@ -90,8 +93,6 @@ def term_candidates(t: Formula) -> tuple:
     a single [].  The construction is syntactic, the same in K and T.
     """
     parts = Parts(t.children if isinstance(t, And) else (t,))
-    if contradictory(parts.prop):
-        raise InconsistentTermError(f"term {t} is contradictory")
     out = list(parts.prop)
     boxed = land(parts.box)
     for b in parts.dia:

@@ -77,7 +77,8 @@ class KnowledgeBaseFile:
 def _read_sections(path: str):
     """(formulas, theory) of a KB file: the lines before and after its
     `[theory]` header."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark some editors write first
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     formulas, theory = [], []
     section = formulas
@@ -170,5 +171,5 @@ def load_compilation(path: str) -> CompilationResult:
                                 for t in field("theta", list)),
             stats=dict(field("stats", dict)),
         )
-    except ValueError as err:  # an unknown system, a modal y or a non-clause
+    except ValueError as err:  # an unknown system, a modal y, a bad theta
         raise SchemaError(f"{path}: {err}") from None

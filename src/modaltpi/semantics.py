@@ -66,10 +66,6 @@ class KripkeModel:
             if a not in ws or b not in ws:
                 raise ValueError(f"relation references unknown world ({a}, {b})")
 
-    def reflexive_closure(self) -> "KripkeModel":
-        rel = set(self.relation) | {(w, w) for w in self.worlds}
-        return KripkeModel(self.worlds, frozenset(rel), self.valuation)
-
     def to_dict(self) -> dict:
         return {
             "worlds": list(self.worlds),
@@ -286,22 +282,23 @@ def _solve(world, system: System, budget: _Budget):
 def _expand(world, system: System, budget: _Budget):
     """`_solve` of a world missing from the cache."""
     for _, pos, _, dias, boxes in _branches(list(world), system, budget):
-        children = []
-        for d in sort_formulas(dias):
-            sub = _solve(sort_formulas(boxes | {d}), system, budget)
-            if sub is None:
-                break
-            children.append(sub)
-        else:
+        children = _successors(dias, boxes, system, budget)
+        if children is not None:
             return _Witness(frozenset(pos), children)
     return None
 
 
-def _open(dias, boxes, system: System, budget: _Budget) -> bool:
-    """Whether each of a branch's dia bodies has a successor world with
-    its box bodies: `_expand`'s test of a branch, without the witness."""
-    return all(_solve(sort_formulas({*boxes, d}), system, budget) is not None
-               for d in sort_formulas(dias))
+def _successors(dias, boxes, system: System, budget: _Budget):
+    """The modal step of an open branch: the witnesses of one successor
+    world per dia body, holding that body and the box bodies, tried in
+    canonical order; None as soon as one world has none."""
+    children = []
+    for d in sort_formulas(dias):
+        sub = _solve(sort_formulas({*boxes, d}), system, budget)
+        if sub is None:
+            return None
+        children.append(sub)
+    return children
 
 
 def tree_model(tree, system: System):
@@ -318,16 +315,15 @@ def tree_model(tree, system: System):
         if id(node) not in built:
             wid = built[id(node)] = len(built)
             valuation[wid] = frozenset(node.atoms)
+            if system.reflexive:
+                relation.add((wid, wid))
             for child in node.children:
                 relation.add((wid, build(child)))
         return built[id(node)]
 
     root = build(tree)
-    model = KripkeModel(tuple(range(len(built))), frozenset(relation),
-                        valuation)
-    if system.reflexive:
-        model = model.reflexive_closure()
-    return model, root
+    return KripkeModel(tuple(range(len(built))), frozenset(relation),
+                       valuation), root
 
 
 def _solve_root(f, system: System, node_budget: int):
@@ -389,11 +385,10 @@ def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
     budget = _Budget(node_budget)
     lits = disjuncts(q)  # false is the empty clause, and its own disjunct
     branches = tuple(
-        (tuple(seen), tuple(pos), tuple(neg), sort_formulas(dias),
-         sort_formulas(boxes))
+        (tuple(seen), tuple(pos), tuple(neg), tuple(dias), tuple(boxes))
         for seen, pos, neg, dias, boxes in _branches(
             [box(nnf(y))] + [nnf(lnot(l)) for l in lits], system, budget)
-        if _open(dias, boxes, system, budget))
+        if _successors(dias, boxes, system, budget) is not None)
     if not branches:
         # kept apart from _ClauseTest, whose literal check needs a branch
         # (it reads `true` as closing none): about half the tests a stream
@@ -452,18 +447,16 @@ class _ClauseTest:
             raise ValueError(f"clause disjunct {l} is no literal")
         budget = _Budget(self.node_budget)
         if cls is Dia:  # one more successor world, with the []-bodies
-            return all(_solve(sort_formulas({*boxes, l.child}), system,
-                              budget) is None
+            return all(_successors((l.child,), boxes, system, budget) is None
                        for _, _, _, _, boxes in branches)
         if system.reflexive:  # []psi asserts psi at the root too
-            return not any(_open(dias, boxes, system, budget)
+            return not any(_successors(dias, boxes, system, budget) is not None
                            for b in branches
                            for _, _, _, dias, boxes in _branches(
                                [l], system, budget, b))
         # in K psi only joins the []-bodies: a resume's verdict, without
         # copying each branch into fresh sets
-        return all(any(_solve(sort_formulas({*boxes, l.child, d}), system,
-                              budget) is None for d in dias)
+        return all(_successors(dias, {*boxes, l.child}, system, budget) is None
                    for _, _, _, dias, boxes in branches)
 
 

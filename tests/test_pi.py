@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import modaltpi.pi as pi_module
 import modaltpi.semantics as semantics_module
 from modaltpi.errors import (
-    CapacityError, InconsistentTermError, PreconditionError,
+    CapacityError, PreconditionError,
 )
 from modaltpi.formula import (
     FALSE, TRUE, box, dia, land, lnot, lor, modal_depth,
@@ -77,10 +77,6 @@ class TestTermCandidates:
         for imp in enumerate_implicates(parse("<>a & []b"), TRUE, System.K,
                                         names=["a", "b"]):
             assert any(entails(c, imp, System.K) for c in got)
-
-    def test_inconsistent_term_rejected(self):
-        with pytest.raises(InconsistentTermError):
-            term_candidates(parse("p & ~p & <>q"))
 
 
 class TestCandidates:

@@ -584,7 +584,7 @@ class TestPersistence:
     @pytest.mark.parametrize("change", [
         "[1, 2]", '"text"', {"x": 5}, {"theta": [1]}, {"theta": "p"},
         {"system": 5}, {"system": "S5"}, {"stats": 3}, {"y": "[]("},
-        {"y": 5}, {"y": "[]p3"}, {"theta": ["p1", 2]},
+        {"y": 5}, {"y": "[]p3"}, {"theta": ["p1", 2]}, {"theta": []},
         pytest.param("[" * 100_000, id="deep-list"),
         pytest.param('{"a":' * 50_000, id="deep-object"),
         # equal to 1 in Python, but not the integer 1
@@ -847,6 +847,16 @@ class TestCli:
             assert main(["check", "--kb", str(kb_path), "--system", "K"]
                         + flags) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        kb = tmp_path / "bom.txt"
+        kb.write_bytes(b"\xef\xbb\xbfp1 | p2\n<>[]~p3\n[theory]\np1 | p2\n")
+        out = str(tmp_path / "comp.json")
+        assert main(["compile", "--kb", str(kb), "--system", "K",
+                     "--out", out]) == 0
+        comp = load_compilation(out)
+        assert comp.x == parse("(p1 | p2) & <>[]~p3")
+        assert comp.y == parse("p1 | p2")
 
     def test_theory_file_with_only_a_theory_section(self, tmp_path, capsys):
         kb = tmp_path / "kb.txt"

@@ -39,11 +39,6 @@ class TestKripkeModel:
         with pytest.raises(ValueError):
             model([0], {(0, 1)}, {0: set()})
 
-    def test_reflexive_closure(self):
-        m = model([0, 1], {(0, 1)}, {0: set(), 1: set()})
-        closed = m.reflexive_closure()
-        assert (0, 0) in closed.relation and (1, 1) in closed.relation
-
 
 class TestEvaluate:
     def test_atom(self):
@@ -133,6 +128,16 @@ class TestFindModel:
         m, w = find_model(f, System.T)
         assert evaluate(m, w, f)
         assert all((u, u) in m.relation for u in m.worlds)
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_every_world_sees_itself_only_under_t(self, system):
+        f = parse("<>(p & <>q) & <>~p & [](q | ~q)")
+        m, w = find_model(f, system)
+        assert evaluate(m, w, f)
+        assert len(m.worlds) >= 3
+        loops = {(u, u) for u in m.worlds}
+        assert m.relation & loops == (loops if system is System.T else set())
+        assert any(a != b for a, b in m.relation)
 
     def test_shared_witness_is_one_world(self):
         # the tableau shares the witness of each `<>~` level between the
