@@ -29,7 +29,12 @@ class NonClausalQueryError(ModalTpiError):
 
 
 class CapacityError(ModalTpiError):
-    """A size cap (clause/term count) was exceeded."""
+    """A size cap (clause/term count) was exceeded; `layer` names where:
+    the outer DNF, the outer CNF or the candidate distribution."""
+
+    def __init__(self, cap, layer):
+        self.layer = layer
+        super().__init__(f"size cap {cap} exceeded in the {layer}")
 
 
 class BudgetExceededError(ModalTpiError):

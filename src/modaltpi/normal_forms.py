@@ -36,9 +36,10 @@ class Dnf:
     terms: tuple
 
 
-def distribute(groups, combine, cap) -> list:
+def distribute(groups, combine, cap, layer) -> list:
     """Pick one member from each group in every way and combine each pick;
-    raises CapacityError when more than `cap` picks are distinct."""
+    raises CapacityError, naming `layer`, when more than `cap` picks are
+    distinct."""
     acc = {frozenset()}
     for group in groups:
         nxt = set()
@@ -46,30 +47,31 @@ def distribute(groups, combine, cap) -> list:
             for g in group:
                 nxt.add(chosen | {g})
                 if len(nxt) > cap:
-                    raise CapacityError(f"size cap {cap} exceeded")
+                    raise CapacityError(cap, layer)
         acc = nxt
     return [combine(parts) for parts in acc]
 
 
-# (outer node, inner node, unit of the outer node, combine for the inner)
-_CNF = (And, Or, TRUE, lor)
-_DNF = (Or, And, FALSE, land)
+# (outer node, inner node, unit of the outer node, combine for the inner,
+# the layer a CapacityError names)
+_CNF = (And, Or, TRUE, lor, "outer CNF")
+_DNF = (Or, And, FALSE, land, "outer DNF")
 
 
 def _outer(g: Formula, form, cap) -> set:
     """The clauses (form `_CNF`) or terms (form `_DNF`) of an NNF formula."""
-    outer, inner, unit, combine = form
+    outer, inner, unit, combine, layer = form
     if g == unit:
         out = set()
     elif isinstance(g, outer):
         out = set().union(*[_outer(c, form, cap) for c in g.children])
     elif isinstance(g, inner):
         out = set(distribute([_outer(c, form, cap) for c in g.children],
-                             combine, cap))
+                             combine, cap, layer))
     else:  # a literal, a modal literal or the other constant
         out = {g}
     if len(out) > cap:
-        raise CapacityError(f"size cap {cap} exceeded")
+        raise CapacityError(cap, layer)
     return out
 
 

@@ -7,9 +7,9 @@ one pass over the clauses in canonical order, keeping the first clause of
 each equivalence class unless another clause strictly entails it.
 Each check `a & []y |= b` is made by `semantics.query_test(b, ...)`, the
 test compiled answers use, kept in the same table: in K and in T it goes
-literal by literal against the open branches of `[]y & ~b`, and the
-verdicts it reaches are shared with every later compile and query with
-the same theory, system and budget.
+literal by literal against the open branches of `[]y & ~b`, or clause by
+clause past 64 of them, and the verdicts it reaches are shared with every
+later compile and query with the same theory, system and budget.
 """
 
 from __future__ import annotations
@@ -110,7 +110,8 @@ def candidates(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
     """
     terms = to_dnf(f, max_clauses).terms
     per_term = [term_candidates(t) for t in terms]
-    return sort_formulas(set(distribute(per_term, lor, max_clauses)))
+    return sort_formulas(set(distribute(per_term, lor, max_clauses,
+                                        "candidate distribution")))
 
 
 def _minimize(clauses, y: Formula, system: System,

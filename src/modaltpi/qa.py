@@ -44,7 +44,7 @@ def answer_query(comp: CompilationResult, q: Formula,
     The query is a literal, a clause, `false` (the empty clause) or
     `true` (the valid clause); any other raises `NonClausalQueryError`.
     The entailment test is `semantics.query_test` of the query's NNF,
-    which checks the query's clausality once per query and theory, until
+    which checks the query's clausality once per query, until
     `clear_cache()`, so spellings with one NNF share it, and keeps each
     clause's verdict for the later queries and compiles: a repeated
     query costs one lookup per compiled clause.

@@ -157,13 +157,19 @@ _KEY = attrgetter("key")
 # predicate `_prepare` makes, kept by `formula._memo` for
 # `answer_query` and `pi._minimize`
 _query_tests: dict = {}
+# query halves: NNF query key -> what `_half` makes, the part of a query
+# test that no theory, system or budget changes
+_query_halves: dict = {}
+# kept open root branches past which a clause test decides whole clauses
+_BRANCH_CAP = 64
 
 
 def clear_cache():
-    """Empty the sat cache, the query tests, the intern table, the NNF
-    memo and the parse memo."""
+    """Empty the sat cache, the query tests, the query halves, the intern
+    table, the NNF memo and the parse memo."""
     _sat_cache.clear()
     _query_tests.clear()
+    _query_halves.clear()
     clear_tables()
 
 
@@ -375,20 +381,38 @@ def equivalent_mod(f: Formula, g: Formula, theory: Formula, system: System,
             and entails_mod(g, theory, f, system, node_budget))
 
 
+def _half(q: Formula):
+    """The query's own half of its tests, for q an NNF query: its
+    negated literals in NNF, and its literals' keys.  A query that is no
+    clause raises `NonClausalQueryError`."""
+    if not is_clause(q):
+        raise NonClausalQueryError(f"not a clausal query: {q}")
+    lits = disjuncts(q)  # false is the empty clause, and its own disjunct
+    return tuple(nnf(lnot(l)) for l in lits), tuple(l.key for l in lits)
+
+
 def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
-    """The test `query_test` keeps for q, y, system and node_budget."""
+    """The test `query_test` keeps for q, y, system and node_budget: the
+    query's half, kept in `_query_halves` for every theory, system and
+    budget, joined with the open root branches of []y & ~q."""
     q = nnf(q)
     if isinstance(q, TrueF):
         return _valid
-    if not is_clause(q):
-        raise NonClausalQueryError(f"not a clausal query: {q}")
+    negs, keys = _memo(_query_halves, q.key, _half, q)
+    by = box(nnf(y))
     budget = _Budget(node_budget)
-    lits = disjuncts(q)  # false is the empty clause, and its own disjunct
-    branches = tuple(
-        (tuple(seen), tuple(pos), tuple(neg), tuple(dias), tuple(boxes))
-        for seen, pos, neg, dias, boxes in _branches(
-            [box(nnf(y))] + [nnf(lnot(l)) for l in lits], system, budget)
-        if _successors(dias, boxes, system, budget) is not None)
+    branches = []
+    # a fresh list, since _branches pops from it
+    for seen, pos, neg, dias, boxes in _branches(
+            [by, *negs], system, budget):
+        if _successors(dias, boxes, system, budget) is None:
+            continue
+        if len(branches) == _BRANCH_CAP:
+            # in T each clause of y can double the branches, so a wide
+            # theory is tested a whole clause at a time instead
+            return _WholeClauseTest(system, node_budget, (by, *negs)).clause
+        branches.append(
+            (tuple(seen), tuple(pos), tuple(neg), tuple(dias), tuple(boxes)))
     if not branches:
         # kept apart from _ClauseTest, whose literal check needs a branch
         # (it reads `true` as closing none): about half the tests a stream
@@ -396,8 +420,8 @@ def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
         # through _ClauseTest made compiled answers 7-14% slower
         return _valid
     # each disjunct of q entails q
-    return _ClauseTest(system, node_budget, branches,
-                       dict.fromkeys([l.key for l in lits], True)).clause
+    return _ClauseTest(system, node_budget, tuple(branches),
+                       dict.fromkeys(keys, True)).clause
 
 
 def _valid(pi):
@@ -460,24 +484,52 @@ class _ClauseTest:
                    for _, _, _, dias, boxes in branches)
 
 
+class _WholeClauseTest:
+    """A prepared `query_test` past `_BRANCH_CAP` open root branches: a
+    clause pi entails q iff pi & []y & ~q, the conjuncts `root` without
+    pi, is unsatisfiable, one tableau call per clause; `known` keeps each
+    clause's verdict under its key."""
+
+    __slots__ = ("system", "node_budget", "root", "known")
+
+    def __init__(self, system, node_budget, root):
+        self.system, self.node_budget = system, node_budget
+        self.root, self.known = root, {}
+
+    def clause(self, pi):
+        """pi & []y |= q."""
+        known = self.known
+        v = known.get(pi.key)
+        if v is None:
+            v = known[pi.key] = _solve_root(
+                (pi, *self.root), self.system, self.node_budget) is None
+        return v
+
+
 def query_test(q: Formula, y: Formula, system: System,
                node_budget: int = DEFAULT_NODE_BUDGET):
     """Predicate `pi -> pi & []y |= q` for a clausal query q, prepared
     once per query, theory, system and budget and kept in `_query_tests`
     until `clear_cache()`.  Its verdicts depend on nothing else, so the
     queries and the minimizations of every compilation with the same
-    theory share it.  A query whose NNF is no clause (`is_clause`)
-    raises `NonClausalQueryError`; a preparation that runs out of budget,
-    or of a non-clausal query, keeps nothing.
+    theory share it.  The query's own half, its clausality check and
+    its negated literals, is made once per NNF query and kept in
+    `_query_halves` for every theory, system and budget.  A query whose
+    NNF is no clause (`is_clause`) raises `NonClausalQueryError` on every
+    ask; a preparation that runs out of budget, or of a non-clausal
+    query, keeps nothing.
 
     One design serves K and T.  The preparation expands []y & ~q once,
     in NNF and under one budget, and keeps its open root branches: those
     whose every <>-body has a successor world with the branch's
     []-bodies.  With none left q is valid modulo []y, and every clause
-    entails it.  Otherwise a clause entails q iff each of its literals
-    does (Bienvenu, JAIR 36, 2009), and a literal does iff it closes
-    every kept branch, checked under a budget of its own that all the
-    worlds it tries share:
+    entails it.  Past `_BRANCH_CAP` kept branches, which only T reaches
+    (each clause of y can double them), it stops and tests each clause
+    whole instead: pi entails q iff pi & []y & ~q is unsatisfiable, one
+    tableau call under a budget of its own.  Otherwise a clause entails
+    q iff each of its literals does (Bienvenu, JAIR 36, 2009), and a
+    literal does iff it closes every kept branch, checked under a budget
+    of its own that all the worlds it tries share:
     - p iff ~p is on every branch, and ~p iff p is, with no tableau step;
       false always, and true never;
     - <>phi iff on every branch phi has no successor world with the
@@ -485,7 +537,8 @@ def query_test(q: Formula, y: Formula, system: System,
     - []psi in K iff on every branch some <>-body has no successor world
       with the []-bodies and psi; in T, where []psi also asserts psi at
       the root, iff each branch resumed with it closes;
-    - a disjunct that is no literal raises `ValueError`.
+    - a disjunct that is no literal raises `ValueError` (the whole-clause
+      test splits nothing, so it decides any formula pi).
     Each clause's and each literal's verdict is kept, so a clause already
     judged costs one lookup; a check that raises keeps neither.
     """

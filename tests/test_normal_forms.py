@@ -1,7 +1,9 @@
 import pytest
 
 from modaltpi.errors import CapacityError
-from modaltpi.formula import And, is_clause, is_literal, land, lor, nnf, parse
+from modaltpi.formula import (
+    And, is_clause, is_literal, land, lnot, lor, nnf, parse,
+)
 from modaltpi.normal_forms import Cnf, Dnf, to_cnf, to_dnf
 from modaltpi.semantics import System, entails, equivalent
 
@@ -43,6 +45,19 @@ class TestToCnf:
             to_cnf(land(atoms), max_clauses=10)
         with pytest.raises(CapacityError):
             to_dnf(lor(atoms), max_terms=10)
+
+    def test_cap_names_its_layer(self):
+        # whether the cap is passed in distributing or in joining
+        pairs = land(lor(parse(f"a{i}"), parse(f"b{i}")) for i in range(8))
+        atoms = [parse(f"a{i}") for i in range(20)]
+        for build, f, layer in ((to_dnf, pairs, "outer DNF"),
+                                (to_dnf, lor(atoms), "outer DNF"),
+                                (to_cnf, nnf(lnot(pairs)), "outer CNF"),
+                                (to_cnf, land(atoms), "outer CNF")):
+            with pytest.raises(CapacityError) as info:
+                build(f, 10)
+            assert info.value.layer == layer
+            assert str(info.value) == f"size cap 10 exceeded in the {layer}"
 
 
 class TestToDnf:

@@ -109,8 +109,16 @@ class TestCandidates:
 
     def test_cap(self):
         f = land(lor(var(f"a{i}"), var(f"b{i}")) for i in range(10))
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError) as info:
             candidates(f, max_clauses=50)
+        assert info.value.layer == "outer DNF"
+        # 2^5 terms fit the cap, their picks of candidates do not
+        f = land(lor(var(f"a{i}"), var(f"b{i}")) for i in range(5))
+        with pytest.raises(CapacityError) as info:
+            candidates(f, max_clauses=50)
+        assert info.value.layer == "candidate distribution"
+        assert str(info.value) == (
+            "size cap 50 exceeded in the candidate distribution")
 
 
 class TestResidue:

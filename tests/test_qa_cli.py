@@ -204,6 +204,43 @@ class TestClauseTest:
                 assert test(l) == entails_mod(l, comp.box_y, q, System.T), (
                     l, q)
 
+    def test_wide_theory_past_the_branch_cap(self, monkeypatch):
+        # in T each clause of y doubles the open root branches of
+        # []y & ~q: 4,096 here, so past the cap each clause is tested whole
+        y = land(parse(f"a{i} | b{i}") for i in range(12))
+        x = land(box(y), parse("<>c & [](c -> d)"))
+        comp = compile_kb(x, y, System.T)
+        pool = comp.omega()
+        queries = [parse(t) for t in (
+            "a0 | e", "<>e", "<>d | e", "a0 | b0", "[](a0 | b0) | e",
+            "<>c", "[]e | ~a1", "false", "true")]
+        clear_cache()
+        whole = 0
+        for q in queries:
+            holds = [entails_mod(pi, comp.box_y, q, System.T) for pi in pool]
+            found = answer_query(comp, q)
+            assert found.answer == any(holds), q
+            assert found.witness == (pool[holds.index(True)]
+                                     if any(holds) else None)
+            test = getattr(query_test(nnf(q), y, System.T), "__self__", None)
+            whole += type(test) is semantics_module._WholeClauseTest
+        assert whole >= 4
+        # the whole-clause tests spend the node budget a query is given
+        budgets = []
+        real = semantics_module._Budget
+
+        class Spy(real):
+            def __init__(self, steps, *args):
+                budgets.append(steps)
+                super().__init__(steps, *args)
+
+        monkeypatch.setattr(semantics_module, "_Budget", Spy)
+        clear_cache()
+        assert [answer_query(comp, q, node_budget=654_321).answer
+                for q in queries[:2]] == [False, False]
+        assert budgets and set(budgets) == {654_321}
+        clear_cache()
+
     @pytest.mark.parametrize("system", [System.K, System.T])
     @pytest.mark.parametrize("theory", ["(a & b) -> c", "~(a & b)"])
     def test_theory_outside_nnf(self, system, theory, tmp_path, capsys):
@@ -457,6 +494,103 @@ class TestQueryTests:
             direct = answer_query_direct(x, y, q, System.T).answer
             if answer_query(comp, q).answer:
                 assert direct, (x, y, q)
+
+
+class TestQueryHalves:
+    """`semantics._query_halves`: the query's own half of its clause
+    tests, made once per NNF query and shared by every theory, system and
+    budget that tests it."""
+
+    @pytest.fixture(scope="class")
+    def comps(self, golden_k, golden_t):
+        return [golden_k, golden_t,
+                compile_kb(parse("p1 & <>p2"), parse("p1"), System.T)]
+
+    def test_one_half_per_query(self, monkeypatch):
+        made = []
+        real = semantics_module._half
+
+        def half(q):
+            made.append(q)
+            return real(q)
+
+        monkeypatch.setattr(semantics_module, "_half", half)
+        clear_cache()
+        q = parse("~(p1 & <>p3)")
+        for y in (parse(Y_GOLDEN), parse("p1 | p3")):
+            for system in (System.K, System.T):
+                for budget in (10 ** 5, 10 ** 6):
+                    query_test(q, y, system, budget)
+        assert made == [nnf(q)]
+        assert list(semantics_module._query_halves) == [nnf(q).key]
+        assert len(semantics_module._query_tests) == 8
+        clear_cache()
+        assert not semantics_module._query_halves
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_non_clausal_query_keeps_nothing(self, system, golden_k):
+        clear_cache()
+        comp = dataclasses.replace(golden_k, system=system)
+        for _ in range(2):
+            with pytest.raises(NonClausalQueryError):
+                answer_query(comp, parse("p1 & <>p2"))
+        assert not semantics_module._query_tests
+        assert not semantics_module._query_halves
+
+    def test_table_limit_holds(self, comps, monkeypatch):
+        queries = clause_vocabulary(("p1", "p2", "p3"))
+        clear_cache()
+        unpatched = [answer_query(comp, q) for comp in comps for q in queries]
+        assert len(semantics_module._query_halves) > 1000
+        clear_cache()
+        monkeypatch.setattr(formula_module, "_TABLE_LIMIT", 40)
+        patched = []
+        for comp in comps:
+            for q in queries:
+                patched.append(answer_query(comp, q))
+                assert len(semantics_module._query_halves) <= 40
+        assert patched == unpatched
+        clear_cache()
+
+    def test_kept_halves_change_no_outcome(self, monkeypatch):
+        # answers, witnesses and tableau steps, cold each time, with the
+        # halves kept and with them dropped before every preparation
+        rng = random.Random(29)
+        corpus = [(rand_instance(rng), [rand_clause(rng) for _ in range(8)]
+                   + [FALSE, TRUE]) for _ in range(8)]
+        ticks = collections.Counter()
+        real_tick = semantics_module._Budget.tick
+        real_prepare = semantics_module._prepare
+
+        def tick(budget):
+            ticks[mode] += 1
+            return real_tick(budget)
+
+        def cleared_prepare(*args):
+            semantics_module._query_halves.clear()
+            return real_prepare(*args)
+
+        monkeypatch.setattr(semantics_module._Budget, "tick", tick)
+        runs = {}
+        for mode in ("kept", "cleared"):
+            if mode == "cleared":
+                monkeypatch.setattr(semantics_module, "_prepare",
+                                    cleared_prepare)
+            clear_cache()
+            out = runs[mode] = []
+            for (x, y), queries in corpus:
+                for system in (System.K, System.T):
+                    try:
+                        comp = compile_kb(x, y, system)
+                    except CapacityError:
+                        out.append(None)
+                        continue
+                    out.append(comp.theta)
+                    out += [answer_query(comp, q) for q in queries * 2]
+        assert runs["kept"] == runs["cleared"]
+        assert ticks["kept"] == ticks["cleared"] > 0
+        assert sum(v is not None for v in runs["kept"]) > 100
+        clear_cache()
 
 
 class TestAnswerQueryDirect:
@@ -977,6 +1111,17 @@ class TestCli:
         out = str(tmp_path / "comp.json")
         assert main(["compile", "--kb", str(kb), "--out", out,
                      "--max-terms", "5"]) == 3
+
+    @pytest.mark.parametrize("cap, layer", [
+        # the golden KB has 4 terms and 8 candidates
+        ("0", "outer DNF"), ("3", "candidate distribution")])
+    def test_resource_cap_names_its_layer(self, golden_kb, tmp_path, capsys,
+                                          cap, layer):
+        out = str(tmp_path / "comp.json")
+        assert main(["compile", "--kb", golden_kb, "--out", out,
+                     "--max-terms", cap]) == 3
+        assert capsys.readouterr().err == (
+            f"error: size cap {cap} exceeded in the {layer}\n")
 
 
 # formula text: well formed, or drawn token by token from the grammar;
