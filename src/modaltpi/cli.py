@@ -1,4 +1,4 @@
-"""Command line surface: tpi compile / query / pi / check / oracle.
+"""Command line surface: tpi compile / query / check / oracle.
 
 Exit codes: 0 success or true answer, 1 false answer or failed check,
 2 input error, 3 resource or size cap exceeded.
@@ -69,7 +69,6 @@ def _cmd_compile(args) -> int:
     print(f"  theory prime impl.  {len(comp.theta)}")
     print(f"  entailment checks   {comp.stats['entailment_calls']}")
     print(f"  elapsed ms          {comp.stats['elapsed_ms']:.1f}")
-    print(f"  horn theory         {'yes' if comp.horn_advisory else 'no'}")
     return EXIT_OK
 
 
@@ -86,16 +85,6 @@ def _cmd_query(args) -> int:
     if verdict.answer and verdict.method == "compiled":
         print(f"witness: {verdict.witness}")
     return EXIT_OK if verdict.answer else EXIT_FALSE
-
-
-def _cmd_pi(args) -> int:
-    kb = load_kb(args.kb)
-    system = System.from_name(args.system)
-    for clause in prime_implicates(land(kb.formulas), system,
-                                   max_clauses=args.max_terms,
-                                   node_budget=args.node_budget):
-        print(clause)
-    return EXIT_OK
 
 
 def _cmd_check(args) -> int:
@@ -148,7 +137,6 @@ _SHARED_FLAGS = {
     "--auto-theory": dict(action="store_true",
                           help="use the propositional CNF clauses of the KB"),
     "--system": dict(default="T", choices=["K", "T", "k", "t"]),
-    "--max-terms": dict(type=_nonnegative, default=DEFAULT_SIZE_CAP),
     "--node-budget": dict(type=_nonnegative, default=DEFAULT_NODE_BUDGET),
 }
 
@@ -168,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile a KB against a theory")
     _shared_flags(p, "--kb", "--theory", "--auto-theory", "--system")
     p.add_argument("--out", required=True)
-    _shared_flags(p, "--max-terms", "--node-budget")
+    p.add_argument("--max-terms", type=_nonnegative, default=DEFAULT_SIZE_CAP)
+    _shared_flags(p, "--node-budget")
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("query", help="answer a clausal query")
@@ -176,10 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     _shared_flags(p, "--node-budget")
     p.set_defaults(func=_cmd_query)
-
-    p = sub.add_parser("pi", help="print the prime implicates of a KB")
-    _shared_flags(p, "--kb", "--system", "--max-terms", "--node-budget")
-    p.set_defaults(func=_cmd_pi)
 
     p = sub.add_parser("check", help="run the invariant suite on one instance")
     _shared_flags(p, "--kb", "--theory", "--auto-theory", "--system",

@@ -32,8 +32,7 @@ from .semantics import (
 
 __all__ = [
     "CompilationResult", "term_candidates", "candidates",
-    "prime_implicates", "compile_kb",
-    "is_horn", "default_theory",
+    "prime_implicates", "compile_kb", "default_theory",
 ]
 
 
@@ -72,11 +71,6 @@ class CompilationResult:
         """The paper's candidate set of x & []y, rebuilt on each read
         under the default size cap (the compile only counts it)."""
         return candidates(land(self.x, self.box_y))
-
-    @property
-    def horn_advisory(self) -> bool:
-        """`is_horn(y)`, computed on each read."""
-        return is_horn(self.y)
 
     def omega(self) -> tuple:
         """The compiled clause set: theta together with the boxed theory,
@@ -147,16 +141,16 @@ def _minimize(clauses, y: Formula, system: System,
 
 
 def prime_implicates(x: Formula, system: System = System.T,
-                     max_clauses: int = DEFAULT_SIZE_CAP,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> tuple:
     """Entailment-minimal implicates of x: its theory prime implicates
     modulo the trivial theory, `compile_kb(x, true).theta`."""
-    return compile_kb(x, TRUE, system, max_clauses, node_budget).theta
+    return compile_kb(x, TRUE, system, node_budget=node_budget).theta
 
 
+# not called in the package; bench/layers.py wraps it by name
 def is_horn(y: Formula) -> bool:
     """At most one positive literal per clause of the propositional CNF;
-    False when that CNF passes the size cap (the check is advisory)."""
+    False when that CNF passes the size cap."""
     if modal_depth(y) != 0:
         raise ValueError("horn check expects a propositional formula")
     try:

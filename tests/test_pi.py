@@ -437,17 +437,12 @@ class TestIsHorn:
     def test_unit_positive(self):
         assert is_horn(var("p"))
 
-    def test_recorded_on_compilation(self):
-        comp = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.K)
-        assert comp.horn_advisory is False
-
     def test_cnf_past_size_cap_is_not_horn(self):
         # the theory's CNF has 2**14 clauses, past the 10,000 cap, while
-        # the compile itself is small; the advisory must not fail it
+        # the compile itself is small
         y = lor(land(var(f"a{i}"), var(f"b{i}")) for i in range(14))
         assert is_horn(y) is False
         comp = compile_kb(parse("a0 & b0 & <>c"), y, System.K)
-        assert comp.horn_advisory is False
         assert len(comp.theta) == 3
 
 

@@ -23,7 +23,7 @@ from modaltpi.errors import (
 from modaltpi.formula import (
     FALSE, TRUE, box, disjuncts, land, lnot, nnf, parse, var,
 )
-from modaltpi.pi import compile_kb, default_theory
+from modaltpi.pi import compile_kb, default_theory, prime_implicates
 from modaltpi.qa import (
     KnowledgeBaseFile, QueryVerdict, answer_query, answer_query_direct,
     load_compilation, load_kb, save_compilation,
@@ -836,13 +836,6 @@ class TestCli:
         captured = capsys.readouterr()
         assert "answering directly" in captured.err
 
-    def test_pi_lists_clauses(self, tmp_path, capsys):
-        kb = tmp_path / "kb.txt"
-        kb.write_text("p & q\n")
-        assert main(["pi", "--kb", str(kb), "--system", "K"]) == 0
-        out = capsys.readouterr().out.split()
-        assert out == ["p", "q"]
-
     def test_check_passes_on_golden(self, golden_kb, capsys):
         assert main(["check", "--kb", golden_kb, "--system", "T"]) == 0
         assert "FAIL" not in capsys.readouterr().out
@@ -877,8 +870,7 @@ class TestCli:
         for argv in (["check", "--kb", golden_kb],
                      ["check", "--kb", str(bare), "--auto-theory"],
                      ["compile", "--kb", str(bare), "--theory", str(theory),
-                      "--out", out],
-                     ["pi", "--kb", golden_kb]):
+                      "--out", out]):
             for system in ("K", "T"):
                 budgets.clear()
                 assert main(argv + ["--system", system,
@@ -960,25 +952,34 @@ class TestCli:
 
     def test_theory_precedence(self, tmp_path, capsys):
         # the --theory file, then the KB's [theory], then --auto-theory,
-        # then true
+        # then true, and with true theta is the KB's prime implicates
         kb = tmp_path / "kb.txt"
         kb.write_text("p1 | p2\np3\n<>p4\n[theory]\np3\n")
         bare = tmp_path / "bare.txt"
         bare.write_text("p1 | p2\np3\n<>p4\n")
+        plain = tmp_path / "plain.txt"
+        plain.write_text("p1 | p2\n<>[]~p3\n")
         theory = tmp_path / "theory.txt"
         theory.write_text("p1 | p2 | p3\n[theory]\np3\n")
         out = str(tmp_path / "comp.json")
-        for kb_path, flags, want in [
+        for kb_path, flags, want, system in [
             (kb, ["--theory", str(theory), "--auto-theory"],
-             "(p1 | p2 | p3) & p3"),
-            (kb, ["--auto-theory"], "p3"),
-            (bare, ["--auto-theory"], "(p1 | p2) & p3"),
-            (bare, [], "true"),
+             "(p1 | p2 | p3) & p3", "K"),
+            (kb, ["--auto-theory"], "p3", "K"),
+            (bare, ["--auto-theory"], "(p1 | p2) & p3", "K"),
+            (bare, [], "true", "K"),
+            (plain, [], "true", "K"),
+            (plain, [], "true", "T"),
         ]:
-            assert main(["compile", "--kb", str(kb_path), "--system", "K",
+            assert main(["compile", "--kb", str(kb_path), "--system", system,
                          "--out", out] + flags) == 0
             assert load_compilation(out).y == parse(want)
-            assert main(["check", "--kb", str(kb_path), "--system", "K"]
+            if want == "true":
+                x = land(load_kb(str(kb_path)).formulas)
+                pis = prime_implicates(x, System.from_name(system))
+                theta = json.loads(Path(out).read_text())["theta"]
+                assert theta == [c.key for c in pis]
+            assert main(["check", "--kb", str(kb_path), "--system", system]
                         + flags) == 0
         assert "FAIL" not in capsys.readouterr().out
 
@@ -1038,15 +1039,13 @@ class TestCli:
     def test_negative_node_budget_exit_2(self, golden_kb, tmp_path, capsys):
         out = str(tmp_path / "comp.json")
         for argv in (["compile", "--kb", golden_kb, "--out", out],
-                     ["pi", "--kb", golden_kb],
                      ["check", "--kb", golden_kb]):
             self._rejected(argv, "--node-budget", capsys)
 
     def test_negative_max_terms_exit_2(self, golden_kb, tmp_path, capsys):
         out = str(tmp_path / "comp.json")
-        for argv in (["compile", "--kb", golden_kb, "--out", out],
-                     ["pi", "--kb", golden_kb]):
-            self._rejected(argv, "--max-terms", capsys)
+        self._rejected(["compile", "--kb", golden_kb, "--out", out],
+                       "--max-terms", capsys)
 
     def test_negative_oracle_budget_exit_2(self, capsys):
         self._rejected(["oracle", "--formula", "p"], "--budget", capsys)
@@ -1189,14 +1188,14 @@ class TestCliFuzz:
         assert _exit_code(["query", "--compilation", str(path),
                            "--query", query]) in range(4)
 
-    @pytest.mark.parametrize("command", ["compile", "pi", "check"])
+    @pytest.mark.parametrize("command", ["compile", "check"])
     @settings(max_examples=60, deadline=None)
     @given(text=_KB_TEXT, system=st.sampled_from("KT"), auto=st.booleans())
     def test_drawn_kb_text(self, workdir, command, text, system, auto):
         kb = workdir / "drawn.kb"
         kb.write_text(text)
         argv = [command, "--kb", str(kb), "--system", system]
-        if command != "pi" and auto:
+        if auto:
             argv.append("--auto-theory")
         if command == "compile":
             argv += ["--out", str(workdir / "drawn.json")]
