@@ -150,8 +150,9 @@ def sort_formulas(fs) -> tuple:
 # class, name or child or children tuple) to the one node built for it;
 # `_nnf_of` maps each node not in negation normal form to its `nnf`;
 # `_parsed` maps each text `parse` has read without error to its result.
-# All three, and the sat cache and query tests of `semantics`, go
-# through `_memo` and its one limit, `_TABLE_LIMIT`.
+# All three, and the tables `semantics` keeps (sat cache, query tests,
+# query halves, candidate sets), go through `_memo` and its one limit,
+# `_TABLE_LIMIT`.
 _interned: dict = {}
 _nnf_of: dict = {}
 _parsed: dict = {}

@@ -5,6 +5,8 @@ into outer-level DNF, generate per-term candidate clauses, distribute one
 candidate per term into disjunctions, then minimize modulo the theory in
 one pass over the clauses in canonical order, keeping the first clause of
 each equivalence class unless another clause strictly entails it.
+The candidates depend on the formula and the size cap alone, so the K
+and T compiles of one knowledge base share one build of them.
 Each check `a & []y |= b` is made by `semantics.query_test(b, ...)`, the
 test compiled answers use, kept in the same table: in K and in T it goes
 literal by literal against the open branches of `[]y & ~b`, or clause by
@@ -20,12 +22,12 @@ from dataclasses import dataclass
 from .errors import CapacityError, PreconditionError
 from .formula import (
     And, Formula, Parts, TrueF, Var, TRUE,
-    box, dia, disjuncts, is_clause, land, lor,
+    _memo, box, dia, disjuncts, is_clause, land, lor,
     modal_depth, nnf, sort_formulas,
 )
 from .normal_forms import DEFAULT_SIZE_CAP, distribute, to_cnf, to_dnf
 from .semantics import (
-    DEFAULT_NODE_BUDGET, System, entails, query_test,
+    DEFAULT_NODE_BUDGET, System, _candidate_sets, entails, query_test,
     # not called here; bench/layers.py wraps them by name
     entails_mod, equivalent_mod,
 )
@@ -68,8 +70,9 @@ class CompilationResult:
 
     @property
     def candidates(self) -> tuple:
-        """The paper's candidate set of x & []y, rebuilt on each read
-        under the default size cap (the compile only counts it)."""
+        """The paper's candidate set of x & []y under the default size
+        cap, read from the set `candidates` keeps (the one a default-cap
+        compile built, until `clear_cache()`)."""
         return candidates(land(self.x, self.box_y))
 
     def omega(self) -> tuple:
@@ -100,8 +103,19 @@ def candidates(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
     """Candidate implicates of a formula: distribute per-term candidates.
 
     Returns (false,) when the formula has no satisfiable terms at the
-    propositional level, and (true,) when it is the constant true.
+    propositional level, and (true,) when it is the constant true.  The
+    set depends on nothing but f and the cap, so it is built once per
+    pair and kept in `semantics._candidate_sets` until `clear_cache()`:
+    the K and T compiles of one formula share it.  A build that passes
+    the cap raises `CapacityError` and keeps nothing.
     """
+    return _memo(_candidate_sets, (f.key, max_clauses),
+                 _distributed, f, max_clauses)
+
+
+def _distributed(f: Formula, max_clauses: int) -> tuple:
+    """Build the candidate set of f: every disjunction of one candidate
+    per term of its outer DNF."""
     terms = to_dnf(f, max_clauses).terms
     per_term = [term_candidates(t) for t in terms]
     return sort_formulas(set(distribute(per_term, lor, max_clauses,
@@ -174,8 +188,9 @@ def compile_kb(x: Formula, y: Formula, system: System = System.T,
     prime implicates of x, ready for queries together with []y.
 
     Requires y propositional and x |= y, proved by tableau unless x
-    states y's conjuncts itself; candidates are computed for x & []y and
-    minimized modulo []y.
+    states y's conjuncts itself; the candidates of x & []y, read from
+    `candidates`' table when an earlier compile in either system built
+    them, are minimized modulo []y.
     """
     if modal_depth(y) != 0:
         raise PreconditionError("theory must be propositional")

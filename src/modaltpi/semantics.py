@@ -160,16 +160,20 @@ _query_tests: dict = {}
 # query halves: NNF query key -> what `_half` makes, the part of a query
 # test that no theory, system or budget changes
 _query_halves: dict = {}
+# candidate sets: (formula key, size cap) -> the tuple `pi.candidates`
+# builds, the same in K and T; kept here so that `clear_cache` empties it
+_candidate_sets: dict = {}
 # kept open root branches past which a clause test decides whole clauses
 _BRANCH_CAP = 64
 
 
 def clear_cache():
-    """Empty the sat cache, the query tests, the query halves, the intern
-    table, the NNF memo and the parse memo."""
+    """Empty the sat cache, the query tests, the query halves, the
+    candidate sets, the intern table, the NNF memo and the parse memo."""
     _sat_cache.clear()
     _query_tests.clear()
     _query_halves.clear()
+    _candidate_sets.clear()
     clear_tables()
 
 

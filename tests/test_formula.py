@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modaltpi.formula as formula_module
+import modaltpi.semantics as semantics_module
 from modaltpi.errors import FormulaSyntaxError
 from modaltpi.formula import (
     MAX_EXPANSION, MAX_NESTING, And, Box, Dia, Not, Or, Parts, Var, TRUE,
@@ -11,6 +12,7 @@ from modaltpi.formula import (
     land, lnot, lor, modal_depth, nnf, parse, sort_formulas, var, variables,
     _negated,
 )
+from modaltpi.pi import candidates
 from modaltpi.semantics import (
     System, clear_cache, equivalent, evaluate, find_model, is_satisfiable,
 )
@@ -308,10 +310,12 @@ class TestParseMemo:
         assert text not in formula_module._parsed
 
     def test_clear_cache_empties_memo(self):
-        parse("<>p & []q")
+        candidates(parse("<>p & []q"))
         assert formula_module._parsed
+        assert semantics_module._candidate_sets
         clear_cache()
         assert not formula_module._parsed
+        assert not semantics_module._candidate_sets
 
 
 class TestNnf:

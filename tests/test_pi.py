@@ -121,6 +121,56 @@ class TestCandidates:
             "size cap 50 exceeded in the candidate distribution")
 
 
+class TestKeptCandidates:
+    """`candidates` builds each (formula, cap) once until `clear_cache()`."""
+
+    def golden(self):
+        return parse(X_GOLDEN), parse(Y_GOLDEN)
+
+    def test_k_and_t_compiles_share_one_set(self):
+        clear_cache()
+        x, y = self.golden()
+        k = compile_kb(x, y, System.K)
+        t = compile_kb(x, y, System.T)
+        kept = candidates(land(x, box(y)))
+        assert k.candidates is kept
+        assert t.candidates is kept
+        assert k.stats["nb_cl_candidates"] == len(kept) == 8
+
+    def test_plain_prime_implicates_build_no_new_set(self, monkeypatch):
+        clear_cache()
+        x, y = self.golden()
+        compile_kb(x, y, System.T)
+        before = dict(semantics_module._candidate_sets)
+
+        def unexpected(*args):
+            raise AssertionError("candidate set built again")
+
+        monkeypatch.setattr(pi_module, "to_dnf", unexpected)
+        prime_implicates(land(x, box(y)), System.T)
+        assert semantics_module._candidate_sets == before
+
+    def test_capped_build_keeps_nothing(self):
+        clear_cache()
+        x, y = self.golden()
+        f = land(x, box(y))
+        for _ in range(2):
+            with pytest.raises(CapacityError) as info:
+                candidates(f, max_clauses=4)
+            assert info.value.layer == "candidate distribution"
+            assert not semantics_module._candidate_sets
+
+    def test_cap_is_part_of_the_key(self):
+        clear_cache()
+        x, y = self.golden()
+        compile_kb(x, y, System.K)
+        with pytest.raises(CapacityError) as info:
+            candidates(land(x, box(y)), max_clauses=4)
+        assert info.value.layer == "candidate distribution"
+        with pytest.raises(CapacityError):
+            compile_kb(x, y, System.T, max_clauses=4)
+
+
 class TestResidue:
     def test_subsumption(self):
         got = _minimize([var("p"), parse("p | q")], TRUE, System.K)[0]

@@ -840,6 +840,24 @@ class TestCli:
         assert main(["check", "--kb", golden_kb, "--system", "T"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("system", ["K", "T"])
+    def test_check_builds_candidates_once(self, golden_kb, monkeypatch,
+                                          capsys, system):
+        # the compile, `.candidates` and the plain prime implicates of
+        # x & []y all read the candidate set of one formula
+        calls = []
+        real = pi_module.to_dnf
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pi_module, "to_dnf", counted)
+        clear_cache()
+        assert main(["check", "--kb", golden_kb, "--system", system]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_node_budget_reaches_every_tableau_call(self, golden_kb, tmp_path,
                                                     monkeypatch, capsys):
         # check's own tests included; every tableau step, whether of a
