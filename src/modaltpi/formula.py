@@ -9,11 +9,12 @@ formulas are structurally equal iff their canonical printed forms are
 equal, so formulas can be used in sets, dicts and sorted containers.
 
 The constructors return shared nodes: building a formula that already
-exists returns the node built for it, `nnf` pushes each negation down
-once, and `parse` reads each distinct text once.  `semantics.clear_cache()`
-empties all three tables, after which a formula is built or parsed anew;
-equality and hashing stay by printed form, so the twins built either
-side of a reset are equal, and no code relies on identity.
+exists returns the node built for it, looked up by its printed form,
+`nnf` pushes each negation down once, and `parse` reads each distinct
+text once.  `semantics.clear_cache()` empties all three tables, after
+which a formula is built or parsed anew; equality and hashing stay by
+printed form, so the twins built either side of a reset are equal, and
+no code relies on identity.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ class Formula:
     `in_nnf` tells whether the node is in negation normal form (negation
     only on variables).  Variables and constants are; every other node
     sets it from its children when it is built, so `nnf` returns a node
-    already in that form itself, in O(1).
+    already in that form itself, in O(1).  A node is built from its
+    printed form `key`, which the constructor that looked it up in the
+    intern table has already made, and its name, child or children.
     """
 
     __slots__ = ("key", "_hash")
@@ -69,9 +72,9 @@ class Formula:
 class Var(Formula):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def __init__(self, key: str, name: str):
         self.name = name
-        super().__init__(name)
+        super().__init__(key)
 
 
 class TrueF(Formula):
@@ -91,46 +94,46 @@ class FalseF(Formula):
 class Not(Formula):
     __slots__ = ("child", "in_nnf")
 
-    def __init__(self, child: Formula):
+    def __init__(self, key: str, child: Formula):
         self.child = child
         self.in_nnf = isinstance(child, Var)
-        super().__init__("~" + child.key)
+        super().__init__(key)
 
 
 class And(Formula):
     __slots__ = ("children", "in_nnf")
 
-    def __init__(self, children: tuple):
+    def __init__(self, key: str, children: tuple):
         self.children = children
         self.in_nnf = all([c.in_nnf for c in children])
-        super().__init__("(" + " & ".join([c.key for c in children]) + ")")
+        super().__init__(key)
 
 
 class Or(Formula):
     __slots__ = ("children", "in_nnf")
 
-    def __init__(self, children: tuple):
+    def __init__(self, key: str, children: tuple):
         self.children = children
         self.in_nnf = all([c.in_nnf for c in children])
-        super().__init__("(" + " | ".join([c.key for c in children]) + ")")
+        super().__init__(key)
 
 
 class Box(Formula):
     __slots__ = ("child", "in_nnf")
 
-    def __init__(self, child: Formula):
+    def __init__(self, key: str, child: Formula):
         self.child = child
         self.in_nnf = child.in_nnf
-        super().__init__("[]" + child.key)
+        super().__init__(key)
 
 
 class Dia(Formula):
     __slots__ = ("child", "in_nnf")
 
-    def __init__(self, child: Formula):
+    def __init__(self, key: str, child: Formula):
         self.child = child
         self.in_nnf = child.in_nnf
-        super().__init__("<>" + child.key)
+        super().__init__(key)
 
 
 TRUE = TrueF()
@@ -146,9 +149,17 @@ def sort_formulas(fs) -> tuple:
     return tuple(sorted(fs, key=canonical_key))
 
 
-# Hash-consing (Filliatre & Conchon, 2006).  `_interned` maps (node
-# class, name or child or children tuple) to the one node built for it;
-# `_nnf_of` maps each node not in negation normal form to its `nnf`;
+def _ordered(keys) -> list:
+    """Printed forms in canonical order, the order `canonical_key` gives
+    their formulas, sorted with no Python-level key function."""
+    return sorted(sorted(keys), key=len)
+
+
+# Hash-consing (Filliatre & Conchon, 2006).  `_interned` maps each node's
+# printed form, the node's own `key` string, to the one node built for
+# it, so a constructor looks a node up by the form it prints before it
+# builds it; `_nnf_of` maps each node not in negation normal form to its
+# `nnf`;
 # `_parsed` maps each text `parse` has read without error to its result.
 # All three, and the tables `semantics` keeps (sat cache, query tests,
 # query halves, candidate sets), go through `_memo` and its one limit,
@@ -182,32 +193,37 @@ def _memo(table, key, make, *args):
     return value
 
 
-def _shared(cls, arg):
-    """The node cls(arg), built only when no such node is interned."""
-    return _memo(_interned, (cls, arg), cls, arg)
+def _shared(cls, key, arg):
+    """The node cls(key, arg), printed `key`, built only when no node is
+    interned under that printed form; the constructors look `key` up
+    first, and call this only when it is missing."""
+    return _memo(_interned, key, cls, key, arg)
 
 
 def var(name: str) -> Var:
-    return _shared(Var, name)
+    return _interned.get(name) or _shared(Var, name, name)
 
 
 def _flat(items, cls, zero, unit):
-    """The children `cls(items)` would have: nested `cls` nodes flattened,
-    `unit`s dropped, deduplicated and in canonical order; None when one
+    """The children `cls(items)` would have, by printed form: nested `cls`
+    nodes flattened, `unit`s dropped and duplicates merged; None when one
     of them is a `zero`.  `zero` and `unit` are the constant classes."""
     seen = {}
     for f in items:
-        for c in (f.children if isinstance(f, cls) else (f,)):
-            if isinstance(c, zero):
+        # node classes have no subclasses
+        for c in (f.children if type(f) is cls else (f,)):
+            t = type(c)
+            if t is zero:
                 return None
-            if not isinstance(c, unit):
+            if t is not unit:
                 seen[c.key] = c
-    return sort_formulas(seen.values())
+    return seen
 
 
 def conjuncts(items):
-    """The children `land(items)` would have: flattened, deduplicated and
-    in canonical order; None when one of them is false."""
+    """The children `land(items)` would have, flattened and deduplicated,
+    as a dict from printed form to child; None when one of them is
+    false."""
     return _flat(items, And, FalseF, TrueF)
 
 
@@ -216,27 +232,31 @@ def disjuncts(c: Formula) -> tuple:
     return c.children if isinstance(c, Or) else (c,)
 
 
-def _join(items, cls, zero, unit):
+def _join(items, cls, zero, unit, sep):
     """The `cls` node of items (formulas, or one iterable of them): the
-    constant `zero` or `unit`, the one child left, or a shared node."""
+    constant `zero` or `unit`, the one child left, or a shared node,
+    whose children `sep` joins in its printed form."""
     if len(items) == 1 and not isinstance(items[0], Formula):
         items = items[0]
-    children = _flat(items, cls, type(zero), type(unit))
-    if children is None:
+    seen = _flat(items, cls, type(zero), type(unit))
+    if seen is None:
         return zero
-    if len(children) < 2:
-        return children[0] if children else unit
-    return _shared(cls, children)
+    if len(seen) < 2:
+        return seen.popitem()[1] if seen else unit
+    keys = _ordered(seen)
+    key = "(" + sep.join(keys) + ")"
+    return (_interned.get(key)
+            or _shared(cls, key, tuple(map(seen.__getitem__, keys))))
 
 
 def land(*items) -> Formula:
     """Conjunction; accepts formulas or a single iterable of formulas."""
-    return _join(items, And, FALSE, TRUE)
+    return _join(items, And, FALSE, TRUE, " & ")
 
 
 def lor(*items) -> Formula:
     """Disjunction; accepts formulas or a single iterable of formulas."""
-    return _join(items, Or, TRUE, FALSE)
+    return _join(items, Or, TRUE, FALSE, " | ")
 
 
 def lnot(f: Formula) -> Formula:
@@ -246,19 +266,22 @@ def lnot(f: Formula) -> Formula:
         return TRUE
     if isinstance(f, Not):
         return f.child
-    return _shared(Not, f)
+    key = "~" + f.key
+    return _interned.get(key) or _shared(Not, key, f)
 
 
 def box(f: Formula) -> Formula:
     if isinstance(f, TrueF):
         return TRUE
-    return _shared(Box, f)
+    key = "[]" + f.key
+    return _interned.get(key) or _shared(Box, key, f)
 
 
 def dia(f: Formula) -> Formula:
     if isinstance(f, FalseF):
         return FALSE
-    return _shared(Dia, f)
+    key = "<>" + f.key
+    return _interned.get(key) or _shared(Dia, key, f)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +462,8 @@ def _pushed(f: Formula) -> Formula:
 def _negated(g: Formula) -> Formula:
     """nnf(~g), pushed down without building the negated nodes."""
     if isinstance(g, Var):
-        return _shared(Not, g)
+        key = "~" + g.key
+        return _interned.get(key) or _shared(Not, key, g)
     if isinstance(g, TrueF):
         return FALSE
     if isinstance(g, FalseF):

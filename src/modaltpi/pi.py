@@ -2,11 +2,13 @@
 
 The pipeline: put the knowledge base (conjoined with the boxed theory)
 into outer-level DNF, generate per-term candidate clauses, distribute one
-candidate per term into disjunctions, then minimize modulo the theory in
-one pass over the clauses in canonical order, keeping the first clause of
-each equivalence class unless another clause strictly entails it.
-The candidates depend on the formula and the size cap alone, so the K
-and T compiles of one knowledge base share one build of them.
+candidate per term, by printed form, into picks, drop every pick that
+strictly contains another (its clause is entailed outright), then
+minimize the clauses of the rest modulo the theory in one pass in
+canonical order, keeping the first clause of each equivalence class
+unless another clause strictly entails it.  The candidates depend on the
+formula and the size cap alone, so the K and T compiles of one knowledge
+base share one build of them.
 Each check `a & []y |= b` is made by `semantics.query_test(b, ...)`, the
 test compiled answers use, kept in the same table: in K and in T it goes
 literal by literal against the open branches of `[]y & ~b`, or clause by
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, PreconditionError
 from .formula import (
-    And, Formula, Parts, TrueF, Var, TRUE,
+    And, Formula, Parts, TrueF, Var, FALSE, TRUE,
     _memo, box, dia, disjuncts, is_clause, land, lor,
     modal_depth, nnf, sort_formulas,
 )
@@ -71,8 +73,9 @@ class CompilationResult:
     @property
     def candidates(self) -> tuple:
         """The paper's candidate set of x & []y under the default size
-        cap, read from the set `candidates` keeps (the one a default-cap
-        compile built, until `clear_cache()`)."""
+        cap, which `candidates` builds from the per-term groups a
+        default-cap compile kept, on its first read, and keeps with them
+        until `clear_cache()`."""
         return candidates(land(self.x, self.box_y))
 
     def omega(self) -> tuple:
@@ -99,27 +102,81 @@ def term_candidates(t: Formula) -> tuple:
     return sort_formulas(set(out))
 
 
+# the printed forms of the pick that makes the clause false
+_FALSE_PICK = frozenset((FALSE.key,))
+
+
+def _picks(groups, max_clauses: int):
+    """Every distinct pick of one candidate per group, each the printed
+    forms of its clause's disjuncts; raises `CapacityError` when more
+    than `max_clauses` picks of candidates are distinct."""
+    keyed = [[c.key for c in g] for g in groups]
+    picks = distribute(keyed, frozenset, max_clauses,
+                       "candidate distribution")
+    if any(FALSE.key in k for k in keyed):
+        # a <>-body bundled with []false is false, which lor drops beside
+        # any other disjunct
+        picks = {p - _FALSE_PICK or p for p in picks}
+    return picks
+
+
+def _clauses(groups, picks) -> tuple:
+    """The clauses of picks, in canonical order."""
+    literals = {c.key: c for g in groups for c in g}
+    return sort_formulas(lor(map(literals.__getitem__, p)) for p in picks)
+
+
+class _CandidateSet:
+    """What `candidates` keeps for one formula and size cap, the same in
+    K and T: `groups`, the candidates of each term of the formula's
+    outer DNF; `count`, the number of distinct clauses that pick one
+    candidate per term, which is the size of the paper's candidate set;
+    `minimal`, the clauses of the picks that contain no other pick, in
+    canonical order; and `full`, the paper's whole set, None until
+    `candidates` builds it from the groups."""
+
+    __slots__ = ("groups", "count", "minimal", "full")
+
+    def __init__(self, f: Formula, max_clauses: int):
+        self.groups = tuple(term_candidates(t)
+                            for t in to_dnf(f, max_clauses).terms)
+        picks = _picks(self.groups, max_clauses)
+        self.count = len(picks)
+        # a clause whose disjuncts strictly contain another's is entailed
+        # by it outright; a pick that contains another contains a minimal
+        # one, which is shorter and so already kept
+        minimal = []
+        for p in sorted(picks, key=len):
+            if not any(q < p for q in minimal):
+                minimal.append(p)
+        self.minimal = _clauses(self.groups, minimal)
+        self.full = None
+
+
+def _kept(f: Formula, max_clauses: int) -> _CandidateSet:
+    """The `_CandidateSet` of f and the cap, built once per pair and kept
+    in `semantics._candidate_sets` until `clear_cache()`; a build that
+    passes the cap raises `CapacityError` and keeps nothing."""
+    return _memo(_candidate_sets, (f.key, max_clauses),
+                 _CandidateSet, f, max_clauses)
+
+
 def candidates(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
-    """Candidate implicates of a formula: distribute per-term candidates.
+    """Candidate implicates of a formula: every disjunction of one
+    candidate per term of its outer DNF, in canonical order.
 
     Returns (false,) when the formula has no satisfiable terms at the
     propositional level, and (true,) when it is the constant true.  The
-    set depends on nothing but f and the cap, so it is built once per
-    pair and kept in `semantics._candidate_sets` until `clear_cache()`:
-    the K and T compiles of one formula share it.  A build that passes
-    the cap raises `CapacityError` and keeps nothing.
+    set depends on nothing but f and the cap: it is built from the
+    per-term groups that `_kept` keeps for the pair, on the first read,
+    and kept with them until `clear_cache()`, so the K and T compiles of
+    one formula and every read share one build.  A formula whose terms
+    or picks pass the cap raises `CapacityError` and keeps nothing.
     """
-    return _memo(_candidate_sets, (f.key, max_clauses),
-                 _distributed, f, max_clauses)
-
-
-def _distributed(f: Formula, max_clauses: int) -> tuple:
-    """Build the candidate set of f: every disjunction of one candidate
-    per term of its outer DNF."""
-    terms = to_dnf(f, max_clauses).terms
-    per_term = [term_candidates(t) for t in terms]
-    return sort_formulas(set(distribute(per_term, lor, max_clauses,
-                                        "candidate distribution")))
+    kept = _kept(f, max_clauses)
+    if kept.full is None:
+        kept.full = _clauses(kept.groups, _picks(kept.groups, max_clauses))
+    return kept.full
 
 
 def _minimize(clauses, y: Formula, system: System,
@@ -133,7 +190,10 @@ def _minimize(clauses, y: Formula, system: System,
     it removes every survivor it entails, each now strictly entailed, and
     joins them.  Each ordered pair is checked at most once, with the
     conclusion's `semantics.query_test`, so a verdict kept by an earlier
-    compile or query with the same theory costs no tableau call."""
+    compile or query with the same theory costs no tableau call.
+    `compile_kb` passes only the clauses of subset-minimal picks
+    (`_CandidateSet.minimal`); the whole candidate set gives the same
+    theta, at more checks."""
     calls = 0
 
     def implies(a, b):
@@ -141,14 +201,8 @@ def _minimize(clauses, y: Formula, system: System,
         calls += 1
         return query_test(b, y, system, node_budget)(a)
 
-    cs = sort_formulas(set(clauses))
-    # cheap sweep first: a clause whose disjuncts strictly contain another
-    # clause's is entailed by it outright
-    dsets = {c.key: frozenset(d.key for d in disjuncts(c)) for c in cs}
     kept = []
-    for c in cs:
-        if any(dsets[o.key] < dsets[c.key] for o in cs):
-            continue
+    for c in sort_formulas(set(clauses)):
         if not any(implies(s, c) for s in kept):
             kept = [s for s in kept if not implies(c, s)] + [c]
     return tuple(kept), calls
@@ -188,9 +242,11 @@ def compile_kb(x: Formula, y: Formula, system: System = System.T,
     prime implicates of x, ready for queries together with []y.
 
     Requires y propositional and x |= y, proved by tableau unless x
-    states y's conjuncts itself; the candidates of x & []y, read from
-    `candidates`' table when an earlier compile in either system built
-    them, are minimized modulo []y.
+    states y's conjuncts itself.  The clauses of the subset-minimal
+    picks of candidates of x & []y, read from `_kept`'s table when an
+    earlier compile in either system built them, are minimized modulo
+    []y; `stats["nb_cl_candidates"]` is the size of the paper's whole
+    candidate set, which the compile never builds.
     """
     if modal_depth(y) != 0:
         raise PreconditionError("theory must be propositional")
@@ -198,13 +254,13 @@ def compile_kb(x: Formula, y: Formula, system: System = System.T,
     if land(x, y) != x and not entails(x, y, system, node_budget):
         raise PreconditionError("knowledge base does not entail the theory")
     started = time.perf_counter()
-    cands = candidates(land(x, box(y)), max_clauses)
-    theta, calls = _minimize(cands, y, system, node_budget)
+    kept = _kept(land(x, box(y)), max_clauses)
+    theta, calls = _minimize(kept.minimal, y, system, node_budget)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return CompilationResult(
         x=x, y=y, system=system, theta=theta,
         stats={
-            "nb_cl_candidates": len(cands),
+            "nb_cl_candidates": kept.count,
             "entailment_calls": calls,
             "elapsed_ms": elapsed_ms,
         },

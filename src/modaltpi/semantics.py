@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .errors import BudgetExceededError, NonClausalQueryError
 from .formula import (
     And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var,
-    _memo, box, clear_tables, conjuncts, disjuncts, is_clause, lnot, nnf,
-    sort_formulas,
+    _memo, _ordered, box, clear_tables, conjuncts, disjuncts, is_clause,
+    lnot, nnf,
 )
 
 __all__ = [
@@ -149,10 +148,9 @@ class _Witness:
         self.children = children
 
 
-# cache: (formula keys of a world, read by _KEY, system) -> _Witness | None,
-# kept by `formula._memo`
+# cache: (formula keys of a world in canonical order, system) ->
+# _Witness | None, kept by `formula._memo`
 _sat_cache: dict = {}
-_KEY = attrgetter("key")
 # query tests: (query key, theory key, system, node budget) -> the
 # predicate `_prepare` makes, kept by `formula._memo` for
 # `answer_query` and `pi._minimize`
@@ -160,8 +158,9 @@ _query_tests: dict = {}
 # query halves: NNF query key -> what `_half` makes, the part of a query
 # test that no theory, system or budget changes
 _query_halves: dict = {}
-# candidate sets: (formula key, size cap) -> the tuple `pi.candidates`
-# builds, the same in K and T; kept here so that `clear_cache` empties it
+# candidate sets: (formula key, size cap) -> the `pi._CandidateSet`
+# `pi.candidates` builds, the same in K and T; kept here so that
+# `clear_cache` empties it
 _candidate_sets: dict = {}
 # kept open root branches past which a clause test decides whole clauses
 _BRANCH_CAP = 64
@@ -193,15 +192,20 @@ def _branches(todo, system, budget, state=None):
     then does the branch split, on its first waiting tuple, one branch
     per open disjunct in canonical order, and only there are its sets
     copied.  Each branch yielded is its state (seen keys, positive atoms,
-    negated atoms, dia bodies, box bodies), sets that no other branch
-    shares.  Given `state`, a branch's state as iterables, the root
-    starts from a copy of it: so a kept branch resumes with `todo` and
-    stays as it is.
+    negated atoms, dia bodies, box bodies), three sets and two dicts
+    from printed form to body that no other branch shares.  Given
+    `state`, a branch's state as iterables, its bodies as formulas, the
+    root starts from a copy of it: so a kept branch resumes with `todo`
+    and stays as it is.
     """
     reflexive = system.reflexive
     tick = budget.tick
-    stack = [(todo, *map(set, state), []) if state else
-             (todo, set(), set(), set(), set(), set(), [])]
+    if state:
+        seen, pos, neg, dias, boxes = state
+        stack = [(todo, set(seen), set(pos), set(neg), _by_key(dias),
+                  _by_key(boxes), [])]
+    else:
+        stack = [(todo, set(), set(), set(), {}, {}, [])]
     while stack:
         todo, seen, pos, neg, dias, boxes, ors = stack.pop()
         closed = False
@@ -229,11 +233,13 @@ def _branches(todo, system, budget, state=None):
                 elif cls is Or:
                     ors.append(f.children)
                 elif cls is Box:
-                    boxes.add(f.child)
+                    f = f.child
+                    boxes[f.key] = f
                     if reflexive:
-                        todo.append(f.child)
+                        todo.append(f)
                 elif cls is Dia:
-                    dias.add(f.child)
+                    f = f.child
+                    dias[f.key] = f
                 elif cls is FalseF:
                     closed = True
                     break
@@ -272,26 +278,34 @@ def _branches(todo, system, budget, state=None):
         # the last disjunct, explored last, takes the branch's own sets
         stack.append(([first[-1]], seen, pos, neg, dias, boxes, rest))
         for c in reversed(first[:-1]):
-            stack.append(([c], set(seen), set(pos), set(neg), set(dias),
-                          set(boxes), list(rest)))
+            stack.append(([c], set(seen), set(pos), set(neg), dict(dias),
+                          dict(boxes), list(rest)))
+
+
+def _by_key(bodies) -> dict:
+    """Formulas by printed form."""
+    return {b.key: b for b in bodies}
 
 
 def _solve(world, system: System, budget: _Budget):
     """Witness for a world satisfying all its formulas, or None.
 
-    A world is a canonically ordered tuple of NNF formulas, a root's from
-    `conjuncts` and a successor's from `sort_formulas`; the tableau
-    expands it last to first and caches it under the tuple of its keys.
-    So verdicts, witnesses and the nodes a cold cache spends do not depend
-    on the hash seed.
+    A world is a dict from printed form to NNF formula, a root's from
+    `conjuncts` and a successor's from `_successors`; the tableau
+    expands it in canonical order, last to first, and caches it under
+    the tuple of its keys in that order.  So verdicts, witnesses and the
+    nodes a cold cache spends do not depend on the hash seed.
     """
-    return _memo(_sat_cache, (tuple(map(_KEY, world)), system),
-                 _expand, world, system, budget)
+    keys = tuple(_ordered(world))
+    return _memo(_sat_cache, (keys, system),
+                 _expand, keys, world, system, budget)
 
 
-def _expand(world, system: System, budget: _Budget):
-    """`_solve` of a world missing from the cache."""
-    for _, pos, _, dias, boxes in _branches(list(world), system, budget):
+def _expand(keys, world, system: System, budget: _Budget):
+    """`_solve` of a world missing from the cache, its keys in canonical
+    order."""
+    for _, pos, _, dias, boxes in _branches(
+            list(map(world.__getitem__, keys)), system, budget):
         children = _successors(dias, boxes, system, budget)
         if children is not None:
             return _Witness(frozenset(pos), children)
@@ -299,12 +313,13 @@ def _expand(world, system: System, budget: _Budget):
 
 
 def _successors(dias, boxes, system: System, budget: _Budget):
-    """The modal step of an open branch: the witnesses of one successor
-    world per dia body, holding that body and the box bodies, tried in
+    """The modal step of an open branch, given its dia and box bodies as
+    dicts from printed form to body: the witnesses of one successor world
+    per dia body, holding that body and the box bodies, tried in
     canonical order; None as soon as one world has none."""
     children = []
-    for d in sort_formulas(dias):
-        sub = _solve(sort_formulas({*boxes, d}), system, budget)
+    for key in _ordered(dias):
+        sub = _solve({**boxes, key: dias[key]}, system, budget)
         if sub is None:
             return None
         children.append(sub)
@@ -339,7 +354,7 @@ def tree_model(tree, system: System):
 def _solve_root(f, system: System, node_budget: int):
     """Witness for f, a formula or an iterable of formulas read
     conjunctively, or None when f is unsatisfiable.  The root world is
-    the NNF conjuncts in the order `land` gives them."""
+    the NNF conjuncts `land` would join, by printed form."""
     root = conjuncts(nnf(g) for g in ((f,) if isinstance(f, Formula) else f))
     if root is None:
         return None
@@ -415,8 +430,10 @@ def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
             # in T each clause of y can double the branches, so a wide
             # theory is tested a whole clause at a time instead
             return _WholeClauseTest(system, node_budget, (by, *negs)).clause
-        branches.append(
-            (tuple(seen), tuple(pos), tuple(neg), tuple(dias), tuple(boxes)))
+        # tuples, which hold a kept branch in less memory than sets and
+        # dicts; a literal check keys the bodies again
+        branches.append((tuple(seen), tuple(pos), tuple(neg),
+                         tuple(dias.values()), tuple(boxes.values())))
     if not branches:
         # kept apart from _ClauseTest, whose literal check needs a branch
         # (it reads `true` as closing none): about half the tests a stream
@@ -474,17 +491,19 @@ class _ClauseTest:
         if cls is not Dia and cls is not Box:
             raise ValueError(f"clause disjunct {l} is no literal")
         budget = _Budget(self.node_budget)
+        body = {l.child.key: l.child}
         if cls is Dia:  # one more successor world, with the []-bodies
-            return all(_successors((l.child,), boxes, system, budget) is None
-                       for _, _, _, _, boxes in branches)
+            return all(_successors(body, _by_key(boxes), system, budget)
+                       is None for _, _, _, _, boxes in branches)
         if system.reflexive:  # []psi asserts psi at the root too
             return not any(_successors(dias, boxes, system, budget) is not None
                            for b in branches
                            for _, _, _, dias, boxes in _branches(
                                [l], system, budget, b))
         # in K psi only joins the []-bodies: a resume's verdict, without
-        # copying each branch into fresh sets
-        return all(_successors(dias, {*boxes, l.child}, system, budget) is None
+        # copying each branch's seen keys and atoms into fresh sets
+        return all(_successors(_by_key(dias), {**_by_key(boxes), **body},
+                               system, budget) is None
                    for _, _, _, dias, boxes in branches)
 
 

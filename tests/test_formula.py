@@ -12,13 +12,15 @@ from modaltpi.formula import (
     land, lnot, lor, modal_depth, nnf, parse, sort_formulas, var, variables,
     _negated,
 )
-from modaltpi.pi import candidates
+from modaltpi.errors import CapacityError
+from modaltpi.pi import candidates, compile_kb
 from modaltpi.semantics import (
     System, clear_cache, equivalent, evaluate, find_model, is_satisfiable,
 )
 
 from conftest import (
     AT_NESTING_LIMIT, IFF_CHAIN, IFF_CHAINS, TOO_DEEP, rand_formula,
+    rand_instance,
 )
 
 # (text, message, line, column): lines are counted at "\n" only, every
@@ -268,6 +270,58 @@ class TestSharing:
         warm = [nnf(lnot(f)).key for f in fs]
         clear_cache()
         assert warm == cold == [nnf(lnot(f)).key for f in fs]
+
+
+class TestInternTable:
+    """`formula._interned` is keyed by each node's printed form, the
+    node's own `key` string, and `_join` orders children by their keys
+    alone."""
+
+    def test_every_key_is_its_nodes_own(self, rng):
+        clear_cache()
+        for _ in range(150):
+            f = parse(str(rand_formula(rng, depth=3, size=14)))
+            nnf(lnot(f))
+        for _ in range(20):
+            x, y = rand_instance(rng, names=("a", "b", "c", "d"),
+                                 max_clauses=6)
+            for system in System:
+                try:
+                    compile_kb(x, y, system).candidates
+                except CapacityError:
+                    pass
+        assert len(formula_module._interned) > 500
+        for k, node in formula_module._interned.items():
+            assert k is node.key
+
+    def test_join_order_is_sort_formulas_order(self, rng):
+        for _ in range(300):
+            fs = [rand_formula(rng, depth=2, size=6)
+                  for _ in range(rng.randrange(2, 9))]
+            for join, cls, unit in ((land, And, TRUE), (lor, Or, FALSE)):
+                flat = {c for f in fs
+                        for c in (f.children if isinstance(f, cls) else (f,))
+                        if c != unit}
+                g = join(fs)
+                if isinstance(g, cls):
+                    assert g.children == sort_formulas(flat)
+
+    def test_twins_intern_to_one_node_across_reset(self, rng):
+        before = [rand_formula(rng, depth=3, size=14) for _ in range(100)]
+        clear_cache()
+        after = [parse(str(f)) for f in before]
+        for f, g in zip(before, after):
+            assert g == f
+            # each builds a node (or a constant) rather than return a
+            # part of its argument, as lnot(~p) does
+            for make in (box, dia, lambda h: lnot(box(h)),
+                         lambda h: land(h, var("z")),
+                         lambda h: lor(var("z"), h)):
+                built = make(f)
+                assert built == make(g)
+                assert built is make(g)
+                if built not in (TRUE, FALSE):
+                    assert formula_module._interned[built.key] is built
 
 
 class TestParseMemo:

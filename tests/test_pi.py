@@ -9,7 +9,7 @@ from modaltpi.errors import (
     CapacityError, PreconditionError,
 )
 from modaltpi.formula import (
-    FALSE, TRUE, box, dia, land, lnot, lor, modal_depth,
+    FALSE, TRUE, box, dia, disjuncts, land, lnot, lor, modal_depth,
     parse, sort_formulas, var,
 )
 from modaltpi.oracle import clause_vocabulary, enumerate_implicates
@@ -169,6 +169,61 @@ class TestKeptCandidates:
         assert info.value.layer == "candidate distribution"
         with pytest.raises(CapacityError):
             compile_kb(x, y, System.T, max_clauses=4)
+
+
+def _swept(clauses) -> tuple:
+    """The reference subset sweep, as `_minimize` ran it on whole
+    candidate sets: in canonical order, drop each clause whose disjuncts
+    strictly contain another clause's."""
+    cs = sort_formulas(set(clauses))
+    dsets = {c.key: frozenset(d.key for d in disjuncts(c)) for c in cs}
+    return tuple(c for c in cs
+                 if not any(dsets[o.key] < dsets[c.key] for o in cs))
+
+
+class TestPickSweep:
+    """`compile_kb` sweeps the picks of one candidate per term and hands
+    `_minimize` the clauses of the subset-minimal ones; sweeping the
+    paper's whole candidate set clause by clause gives the same."""
+
+    def kbs(self):
+        rng = random.Random(29)
+        kbs = [(parse(X_GOLDEN), parse(Y_GOLDEN)),
+               # a <>-body bundled with []false makes a false candidate,
+               # which drops out of every clause with another disjunct
+               (parse("(p | <>q) & []false"), TRUE),
+               (parse("(p | <>q | r) & ([]false | s) & <>t"), TRUE)]
+        kbs += [rand_instance(rng, names=("a", "b", "c", "d"),
+                              max_clauses=6) for _ in range(40)]
+        return kbs
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_minimize_gets_the_clause_sweep(self, system, monkeypatch):
+        real = pi_module._minimize
+        received = []
+
+        def spy(clauses, *args):
+            received.append(tuple(clauses))
+            return real(clauses, *args)
+
+        monkeypatch.setattr(pi_module, "_minimize", spy)
+        compiled = 0
+        for x, y in self.kbs():
+            clear_cache()
+            received.clear()
+            try:
+                comp = compile_kb(x, y, system)
+            except CapacityError:
+                continue
+            compiled += 1
+            full = candidates(land(x, box(y)))
+            assert comp.stats["nb_cl_candidates"] == len(full)
+            swept = _swept(full)
+            assert received == [swept]
+            theta, calls = real(list(swept), y, system)
+            assert comp.theta == theta
+            assert comp.stats["entailment_calls"] == calls
+        assert compiled > 30
 
 
 class TestResidue:

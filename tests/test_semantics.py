@@ -310,9 +310,9 @@ class TestSharedTables:
         sizes = []
         real = formula_module._shared
 
-        def shared(cls, arg):
+        def shared(cls, key, arg):
             sizes.append(len(formula_module._interned))
-            return real(cls, arg)
+            return real(cls, key, arg)
 
         monkeypatch.setattr(formula_module, "_shared", shared)
         tests = []
