@@ -27,7 +27,7 @@ __all__ = [
     "Formula", "Var", "TrueF", "FalseF", "Not", "And", "Or", "Box", "Dia",
     "TRUE", "FALSE",
     "var", "land", "lor", "lnot", "box", "dia",
-    "parse", "nnf", "is_clause", "contradictory", "Parts",
+    "parse", "nnf", "is_clause", "contradictory",
     "variables", "modal_depth", "canonical_key", "sort_formulas",
     "conjuncts", "disjuncts", "MAX_NESTING", "MAX_EXPANSION",
 ]
@@ -434,7 +434,7 @@ def _read(text: str, source) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form, the literal and clause tests, clause/term parts
+# Negation normal form, the literal and clause tests
 # ---------------------------------------------------------------------------
 
 def nnf(f: Formula) -> Formula:
@@ -504,26 +504,6 @@ def contradictory(literals) -> bool:
     pos = {l.name for l in literals if isinstance(l, Var)}
     neg = {l.child.name for l in literals if isinstance(l, Not)}
     return bool(pos & neg) or FALSE in literals
-
-
-class Parts:
-    """A clause or a term, given as its literals, split into
-    propositional literals, <>-bodies and []-bodies."""
-
-    __slots__ = ("prop", "dia", "box")
-
-    def __init__(self, literals):
-        prop, dias, boxes = [], [], []
-        for lit in literals:
-            if isinstance(lit, Dia):
-                dias.append(lit.child)
-            elif isinstance(lit, Box):
-                boxes.append(lit.child)
-            else:
-                prop.append(lit)
-        self.prop = frozenset(prop)
-        self.dia = sort_formulas(dias)
-        self.box = sort_formulas(boxes)
 
 
 def variables(f: Formula) -> frozenset:

@@ -59,16 +59,21 @@ _DNF = (Or, And, FALSE, land, "outer DNF")
 
 
 def _outer(g: Formula, form, cap) -> set:
-    """The clauses (form `_CNF`) or terms (form `_DNF`) of an NNF formula."""
+    """The clauses (form `_CNF`) or terms (form `_DNF`) of an NNF formula.
+
+    An inner node none of whose children is an outer node has literals
+    for children, so it is its own one clause or term and nothing is
+    distributed; every other inner node distributes over the clauses or
+    terms of its children."""
     outer, inner, unit, combine, layer = form
     if g == unit:
         out = set()
     elif isinstance(g, outer):
         out = set().union(*[_outer(c, form, cap) for c in g.children])
-    elif isinstance(g, inner):
+    elif isinstance(g, inner) and any(type(c) is outer for c in g.children):
         out = set(distribute([_outer(c, form, cap) for c in g.children],
                              combine, cap, layer))
-    else:  # a literal, a modal literal or the other constant
+    else:  # a literal, the other constant or an inner node of literals
         out = {g}
     if len(out) > cap:
         raise CapacityError(cap, layer)
@@ -76,16 +81,18 @@ def _outer(g: Formula, form, cap) -> set:
 
 
 def to_cnf(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> Cnf:
-    """Clausal form of the outer boolean level, preserving equivalence."""
+    """Clausal form of the outer boolean level, preserving equivalence;
+    a disjunction of literals is its own one clause."""
     return Cnf(sort_formulas(_outer(nnf(f), _CNF, max_clauses)))
 
 
 def to_dnf(f: Formula, max_terms: int = DEFAULT_SIZE_CAP) -> Dnf:
     """Term form of the outer boolean level; contradictory terms dropped.
 
-    A term is dropped when its propositional literals contain false or a
-    complementary pair (a cheap syntactic test; deeper pruning is the
-    business of the minimization stage).
+    A conjunction of literals is its own one term, returned with no
+    distribution.  A term is dropped when its propositional literals
+    contain false or a complementary pair (a cheap syntactic test;
+    deeper pruning is the business of the minimization stage).
     """
     terms = _outer(nnf(f), _DNF, max_terms)
     return Dnf(sort_formulas(

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapacityError, PreconditionError
 from .formula import (
-    And, Formula, Parts, TrueF, Var, FALSE, TRUE,
-    _memo, box, dia, disjuncts, is_clause, land, lor,
+    And, Box, Dia, Formula, TrueF, Var, FALSE, TRUE,
+    _memo, _ordered, box, conjuncts, dia, disjuncts, is_clause, land, lor,
     modal_depth, nnf, sort_formulas,
 )
 from .normal_forms import DEFAULT_SIZE_CAP, distribute, to_cnf, to_dnf
@@ -45,7 +46,8 @@ class CompilationResult:
     """Everything the query answerer needs, plus bookkeeping counters.
     The theory y must be propositional and theta a non-empty tuple of
     clauses after NNF (`is_clause`), or construction raises
-    `ValueError`."""
+    `ValueError`.  Omega is built on the first `omega()` call, not
+    here."""
 
     x: Formula
     y: Formula
@@ -61,9 +63,6 @@ class CompilationResult:
         for c in self.theta:
             if not is_clause(nnf(c)):
                 raise ValueError(f"theta member {c} is not a clause")
-        extra = set() if isinstance(self.box_y, TrueF) else {self.box_y}
-        object.__setattr__(self, "_omega",
-                           sort_formulas(set(self.theta) | extra))
 
     @property
     def box_y(self) -> Formula:
@@ -80,8 +79,18 @@ class CompilationResult:
 
     def omega(self) -> tuple:
         """The compiled clause set: theta together with the boxed theory,
-        built once.  A trivial (true) theory contributes no clause."""
+        in canonical order, built on the first call and the same tuple
+        on every later one.  A trivial (true) theory contributes no
+        clause."""
         return self._omega
+
+    @cached_property
+    def _omega(self) -> tuple:
+        clauses = {c.key: c for c in self.theta}
+        box_y = self.box_y
+        if not isinstance(box_y, TrueF):
+            clauses[box_y.key] = box_y
+        return tuple(map(clauses.__getitem__, _ordered(clauses)))
 
 
 def term_candidates(t: Formula) -> tuple:
@@ -91,15 +100,25 @@ def term_candidates(t: Formula) -> tuple:
     Propositional literals pass through; each <>-body is bundled with the
     conjunction of all []-bodies under <>; the []-bodies are bundled under
     a single [].  The construction is syntactic, the same in K and T.
+    One pass splits the literals into dicts keyed by printed form, and
+    the candidates come out in canonical order, without duplicates.
     """
-    parts = Parts(t.children if isinstance(t, And) else (t,))
-    out = list(parts.prop)
-    boxed = land(parts.box)
-    for b in parts.dia:
-        out.append(dia(land(b, boxed)))
-    if parts.box:
-        out.append(box(boxed))
-    return sort_formulas(set(out))
+    out, dias, boxes = {}, {}, {}
+    for lit in (t.children if isinstance(t, And) else (t,)):
+        if isinstance(lit, Dia):
+            dias[lit.child.key] = lit.child
+        elif isinstance(lit, Box):
+            boxes[lit.child.key] = lit.child
+        else:
+            out[lit.key] = lit
+    boxed = land(boxes.values())
+    for b in dias.values():
+        c = dia(land(b, boxed))
+        out[c.key] = c
+    if boxes:
+        c = box(boxed)
+        out[c.key] = c
+    return tuple(map(out.__getitem__, _ordered(out)))
 
 
 # the printed forms of the pick that makes the clause false
@@ -185,24 +204,31 @@ def _minimize(clauses, y: Formula, system: System,
     one per equivalence class; returns (surviving clauses, number of
     clause-pair entailment checks).
 
-    One pass in canonical order: a clause that some survivor entails is
-    dropped (it is equivalent to an earlier clause, or weaker); otherwise
-    it removes every survivor it entails, each now strictly entailed, and
-    joins them.  Each ordered pair is checked at most once, with the
-    conclusion's `semantics.query_test`, so a verdict kept by an earlier
-    compile or query with the same theory costs no tableau call.
+    One pass in canonical order, by printed form: a clause that some
+    survivor entails is dropped (it is equivalent to an earlier clause,
+    or weaker); otherwise it removes every survivor it entails, each now
+    strictly entailed, and joins them.  Each ordered pair is checked at
+    most once, with the conclusion's `semantics.query_test`, fetched
+    once per call when the clause is first a conclusion, so a verdict
+    kept by an earlier compile or query with the same theory costs no
+    tableau call.
     `compile_kb` passes only the clauses of subset-minimal picks
     (`_CandidateSet.minimal`); the whole candidate set gives the same
     theta, at more checks."""
     calls = 0
+    tests = {}
 
     def implies(a, b):
         nonlocal calls
         calls += 1
-        return query_test(b, y, system, node_budget)(a)
+        test = tests.get(b.key)
+        if test is None:
+            test = tests[b.key] = query_test(b, y, system, node_budget)
+        return test(a)
 
+    by_key = {c.key: c for c in clauses}
     kept = []
-    for c in sort_formulas(set(clauses)):
+    for c in map(by_key.__getitem__, _ordered(by_key)):
         if not any(implies(s, c) for s in kept):
             kept = [s for s in kept if not implies(c, s)] + [c]
     return tuple(kept), calls
@@ -241,17 +267,21 @@ def compile_kb(x: Formula, y: Formula, system: System = System.T,
     """Compile x against the boxed propositional theory y: the theory
     prime implicates of x, ready for queries together with []y.
 
-    Requires y propositional and x |= y, proved by tableau unless x
-    states y's conjuncts itself.  The clauses of the subset-minimal
-    picks of candidates of x & []y, read from `_kept`'s table when an
-    earlier compile in either system built them, are minimized modulo
-    []y; `stats["nb_cl_candidates"]` is the size of the paper's whole
-    candidate set, which the compile never builds.
+    Requires y propositional and x |= y, proved by tableau unless x is
+    false or states each conjunct of y itself, which is read off the
+    printed forms of their conjuncts with no node built.  The clauses
+    of the subset-minimal picks of candidates of x & []y, read from
+    `_kept`'s table when an earlier compile in either system built them,
+    are minimized modulo []y; `stats["nb_cl_candidates"]` is the size of
+    the paper's whole candidate set, which the compile never builds.
     """
     if modal_depth(y) != 0:
         raise PreconditionError("theory must be propositional")
-    # x & y is x itself when x states each conjunct of y (or x is false)
-    if land(x, y) != x and not entails(x, y, system, node_budget):
+    # x states each conjunct of y, or x is false; a false y is proved
+    stated, wanted = conjuncts((x,)), conjuncts((y,))
+    shown = stated is None or (wanted is not None
+                               and wanted.keys() <= stated.keys())
+    if not shown and not entails(x, y, system, node_budget):
         raise PreconditionError("knowledge base does not entail the theory")
     started = time.perf_counter()
     kept = _kept(land(x, box(y)), max_clauses)

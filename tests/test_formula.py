@@ -7,7 +7,7 @@ import modaltpi.formula as formula_module
 import modaltpi.semantics as semantics_module
 from modaltpi.errors import FormulaSyntaxError
 from modaltpi.formula import (
-    MAX_EXPANSION, MAX_NESTING, And, Box, Dia, Not, Or, Parts, Var, TRUE,
+    MAX_EXPANSION, MAX_NESTING, And, Box, Dia, Not, Or, Var, TRUE,
     FALSE, box, dia, is_clause, is_literal,
     land, lnot, lor, modal_depth, nnf, parse, sort_formulas, var, variables,
     _negated,
@@ -474,45 +474,6 @@ class TestClassify:
     def test_rejects_non_clause(self):
         assert not is_clause(parse("p & q"))
         assert not is_clause(parse("p | (q & r)"))
-
-
-def _reassemble(parts, join):
-    return join(list(parts.prop) + [dia(b) for b in parts.dia]
-                + [box(b) for b in parts.box])
-
-
-class TestParts:
-    def test_clause_parts(self):
-        parts = Parts(parse("p1 | <>a | []b").children)
-        assert parts.prop == {var("p1")}
-        assert parts.dia == (var("a"),)
-        assert parts.box == (var("b"),)
-
-    def test_golden_term_parts(self):
-        t = parse("p1 & <>[]~p3 & []<>p2 & [](p1 | p2)")
-        parts = Parts(t.children)
-        assert parts.prop == {var("p1")}
-        assert parts.dia == (box(lnot(var("p3"))),)
-        assert set(parts.box) == {dia(var("p2")), lor(var("p1"), var("p2"))}
-
-    def test_single_literal(self):
-        parts = Parts((parse("~q"),))
-        assert parts.prop == {lnot(var("q"))}
-        assert parts.dia == () and parts.box == ()
-
-    def test_reassembly_random(self, rng):
-        seen = 0
-        while seen < 100:
-            f = nnf(rand_formula(rng, depth=2, size=8))
-            kind = _grammar_class(f)
-            if kind in ("literal", "clause"):
-                parts = Parts(f.children if isinstance(f, Or) else (f,))
-                assert _reassemble(parts, lor) == f
-                seen += 1
-            if kind in ("literal", "term"):
-                parts = Parts(f.children if isinstance(f, And) else (f,))
-                assert _reassemble(parts, land) == f
-                seen += 1
 
 
 class TestMeasures:

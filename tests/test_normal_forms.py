@@ -1,10 +1,14 @@
 import pytest
 
+import modaltpi.normal_forms as normal_forms_module
 from modaltpi.errors import CapacityError
 from modaltpi.formula import (
-    And, is_clause, is_literal, land, lnot, lor, nnf, parse,
+    And, Formula, box, contradictory, dia, is_clause, is_literal, land,
+    lnot, lor, nnf, parse, sort_formulas, var,
 )
-from modaltpi.normal_forms import Cnf, Dnf, to_cnf, to_dnf
+from modaltpi.normal_forms import (
+    _CNF, _DNF, Cnf, Dnf, distribute, to_cnf, to_dnf,
+)
 from modaltpi.semantics import System, entails, equivalent
 
 from conftest import rand_formula
@@ -113,3 +117,82 @@ class TestNbCl:
     def test_empty_cnf_is_zero(self):
         assert len(to_cnf(parse("true")).clauses) == 0
         assert len(Cnf(()).clauses) == 0
+
+
+def _reference_outer(g: Formula, form, cap) -> set:
+    """`_outer` as it was before inner nodes of literals were returned
+    whole: every inner node distributes over its children's clauses or
+    terms."""
+    outer, inner, unit, combine, layer = form
+    if g == unit:
+        out = set()
+    elif isinstance(g, outer):
+        out = set().union(*[_reference_outer(c, form, cap)
+                            for c in g.children])
+    elif isinstance(g, inner):
+        out = set(distribute([_reference_outer(c, form, cap)
+                              for c in g.children], combine, cap, layer))
+    else:
+        out = {g}
+    if len(out) > cap:
+        raise CapacityError(cap, layer)
+    return out
+
+
+def _reference_cnf(f, cap):
+    return sort_formulas(_reference_outer(nnf(f), _CNF, cap))
+
+
+def _reference_dnf(f, cap):
+    return sort_formulas(
+        t for t in _reference_outer(nnf(f), _DNF, cap)
+        if not contradictory(t.children if isinstance(t, And) else (t,)))
+
+
+def _outcome(build, f, cap):
+    """The tuple build(f, cap) returns, or the layer its CapacityError
+    names."""
+    try:
+        return build(f, cap)
+    except CapacityError as err:
+        return ("capacity", err.layer)
+
+
+class TestAgainstReference:
+    """The normal forms agree with the distribute-everything reference,
+    term for term and cap for cap."""
+
+    CAPS = (1, 2, 3, 5, 8, 10_000)
+
+    def test_random_formulas_at_every_cap(self, rng):
+        capped = single = 0
+        for _ in range(3000):
+            f = rand_formula(rng, depth=2, size=10)
+            for cap in self.CAPS:
+                want = _outcome(_reference_dnf, f, cap)
+                assert _outcome(lambda g, n: to_dnf(g, n).terms,
+                                f, cap) == want, (f, cap)
+                capped += want[:1] == ("capacity",)
+                want = _outcome(_reference_cnf, f, cap)
+                assert _outcome(lambda g, n: to_cnf(g, n).clauses,
+                                f, cap) == want, (f, cap)
+            single += len(to_dnf(f).terms) == 1
+        # both the capped and the one-term cases are exercised
+        assert capped > 100 and single > 100
+
+    def test_literal_children_are_not_distributed(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("distribute called")
+
+        monkeypatch.setattr(normal_forms_module, "distribute", unexpected)
+        literals = [var("p"), lnot(var("q")), box(parse("a | b")),
+                    dia(parse("c & d"))]
+        term, clause = land(literals), lor(literals)
+        assert to_dnf(term).terms == (term,)
+        assert to_cnf(clause).clauses == (clause,)
+        for cap in (1, 2):
+            assert to_dnf(term, cap).terms == (term,)
+            assert to_cnf(clause, cap).clauses == (clause,)
+        # a contradictory term of literals is still dropped
+        contradictory_term = land(var("p"), lnot(var("p")), box(var("q")))
+        assert to_dnf(contradictory_term).terms == ()

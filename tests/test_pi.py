@@ -6,23 +6,25 @@ from hypothesis import given, settings, strategies as st
 import modaltpi.pi as pi_module
 import modaltpi.semantics as semantics_module
 from modaltpi.errors import (
-    CapacityError, PreconditionError,
+    BudgetExceededError, CapacityError, PreconditionError,
 )
 from modaltpi.formula import (
-    FALSE, TRUE, box, dia, disjuncts, land, lnot, lor, modal_depth,
-    parse, sort_formulas, var,
+    And, Box, Dia, FALSE, TRUE, box, conjuncts, dia, disjuncts, land, lnot,
+    lor, modal_depth, parse, sort_formulas, var,
 )
+from modaltpi.normal_forms import to_dnf
 from modaltpi.oracle import clause_vocabulary, enumerate_implicates
 from modaltpi.pi import (
     _minimize, candidates, compile_kb, default_theory, is_horn,
     prime_implicates, term_candidates,
 )
+from modaltpi.qa import load_compilation, save_compilation
 from modaltpi.semantics import (
     System, clear_cache, entails, entails_mod, equivalent, equivalent_mod,
     is_satisfiable, query_test,
 )
 
-from conftest import rand_clause, rand_instance
+from conftest import rand_clause, rand_formula, rand_instance, rand_prop
 
 
 X_GOLDEN = "(p1 | p2) & <>[]~p3 & []<>p2"
@@ -77,6 +79,61 @@ class TestTermCandidates:
         for imp in enumerate_implicates(parse("<>a & []b"), TRUE, System.K,
                                         names=["a", "b"]):
             assert any(entails(c, imp, System.K) for c in got)
+
+
+class _ReferenceParts:
+    """A term, given as its literals, split into propositional literals,
+    <>-bodies and []-bodies: the parts type `term_candidates` split its
+    terms with before it split them by printed form."""
+
+    def __init__(self, literals):
+        prop, dias, boxes = [], [], []
+        for lit in literals:
+            if isinstance(lit, Dia):
+                dias.append(lit.child)
+            elif isinstance(lit, Box):
+                boxes.append(lit.child)
+            else:
+                prop.append(lit)
+        self.prop = frozenset(prop)
+        self.dia = sort_formulas(dias)
+        self.box = sort_formulas(boxes)
+
+
+def _reference_term_candidates(t) -> tuple:
+    """`term_candidates` as it was, through `_ReferenceParts`."""
+    parts = _ReferenceParts(t.children if isinstance(t, And) else (t,))
+    out = list(parts.prop)
+    boxed = land(parts.box)
+    for b in parts.dia:
+        out.append(dia(land(b, boxed)))
+    if parts.box:
+        out.append(box(boxed))
+    return sort_formulas(set(out))
+
+
+class TestTermCandidatesAgainstReference:
+    def check(self, t):
+        got = term_candidates(t)
+        assert [c.key for c in got] == [
+            c.key for c in _reference_term_candidates(t)], t
+
+    def test_golden_term(self):
+        self.check(parse("p1 & <>[]~p3 & []<>p2 & [](p1 | p2)"))
+
+    def test_special_terms(self):
+        for text in ("p", "true", "<>p & []false", "<>p & <>(p & q) & []q",
+                     "[]a & []b & ~c", "<>a & <>b & p & ~q"):
+            self.check(parse(text))
+
+    def test_every_dnf_term_of_random_formulas(self):
+        rng = random.Random(3003)
+        terms = 0
+        for _ in range(300):
+            for t in to_dnf(rand_formula(rng, depth=2, size=10)).terms:
+                self.check(t)
+                terms += 1
+        assert terms > 300
 
 
 class TestCandidates:
@@ -431,6 +488,36 @@ class TestCompileKb:
         comp = compile_kb(parse(X_GOLDEN), parse(Y_GOLDEN), System.T)
         assert comp.omega() is comp.omega()
 
+    @staticmethod
+    def expected_omega(comp):
+        extra = set() if comp.y == TRUE else {comp.box_y}
+        return sort_formulas(set(comp.theta) | extra)
+
+    def test_omega_built_on_first_call(self, tmp_path):
+        rng = random.Random(3005)
+        instances = [(parse(X_GOLDEN), parse(Y_GOLDEN)), (var("p"), TRUE)]
+        instances += [rand_instance(rng) for _ in range(20)]
+        checked = 0
+        for n, (x, y) in enumerate(instances):
+            try:
+                comp = compile_kb(x, y, System.K)
+            except CapacityError:
+                continue
+            path = str(tmp_path / f"comp{n}.json")
+            save_compilation(comp, path)
+            for c in (comp, load_compilation(path)):
+                assert "_omega" not in vars(c)
+                omega = c.omega()
+                assert vars(c)["_omega"] is omega
+                assert omega == self.expected_omega(c)
+                assert c.omega() is omega
+            checked += 1
+        assert checked > 15
+
+    def test_true_theory_adds_no_clause(self):
+        comp = compile_kb(parse("p & <>q"), TRUE, System.T)
+        assert comp.omega() == comp.theta == (var("p"), parse("<>q"))
+
     def test_trivial_theory(self):
         comp = compile_kb(var("p"), TRUE, System.T)
         assert set(comp.omega()) == {var("p")}
@@ -480,6 +567,53 @@ class TestCompileKb:
         with pytest.raises(PreconditionError):
             compile_kb(x, parse("p & r"), system)
         assert proofs[1:] == [(x, parse("p & r"))]
+
+    @staticmethod
+    def precondition_pairs():
+        """(x, y) pairs whose theory x states, whose theory it may not,
+        and with true or false on either side."""
+        rng = random.Random(3007)
+        pairs = []
+        for _ in range(60):
+            x, y = rand_instance(rng)
+            pairs.append((x, y))
+            pairs.append((x, rand_prop(rng, size=3)))
+            props = [c for c in conjuncts((x,)).values()
+                     if modal_depth(c) == 0]
+            if props:
+                pairs.append((x, rng.choice(props)))
+                pairs.append((x, land(rng.choice(props),
+                                      rand_prop(rng, size=2))))
+            pairs.append((land(x, y), y))
+        for _ in range(30):
+            pairs.append((rand_formula(rng, depth=1, size=6),
+                          rand_prop(rng, size=3)))
+        sides = [TRUE, FALSE, var("p"), parse("p & q"), parse("p | q"),
+                 parse("p & <>q"), parse("(p | q) & ~r")]
+        pairs += [(x, y) for x in sides for y in sides
+                  if modal_depth(y) == 0]
+        return pairs
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_precondition_shortcut_matches_land(self, proofs, system):
+        # the tableau runs exactly when x & y is not x itself, and the
+        # error is raised exactly when that tableau finds x |= y false
+        shortcut = proved = 0
+        for x, y in self.precondition_pairs():
+            stated = land(x, y) == x
+            proofs.clear()
+            try:
+                compile_kb(x, y, system)
+                raised = False
+            except PreconditionError:
+                raised = True
+            except (CapacityError, BudgetExceededError):
+                raised = False
+            assert proofs == ([] if stated else [(x, y)]), (x, y)
+            assert raised == (not stated and not entails(x, y, system))
+            shortcut += stated
+            proved += not stated
+        assert shortcut > 100 and proved > 100
 
     @pytest.mark.parametrize("system", [System.K, System.T])
     def test_false_kb_or_theory(self, system):
