@@ -11,10 +11,10 @@ equal, so formulas can be used in sets, dicts and sorted containers.
 The constructors return shared nodes: building a formula that already
 exists returns the node built for it, looked up by its printed form,
 `nnf` pushes each negation down once, and `parse` reads each distinct
-text once.  `semantics.clear_cache()` empties all three tables, after
-which a formula is built or parsed anew; equality and hashing stay by
-printed form, so the twins built either side of a reset are equal, and
-no code relies on identity.
+text once.  `clear_cache()` empties these three tables and every other
+one made by `_table`, after which a formula is built or parsed anew;
+equality and hashing stay by printed form, so the twins built either
+side of a reset are equal, and no code relies on identity.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
     "var", "land", "lor", "lnot", "box", "dia",
     "parse", "nnf", "is_clause", "contradictory",
     "variables", "modal_depth", "canonical_key", "sort_formulas",
-    "conjuncts", "disjuncts", "MAX_NESTING", "MAX_EXPANSION",
+    "conjuncts", "disjuncts", "MAX_NESTING", "MAX_EXPANSION", "clear_cache",
 ]
 
 
@@ -161,21 +161,33 @@ def _ordered(keys) -> list:
 # builds it; `_nnf_of` maps each node not in negation normal form to its
 # `nnf`;
 # `_parsed` maps each text `parse` has read without error to its result.
-# All three, and the tables `semantics` keeps (sat cache, query tests,
-# query halves, candidate sets), go through `_memo` and its one limit,
-# `_TABLE_LIMIT`.
-_interned: dict = {}
-_nnf_of: dict = {}
-_parsed: dict = {}
+# All three, and the tables `semantics` (sat cache, query tests, query
+# halves) and `pi` (candidate sets) keep, are made by `_table`, which
+# records them in `_TABLES` for `clear_cache`, and go through `_memo`
+# and its one limit, `_TABLE_LIMIT`.
+_TABLES: list = []
 _TABLE_LIMIT = 200_000
 _ABSENT = object()
 
 
-def clear_tables():
-    """Empty the intern table, the NNF memo and the parse memo."""
-    _interned.clear()
-    _nnf_of.clear()
-    _parsed.clear()
+def _table() -> dict:
+    """A new memo table, recorded in `_TABLES` so `clear_cache` empties
+    it."""
+    table = {}
+    _TABLES.append(table)
+    return table
+
+
+_interned = _table()
+_nnf_of = _table()
+_parsed = _table()
+
+
+def clear_cache():
+    """Empty every memo table: the intern table, the NNF and parse memos,
+    the sat cache, the query tests and halves, and the candidate sets."""
+    for table in _TABLES:
+        table.clear()
 
 
 def _memo(table, key, make, *args):

@@ -2,9 +2,9 @@
 
 Distribution happens only at the outermost boolean level; bodies under
 [] and <> are opaque literals here and are never rewritten.  `distribute`
-picks one member of each group in every way; the normal forms use it on
-the clauses or terms of subformulas, and `pi.candidates` on the
-candidates of the terms.
+picks one member of each group in every way.  It has two callers: the
+normal forms use it on the clauses or terms of subformulas, and
+`pi._picks` on the printed forms of the candidates of the terms.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ class Dnf:
     terms: tuple
 
 
-def distribute(groups, combine, cap, layer) -> list:
-    """Pick one member from each group in every way and combine each pick;
-    raises CapacityError, naming `layer`, when more than `cap` picks are
-    distinct."""
+def distribute(groups, cap, layer) -> set:
+    """Every distinct pick of one member from each group, each a
+    frozenset of members; raises CapacityError, naming `layer`, when more
+    than `cap` picks are distinct.  `_outer` joins each pick into a
+    clause or term, and `pi._picks` keeps the picks as they are."""
     acc = {frozenset()}
     for group in groups:
         nxt = set()
@@ -49,7 +50,7 @@ def distribute(groups, combine, cap, layer) -> list:
                 if len(nxt) > cap:
                     raise CapacityError(cap, layer)
         acc = nxt
-    return [combine(parts) for parts in acc]
+    return acc
 
 
 # (outer node, inner node, unit of the outer node, combine for the inner,
@@ -71,8 +72,8 @@ def _outer(g: Formula, form, cap) -> set:
     elif isinstance(g, outer):
         out = set().union(*[_outer(c, form, cap) for c in g.children])
     elif isinstance(g, inner) and any(type(c) is outer for c in g.children):
-        out = set(distribute([_outer(c, form, cap) for c in g.children],
-                             combine, cap, layer))
+        out = set(map(combine, distribute(
+            [_outer(c, form, cap) for c in g.children], cap, layer)))
     else:  # a literal, the other constant or an inner node of literals
         out = {g}
     if len(out) > cap:

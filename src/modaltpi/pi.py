@@ -6,9 +6,10 @@ candidate per term, by printed form, into picks, drop every pick that
 strictly contains another (its clause is entailed outright), then
 minimize the clauses of the rest modulo the theory in one pass in
 canonical order, keeping the first clause of each equivalence class
-unless another clause strictly entails it.  The candidates depend on the
-formula and the size cap alone, so the K and T compiles of one knowledge
-base share one build of them.
+unless another clause strictly entails it.  This front, up to the
+minimization, depends on the formula and the size cap alone: `_front`
+makes it once per pair, kept in `_candidate_sets`, and the K and T
+compiles of one knowledge base and every `candidates` read share it.
 Each check `a & []y |= b` is made by `semantics.query_test(b, ...)`, the
 test compiled answers use, kept in the same table: in K and in T it goes
 literal by literal against the open branches of `[]y & ~b`, or clause by
@@ -25,12 +26,12 @@ from functools import cached_property
 from .errors import CapacityError, PreconditionError
 from .formula import (
     And, Box, Dia, Formula, TrueF, Var, FALSE, TRUE,
-    _memo, _ordered, box, conjuncts, dia, disjuncts, is_clause, land, lor,
-    modal_depth, nnf, sort_formulas,
+    _memo, _ordered, _table, box, conjuncts, dia, disjuncts, is_clause,
+    land, lor, modal_depth, nnf, sort_formulas,
 )
 from .normal_forms import DEFAULT_SIZE_CAP, distribute, to_cnf, to_dnf
 from .semantics import (
-    DEFAULT_NODE_BUDGET, System, _candidate_sets, entails, query_test,
+    DEFAULT_NODE_BUDGET, System, entails, query_test,
     # not called here; bench/layers.py wraps them by name
     entails_mod, equivalent_mod,
 )
@@ -72,9 +73,8 @@ class CompilationResult:
     @property
     def candidates(self) -> tuple:
         """The paper's candidate set of x & []y under the default size
-        cap, which `candidates` builds from the per-term groups a
-        default-cap compile kept, on its first read, and keeps with them
-        until `clear_cache()`."""
+        cap, which `candidates` builds on each read from the per-term
+        groups that a default-cap compile kept."""
         return candidates(land(self.x, self.box_y))
 
     def omega(self) -> tuple:
@@ -125,13 +125,12 @@ def term_candidates(t: Formula) -> tuple:
 _FALSE_PICK = frozenset((FALSE.key,))
 
 
-def _picks(groups, max_clauses: int):
+def _picks(groups, max_clauses: int) -> set:
     """Every distinct pick of one candidate per group, each the printed
     forms of its clause's disjuncts; raises `CapacityError` when more
     than `max_clauses` picks of candidates are distinct."""
     keyed = [[c.key for c in g] for g in groups]
-    picks = distribute(keyed, frozenset, max_clauses,
-                       "candidate distribution")
+    picks = distribute(keyed, max_clauses, "candidate distribution")
     if any(FALSE.key in k for k in keyed):
         # a <>-body bundled with []false is false, which lor drops beside
         # any other disjunct
@@ -145,39 +144,27 @@ def _clauses(groups, picks) -> tuple:
     return sort_formulas(lor(map(literals.__getitem__, p)) for p in picks)
 
 
-class _CandidateSet:
-    """What `candidates` keeps for one formula and size cap, the same in
-    K and T: `groups`, the candidates of each term of the formula's
-    outer DNF; `count`, the number of distinct clauses that pick one
-    candidate per term, which is the size of the paper's candidate set;
-    `minimal`, the clauses of the picks that contain no other pick, in
-    canonical order; and `full`, the paper's whole set, None until
-    `candidates` builds it from the groups."""
-
-    __slots__ = ("groups", "count", "minimal", "full")
-
-    def __init__(self, f: Formula, max_clauses: int):
-        self.groups = tuple(term_candidates(t)
-                            for t in to_dnf(f, max_clauses).terms)
-        picks = _picks(self.groups, max_clauses)
-        self.count = len(picks)
-        # a clause whose disjuncts strictly contain another's is entailed
-        # by it outright; a pick that contains another contains a minimal
-        # one, which is shorter and so already kept
-        minimal = []
-        for p in sorted(picks, key=len):
-            if not any(q < p for q in minimal):
-                minimal.append(p)
-        self.minimal = _clauses(self.groups, minimal)
-        self.full = None
+# candidate fronts: (formula key, size cap) -> what `_front` makes, the
+# same in K and T
+_candidate_sets = _table()
 
 
-def _kept(f: Formula, max_clauses: int) -> _CandidateSet:
-    """The `_CandidateSet` of f and the cap, built once per pair and kept
-    in `semantics._candidate_sets` until `clear_cache()`; a build that
-    passes the cap raises `CapacityError` and keeps nothing."""
-    return _memo(_candidate_sets, (f.key, max_clauses),
-                 _CandidateSet, f, max_clauses)
+def _front(f: Formula, max_clauses: int) -> tuple:
+    """(groups, count, minimal) for f and the cap: the candidates of each
+    term of f's outer DNF; the number of distinct picks of one candidate
+    per term, which is the size of the paper's candidate set; and the
+    clauses of the picks that strictly contain no other pick, in
+    canonical order.  Kept per pair in `_candidate_sets` by `_memo`."""
+    groups = tuple(term_candidates(t) for t in to_dnf(f, max_clauses).terms)
+    picks = _picks(groups, max_clauses)
+    # a clause whose disjuncts strictly contain another's is entailed by
+    # it outright; a pick that contains another contains a minimal one,
+    # which is shorter and so already kept
+    minimal = []
+    for p in sorted(picks, key=len):
+        if not any(q < p for q in minimal):
+            minimal.append(p)
+    return groups, len(picks), _clauses(groups, minimal)
 
 
 def candidates(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
@@ -186,16 +173,14 @@ def candidates(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
 
     Returns (false,) when the formula has no satisfiable terms at the
     propositional level, and (true,) when it is the constant true.  The
-    set depends on nothing but f and the cap: it is built from the
-    per-term groups that `_kept` keeps for the pair, on the first read,
-    and kept with them until `clear_cache()`, so the K and T compiles of
-    one formula and every read share one build.  A formula whose terms
+    set depends on nothing but f and the cap, so it is built on each read
+    from the per-term groups of the pair's `_front`, which the K and T
+    compiles of one formula and every read share.  A formula whose terms
     or picks pass the cap raises `CapacityError` and keeps nothing.
     """
-    kept = _kept(f, max_clauses)
-    if kept.full is None:
-        kept.full = _clauses(kept.groups, _picks(kept.groups, max_clauses))
-    return kept.full
+    groups = _memo(_candidate_sets, (f.key, max_clauses),
+                   _front, f, max_clauses)[0]
+    return _clauses(groups, _picks(groups, max_clauses))
 
 
 def _minimize(clauses, y: Formula, system: System,
@@ -212,8 +197,8 @@ def _minimize(clauses, y: Formula, system: System,
     once per call when the clause is first a conclusion, so a verdict
     kept by an earlier compile or query with the same theory costs no
     tableau call.
-    `compile_kb` passes only the clauses of subset-minimal picks
-    (`_CandidateSet.minimal`); the whole candidate set gives the same
+    `compile_kb` passes only the clauses of subset-minimal picks, the
+    last member of `_front`; the whole candidate set gives the same
     theta, at more checks."""
     calls = 0
     tests = {}
@@ -271,9 +256,10 @@ def compile_kb(x: Formula, y: Formula, system: System = System.T,
     false or states each conjunct of y itself, which is read off the
     printed forms of their conjuncts with no node built.  The clauses
     of the subset-minimal picks of candidates of x & []y, read from
-    `_kept`'s table when an earlier compile in either system built them,
-    are minimized modulo []y; `stats["nb_cl_candidates"]` is the size of
-    the paper's whole candidate set, which the compile never builds.
+    `_candidate_sets` when an earlier compile in either system made the
+    `_front`, are minimized modulo []y; `stats["nb_cl_candidates"]` is
+    the size of the paper's whole candidate set, which the compile never
+    builds.
     """
     if modal_depth(y) != 0:
         raise PreconditionError("theory must be propositional")
@@ -284,13 +270,15 @@ def compile_kb(x: Formula, y: Formula, system: System = System.T,
     if not shown and not entails(x, y, system, node_budget):
         raise PreconditionError("knowledge base does not entail the theory")
     started = time.perf_counter()
-    kept = _kept(land(x, box(y)), max_clauses)
-    theta, calls = _minimize(kept.minimal, y, system, node_budget)
+    f = land(x, box(y))
+    _, count, minimal = _memo(_candidate_sets, (f.key, max_clauses),
+                              _front, f, max_clauses)
+    theta, calls = _minimize(minimal, y, system, node_budget)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return CompilationResult(
         x=x, y=y, system=system, theta=theta,
         stats={
-            "nb_cl_candidates": kept.count,
+            "nb_cl_candidates": count,
             "entailment_calls": calls,
             "elapsed_ms": elapsed_ms,
         },

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, NonClausalQueryError
 from .formula import (
     And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var,
-    _memo, _ordered, box, clear_tables, conjuncts, disjuncts, is_clause,
-    lnot, nnf,
+    _memo, _ordered, _table, box, conjuncts, disjuncts, is_clause, lnot,
+    nnf,
+    clear_cache,  # not called here; re-exported
 )
 
 __all__ = [
@@ -150,30 +151,16 @@ class _Witness:
 
 # cache: (formula keys of a world in canonical order, system) ->
 # _Witness | None, kept by `formula._memo`
-_sat_cache: dict = {}
+_sat_cache = _table()
 # query tests: (query key, theory key, system, node budget) -> the
 # predicate `_prepare` makes, kept by `formula._memo` for
 # `answer_query` and `pi._minimize`
-_query_tests: dict = {}
+_query_tests = _table()
 # query halves: NNF query key -> what `_half` makes, the part of a query
 # test that no theory, system or budget changes
-_query_halves: dict = {}
-# candidate sets: (formula key, size cap) -> the `pi._CandidateSet`
-# `pi.candidates` builds, the same in K and T; kept here so that
-# `clear_cache` empties it
-_candidate_sets: dict = {}
+_query_halves = _table()
 # kept open root branches past which a clause test decides whole clauses
 _BRANCH_CAP = 64
-
-
-def clear_cache():
-    """Empty the sat cache, the query tests, the query halves, the
-    candidate sets, the intern table, the NNF memo and the parse memo."""
-    _sat_cache.clear()
-    _query_tests.clear()
-    _query_halves.clear()
-    _candidate_sets.clear()
-    clear_tables()
 
 
 def _branches(todo, system, budget, state=None):

@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modaltpi
 import modaltpi.formula as formula_module
 import modaltpi.semantics as semantics_module
 from modaltpi.errors import FormulaSyntaxError
@@ -13,7 +14,8 @@ from modaltpi.formula import (
     _negated,
 )
 from modaltpi.errors import CapacityError
-from modaltpi.pi import candidates, compile_kb
+from modaltpi.pi import compile_kb
+from modaltpi.qa import answer_query, answer_query_direct
 from modaltpi.semantics import (
     System, clear_cache, equivalent, evaluate, find_model, is_satisfiable,
 )
@@ -364,12 +366,19 @@ class TestParseMemo:
         assert text not in formula_module._parsed
 
     def test_clear_cache_empties_memo(self):
-        candidates(parse("<>p & []q"))
-        assert formula_module._parsed
-        assert semantics_module._candidate_sets
         clear_cache()
-        assert not formula_module._parsed
-        assert not semantics_module._candidate_sets
+        x, y = parse("p & q & <>r"), parse("p | q")
+        nnf(parse("~(p & []q)"))
+        for system in (System.K, System.T):
+            comp = compile_kb(x, y, system)
+        answer_query(comp, parse("p | s"))
+        answer_query_direct(x, y, parse("q | s"), System.K)
+        assert len(formula_module._TABLES) == 7
+        assert all(formula_module._TABLES)
+        clear_cache()
+        assert not any(formula_module._TABLES)
+        assert (semantics_module.clear_cache is formula_module.clear_cache
+                is modaltpi.clear_cache)
 
 
 class TestNnf:

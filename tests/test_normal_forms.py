@@ -130,8 +130,8 @@ def _reference_outer(g: Formula, form, cap) -> set:
         out = set().union(*[_reference_outer(c, form, cap)
                             for c in g.children])
     elif isinstance(g, inner):
-        out = set(distribute([_reference_outer(c, form, cap)
-                              for c in g.children], combine, cap, layer))
+        out = {combine(p) for p in distribute(
+            [_reference_outer(c, form, cap) for c in g.children], cap, layer)}
     else:
         out = {g}
     if len(out) > cap:

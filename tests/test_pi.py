@@ -190,22 +190,22 @@ class TestKeptCandidates:
         k = compile_kb(x, y, System.K)
         t = compile_kb(x, y, System.T)
         kept = candidates(land(x, box(y)))
-        assert k.candidates is kept
-        assert t.candidates is kept
+        assert k.candidates == t.candidates == kept
+        assert len(pi_module._candidate_sets) == 1
         assert k.stats["nb_cl_candidates"] == len(kept) == 8
 
     def test_plain_prime_implicates_build_no_new_set(self, monkeypatch):
         clear_cache()
         x, y = self.golden()
         compile_kb(x, y, System.T)
-        before = dict(semantics_module._candidate_sets)
+        before = dict(pi_module._candidate_sets)
 
         def unexpected(*args):
             raise AssertionError("candidate set built again")
 
         monkeypatch.setattr(pi_module, "to_dnf", unexpected)
         prime_implicates(land(x, box(y)), System.T)
-        assert semantics_module._candidate_sets == before
+        assert pi_module._candidate_sets == before
 
     def test_capped_build_keeps_nothing(self):
         clear_cache()
@@ -215,7 +215,7 @@ class TestKeptCandidates:
             with pytest.raises(CapacityError) as info:
                 candidates(f, max_clauses=4)
             assert info.value.layer == "candidate distribution"
-            assert not semantics_module._candidate_sets
+            assert not pi_module._candidate_sets
 
     def test_cap_is_part_of_the_key(self):
         clear_cache()

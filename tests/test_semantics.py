@@ -85,6 +85,18 @@ class TestSatisfiability:
         with pytest.raises(BudgetExceededError):
             is_satisfiable(f, System.K, node_budget=2)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 8: budget outcomes depend on the sat cache, so a "
+        "verdict kept by an earlier call is read back at no node cost"))
+    def test_budget_outcome_is_free_of_history(self):
+        clear_cache()
+        f = parse("(a | b) & (b | c) & <>(a & c) & [](a | c)")
+        with pytest.raises(BudgetExceededError):
+            is_satisfiable(f, System.K, node_budget=8)
+        is_satisfiable(f, System.K)
+        with pytest.raises(BudgetExceededError):
+            is_satisfiable(f, System.K, node_budget=8)
+
 
 class TestPropagation:
     def test_units_close_the_branch_before_any_split(self):
@@ -457,12 +469,16 @@ for texts in cases["sets"]:
                      + [f and f[0].to_dict() for f in found]))
 for x, y in cases["kbs"]:
     x, y = parse(x), parse(y)
-    comp = compile_kb(x, y, System.T)
+    comps = [compile_kb(x, y, s) for s in (System.K, System.T)]
+    comp = comps[1]
     answers = [answer_query(comp, v)[1:3]
                for v in clause_vocabulary(("a", "b"))]
     print(json.dumps([[a, w and w.key] for a, w in answers] + [cold_budget(
         lambda b: query_test(parse("[]a | <>~b | c"), y, System.T,
-                             node_budget=b)(pi)) for pi in comp.omega()]))
+                             node_budget=b)(pi)) for pi in comp.omega()]
+                     + [[[c.key for c in r.theta], r.stats["nb_cl_candidates"],
+                         r.stats["entailment_calls"],
+                         [c.key for c in r.candidates]] for r in comps]))
 # a branch with two <>-bodies, one of them closed by the []-literal
 for q, pi in cases["tests"]:
     q, pi = parse(q), parse(pi)
@@ -477,7 +493,8 @@ class TestHashSeed:
 
     def test_budgets_and_models_equal_across_seeds(self):
         # and so do compiled T answers, built on branch states that
-        # iterate sets of formulas
+        # iterate sets of formulas, and the K and T compiles, whose
+        # candidate picks `distribute` returns as a set
         rng = random.Random(5)
         sets = [["<>((a | b) & (c | d)) & [](~a | ~c) & [](e | f)"]]
         for _ in range(12):
