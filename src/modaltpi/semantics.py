@@ -159,7 +159,8 @@ _query_tests = _table()
 # query halves: NNF query key -> what `_half` makes, the part of a query
 # test that no theory, system or budget changes
 _query_halves = _table()
-# kept open root branches past which a clause test decides whole clauses
+# kept open root branches past which a clause test decides each literal
+# by one tableau call
 _BRANCH_CAP = 64
 
 
@@ -183,7 +184,7 @@ def _branches(todo, system, budget, state=None):
     from printed form to body that no other branch shares.  Given
     `state`, a branch's state as iterables, its bodies as formulas, the
     root starts from a copy of it: so a kept branch resumes with `todo`
-    and stays as it is.
+    and stays as it is, as a clause test's check of a []-literal needs.
     """
     reflexive = system.reflexive
     tick = budget.tick
@@ -415,8 +416,9 @@ def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
             continue
         if len(branches) == _BRANCH_CAP:
             # in T each clause of y can double the branches, so a wide
-            # theory is tested a whole clause at a time instead
-            return _WholeClauseTest(system, node_budget, (by, *negs)).clause
+            # theory is tested one tableau call per literal instead
+            return _WholeClauseTest(system, node_budget, (by, *negs),
+                                    dict.fromkeys(keys, True)).clause
         # tuples, which hold a kept branch in less memory than sets and
         # dicts; a literal check keys the bodies again
         branches.append((tuple(seen), tuple(pos), tuple(neg),
@@ -439,9 +441,10 @@ def _valid(pi):
 
 class _ClauseTest:
     """A prepared `query_test`: `branches` are the open root branches of
-    []y & ~q, each the state `_branches` yields, held in tuples; `known`
-    keeps each verdict reached, under a clause's or a literal's key.  One
-    object with slots, so that a kept test holds few objects."""
+    []y & ~q, each the state `_branches` yields, held in tuples, which a
+    []-literal check resumes as `state`; `known` keeps each verdict
+    reached, under a clause's or a literal's key.  One object with
+    slots, so that a kept test holds few objects."""
 
     __slots__ = ("system", "node_budget", "branches", "known")
 
@@ -478,42 +481,28 @@ class _ClauseTest:
         if cls is not Dia and cls is not Box:
             raise ValueError(f"clause disjunct {l} is no literal")
         budget = _Budget(self.node_budget)
-        body = {l.child.key: l.child}
         if cls is Dia:  # one more successor world, with the []-bodies
+            body = {l.child.key: l.child}
             return all(_successors(body, _by_key(boxes), system, budget)
                        is None for _, _, _, _, boxes in branches)
-        if system.reflexive:  # []psi asserts psi at the root too
-            return not any(_successors(dias, boxes, system, budget) is not None
-                           for b in branches
-                           for _, _, _, dias, boxes in _branches(
-                               [l], system, budget, b))
-        # in K psi only joins the []-bodies: a resume's verdict, without
-        # copying each branch's seen keys and atoms into fresh sets
-        return all(_successors(_by_key(dias), {**_by_key(boxes), **body},
-                               system, budget) is None
-                   for _, _, _, dias, boxes in branches)
+        # []psi joins the []-bodies, and in T asserts psi at the root too
+        return not any(_successors(dias, boxes, system, budget) is not None
+                       for b in branches
+                       for _, _, _, dias, boxes in _branches(
+                           [l], system, budget, b))
 
 
-class _WholeClauseTest:
-    """A prepared `query_test` past `_BRANCH_CAP` open root branches: a
-    clause pi entails q iff pi & []y & ~q, the conjuncts `root` without
-    pi, is unsatisfiable, one tableau call per clause; `known` keeps each
-    clause's verdict under its key."""
+class _WholeClauseTest(_ClauseTest):
+    """A prepared `query_test` past `_BRANCH_CAP` open root branches:
+    `branches` holds the conjuncts of []y & ~q instead of kept branches,
+    and a disjunct entails q iff it is unsatisfiable with them."""
 
-    __slots__ = ("system", "node_budget", "root", "known")
+    __slots__ = ()
 
-    def __init__(self, system, node_budget, root):
-        self.system, self.node_budget = system, node_budget
-        self.root, self.known = root, {}
-
-    def clause(self, pi):
-        """pi & []y |= q."""
-        known = self.known
-        v = known.get(pi.key)
-        if v is None:
-            v = known[pi.key] = _solve_root(
-                (pi, *self.root), self.system, self.node_budget) is None
-        return v
+    def literal(self, l):
+        """l & []y |= q: one tableau call under a budget of its own."""
+        return _solve_root((l, *self.branches), self.system,
+                           self.node_budget) is None
 
 
 def query_test(q: Formula, y: Formula, system: System,
@@ -533,22 +522,21 @@ def query_test(q: Formula, y: Formula, system: System,
     in NNF and under one budget, and keeps its open root branches: those
     whose every <>-body has a successor world with the branch's
     []-bodies.  With none left q is valid modulo []y, and every clause
-    entails it.  Past `_BRANCH_CAP` kept branches, which only T reaches
-    (each clause of y can double them), it stops and tests each clause
-    whole instead: pi entails q iff pi & []y & ~q is unsatisfiable, one
-    tableau call under a budget of its own.  Otherwise a clause entails
-    q iff each of its literals does (Bienvenu, JAIR 36, 2009), and a
-    literal does iff it closes every kept branch, checked under a budget
-    of its own that all the worlds it tries share:
+    entails it.  A clause entails q iff each of its literals does
+    (Bienvenu, JAIR 36, 2009).  Past `_BRANCH_CAP` kept branches (in T
+    each clause of y can double them) the preparation stops, and each
+    literal l is decided by one tableau call under a budget of its own:
+    it entails q iff l & []y & ~q is unsatisfiable.  Otherwise a literal
+    entails q iff it closes every kept branch, checked under a budget of
+    its own that all the worlds it tries share:
     - p iff ~p is on every branch, and ~p iff p is, with no tableau step;
       false always, and true never;
     - <>phi iff on every branch phi has no successor world with the
       []-bodies;
-    - []psi in K iff on every branch some <>-body has no successor world
-      with the []-bodies and psi; in T, where []psi also asserts psi at
-      the root, iff each branch resumed with it closes;
-    - a disjunct that is no literal raises `ValueError` (the whole-clause
-      test splits nothing, so it decides any formula pi).
+    - []psi iff each branch resumed with it closes, in K and T alike:
+      psi joins the []-bodies, and in T is asserted at the root too;
+    - a disjunct that is no literal raises `ValueError` (past the cap
+      the tableau call decides any disjunct, so nothing raises).
     Each clause's and each literal's verdict is kept, so a clause already
     judged costs one lookup; a check that raises keeps neither.
     """

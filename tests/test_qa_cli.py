@@ -150,8 +150,13 @@ class TestAnswerQuery:
 class TestClauseTest:
     """Compiled answers equal one tableau entailment check per clause."""
 
+    # at a cap of 0 every test with an open root branch is a
+    # _WholeClauseTest, which decides each literal by one tableau call
+    @pytest.mark.parametrize("cap", [64, 0])
     @pytest.mark.parametrize("system", [System.K, System.T])
-    def test_matches_per_clause_entailment(self, system):
+    def test_matches_per_clause_entailment(self, system, cap, monkeypatch):
+        monkeypatch.setattr(semantics_module, "_BRANCH_CAP", cap)
+        clear_cache()
         rng = random.Random(5)
         names = ("a", "b")
         kbs = [rand_instance(rng, names=names) for _ in range(6)]
@@ -171,6 +176,11 @@ class TestClauseTest:
                     assert found.answer == any(holds), (x, y, q)
                     assert found.witness == (pool[holds.index(True)]
                                              if any(holds) else None)
+        whole = sum(type(getattr(test, "__self__", None))
+                    is semantics_module._WholeClauseTest
+                    for test in semantics_module._query_tests.values())
+        assert bool(whole) == (cap == 0)
+        clear_cache()
 
     def test_t_branches_match_per_clause_entailment(self):
         # the disjunctive theory leaves []y & ~q two open root branches in
@@ -206,7 +216,8 @@ class TestClauseTest:
 
     def test_wide_theory_past_the_branch_cap(self, monkeypatch):
         # in T each clause of y doubles the open root branches of
-        # []y & ~q: 4,096 here, so past the cap each clause is tested whole
+        # []y & ~q: 4,096 here, so past the cap each literal is decided by
+        # one tableau call
         y = land(parse(f"a{i} | b{i}") for i in range(12))
         x = land(box(y), parse("<>c & [](c -> d)"))
         comp = compile_kb(x, y, System.T)
@@ -225,7 +236,26 @@ class TestClauseTest:
             test = getattr(query_test(nnf(q), y, System.T), "__self__", None)
             whole += type(test) is semantics_module._WholeClauseTest
         assert whole >= 4
-        # the whole-clause tests spend the node budget a query is given
+        # verdicts are kept per literal, the query's own seeded: neither
+        # the query itself nor a clause of two decided literals calls
+        test = query_test(queries[0], y, System.T)
+        assert type(test.__self__) is semantics_module._WholeClauseTest
+        calls = []
+        real_solve = semantics_module._solve_root
+
+        def solve(*args):
+            calls.append(args)
+            return real_solve(*args)
+
+        monkeypatch.setattr(semantics_module, "_solve_root", solve)
+        assert test(queries[0]) is True
+        assert calls == []
+        assert test(parse("b1")) is False
+        assert len(calls) == 1
+        assert test(parse("e | b1")) is False
+        assert len(calls) == 1
+        # past the cap the literal checks spend the node budget a query is
+        # given
         budgets = []
         real = semantics_module._Budget
 
@@ -433,7 +463,8 @@ class TestQueryTests:
         (System.T, "p", "<>(a & b & c)", 3),
         (System.T, "p", "[](a & b & c)", 3),
         # the branch holds two <>-bodies: the preparation takes 6 nodes,
-        # each successor world of the check 5, and both share its budget
+        # the check 1 on [](a & b & c) itself and 5 on each successor
+        # world, and both worlds share its budget
         (System.K, "p | []~d | []~e", "[](a & b & c)", 6)])
     def test_exhausted_literal_keeps_nothing(self, system, query, literal,
                                              budget):
