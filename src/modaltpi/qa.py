@@ -78,8 +78,18 @@ def _read_sections(path: str):
     """(formulas, theory) of a KB file: the lines before and after its
     `[theory]` header."""
     # utf-8-sig drops the byte-order mark some editors write first
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        # the error holds the file's bytes after any byte-order mark
+        data, start = err.object, err.start
+        line_start = data.rfind(b"\n", 0, start) + 1
+        raise FormulaSyntaxError(
+            f"byte 0x{data[start]:02x} is no UTF-8 text ({err.reason})",
+            line=data.count(b"\n", 0, start) + 1,
+            column=len(data[line_start:start].decode("utf-8")) + 1,
+            source=path) from None
     formulas, theory = [], []
     section = formulas
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -136,6 +146,8 @@ def load_compilation(path: str) -> CompilationResult:
             payload = json.load(fh)
         except json.JSONDecodeError as err:
             raise SchemaError(f"{path}: not valid JSON ({err})") from None
+        except UnicodeDecodeError as err:
+            raise SchemaError(f"{path}: not UTF-8 text ({err})") from None
         except RecursionError:
             raise SchemaError(f"{path}: JSON nested too deeply") from None
     if not isinstance(payload, dict):

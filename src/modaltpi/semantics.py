@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, NonClausalQueryError
 from .formula import (
-    And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var,
+    And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var, FALSE, TRUE,
     _memo, _ordered, _table, box, conjuncts, disjuncts, is_clause, lnot,
     nnf,
     clear_cache,  # not called here; re-exported
@@ -403,8 +403,6 @@ def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
     query's half, kept in `_query_halves` for every theory, system and
     budget, joined with the open root branches of []y & ~q."""
     q = nnf(q)
-    if isinstance(q, TrueF):
-        return _valid
     negs, keys = _memo(_query_halves, q.key, _half, q)
     by = box(nnf(y))
     budget = _Budget(node_budget)
@@ -418,20 +416,18 @@ def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
             # in T each clause of y can double the branches, so a wide
             # theory is tested one tableau call per literal instead
             return _WholeClauseTest(system, node_budget, (by, *negs),
-                                    dict.fromkeys(keys, True)).clause
+                                    by, keys).clause
         # tuples, which hold a kept branch in less memory than sets and
         # dicts; a literal check keys the bodies again
         branches.append((tuple(seen), tuple(pos), tuple(neg),
                          tuple(dias.values()), tuple(boxes.values())))
     if not branches:
-        # kept apart from _ClauseTest, whose literal check needs a branch
-        # (it reads `true` as closing none): about half the tests a stream
-        # of distinct queries prepares are valid ones, and sending them
-        # through _ClauseTest made compiled answers 7-14% slower
+        # kept apart from _ClauseTest, whose seeded verdicts need q not
+        # valid: about half the tests a stream of distinct queries
+        # prepares are valid ones, and sending them through _ClauseTest
+        # made compiled answers 7-14% slower
         return _valid
-    # each disjunct of q entails q
-    return _ClauseTest(system, node_budget, tuple(branches),
-                       dict.fromkeys(keys, True)).clause
+    return _ClauseTest(system, node_budget, tuple(branches), by, keys).clause
 
 
 def _valid(pi):
@@ -442,18 +438,22 @@ def _valid(pi):
 class _ClauseTest:
     """A prepared `query_test`: `branches` are the open root branches of
     []y & ~q, each the state `_branches` yields, held in tuples, which a
-    []-literal check resumes as `state`; `known` keeps each verdict
-    reached, under a clause's or a literal's key.  One object with
-    slots, so that a kept test holds few objects."""
+    check resumes as `state`; `known` keeps each verdict reached, under
+    a clause's or a disjunct's key, and starts from those the
+    preparation proved, for `by`, []y, and `keys`, q's disjuncts.  One
+    object with slots, so that a kept test holds few objects."""
 
     __slots__ = ("system", "node_budget", "branches", "known")
 
-    def __init__(self, system, node_budget, branches, known):
-        self.system, self.node_budget = system, node_budget
-        self.branches, self.known = branches, known
+    def __init__(self, system, node_budget, branches, by, keys):
+        self.system, self.node_budget, self.branches = (
+            system, node_budget, branches)
+        # q is not valid modulo []y, so neither true nor []y entails it
+        self.known = {FALSE.key: True, TRUE.key: False, by.key: False,
+                      **dict.fromkeys(keys, True)}
 
     def clause(self, pi):
-        """pi & []y |= q, for a clause pi: each of its literals entails q."""
+        """pi & []y |= q, for any pi: each of its disjuncts entails q."""
         known = self.known
         v = known.get(pi.key)
         if v is None:
@@ -469,23 +469,20 @@ class _ClauseTest:
         return v
 
     def literal(self, l):
-        """l & []y |= q: the literal l closes every kept branch."""
+        """l & []y |= q: the disjunct l closes every kept branch."""
         branches, system = self.branches, self.system
         cls = type(l)
         if cls is Var:
             return all(l.name in neg for _, _, neg, _, _ in branches)
         if cls is Not:
             return all(l.child.name in pos for _, pos, _, _, _ in branches)
-        if cls is FalseF or cls is TrueF:
-            return cls is FalseF
-        if cls is not Dia and cls is not Box:
-            raise ValueError(f"clause disjunct {l} is no literal")
         budget = _Budget(self.node_budget)
         if cls is Dia:  # one more successor world, with the []-bodies
             body = {l.child.key: l.child}
-            return all(_successors(body, _by_key(boxes), system, budget)
+            return all(_solve({**_by_key(boxes), **body}, system, budget)
                        is None for _, _, _, _, boxes in branches)
-        # []psi joins the []-bodies, and in T asserts psi at the root too
+        # any other disjunct joins each branch, where []psi joins the
+        # []-bodies, and in T asserts psi at the root too
         return not any(_successors(dias, boxes, system, budget) is not None
                        for b in branches
                        for _, _, _, dias, boxes in _branches(
@@ -522,23 +519,24 @@ def query_test(q: Formula, y: Formula, system: System,
     in NNF and under one budget, and keeps its open root branches: those
     whose every <>-body has a successor world with the branch's
     []-bodies.  With none left q is valid modulo []y, and every clause
-    entails it.  A clause entails q iff each of its literals does
-    (Bienvenu, JAIR 36, 2009).  Past `_BRANCH_CAP` kept branches (in T
-    each clause of y can double them) the preparation stops, and each
-    literal l is decided by one tableau call under a budget of its own:
-    it entails q iff l & []y & ~q is unsatisfiable.  Otherwise a literal
-    entails q iff it closes every kept branch, checked under a budget of
-    its own that all the worlds it tries share:
+    entails it.  Otherwise the test starts from the verdicts this
+    proved: false and each disjunct of q entail q, true and []y do not.
+    A clause entails q iff each of its disjuncts does (Bienvenu, JAIR
+    36, 2009).  Past `_BRANCH_CAP` kept branches (in T each clause of y
+    can double them) the preparation stops, and each disjunct l is
+    decided by one tableau call under a budget of its own: it entails q
+    iff l & []y & ~q is unsatisfiable.  Otherwise a disjunct entails q
+    iff it closes every kept branch, checked under a budget of its own
+    that all the worlds it tries share:
     - p iff ~p is on every branch, and ~p iff p is, with no tableau step;
-      false always, and true never;
     - <>phi iff on every branch phi has no successor world with the
       []-bodies;
-    - []psi iff each branch resumed with it closes, in K and T alike:
-      psi joins the []-bodies, and in T is asserted at the root too;
-    - a disjunct that is no literal raises `ValueError` (past the cap
-      the tableau call decides any disjunct, so nothing raises).
-    Each clause's and each literal's verdict is kept, so a clause already
-    judged costs one lookup; a check that raises keeps neither.
+    - any other disjunct iff each branch resumed with it closes, so a
+      premise that is no clause is decided on both sides of the cap;
+      []psi so in K and T alike: psi joins the []-bodies, and in T is
+      asserted at the root too.
+    Each clause's and each disjunct's verdict is kept, so a clause
+    already judged costs one lookup; a check that raises keeps neither.
     """
     return _memo(_query_tests, (q.key, y.key, system, node_budget),
                  _prepare, q, y, system, node_budget)

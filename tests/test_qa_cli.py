@@ -21,7 +21,7 @@ from modaltpi.errors import (
     NonClausalQueryError, SchemaError,
 )
 from modaltpi.formula import (
-    FALSE, TRUE, box, disjuncts, land, lnot, nnf, parse, var,
+    FALSE, TRUE, box, disjuncts, is_clause, land, lnot, nnf, parse, var,
 )
 from modaltpi.pi import compile_kb, default_theory, prime_implicates
 from modaltpi.qa import (
@@ -35,7 +35,7 @@ from modaltpi.semantics import (
 
 from conftest import (
     AT_NESTING_LIMIT, IFF_CHAIN, IFF_CHAINS, TOO_DEEP, rand_clause,
-    rand_instance,
+    rand_formula, rand_instance, rand_prop,
 )
 
 
@@ -398,18 +398,46 @@ class TestQueryTests:
         assert calls == {}
         clear_cache()
 
+    @pytest.mark.parametrize("cap", [64, 0])
     @pytest.mark.parametrize("system", [System.K, System.T])
-    def test_non_clause_tested_raises(self, system):
-        # the test goes literal by literal in both systems, so a disjunct
-        # that is no literal has no verdict
+    def test_any_premise_decided_at_both_caps(self, system, cap,
+                                              monkeypatch):
+        # a disjunct that is no literal is resumed like any other, or
+        # past the cap decided by its tableau call: the same verdict as
+        # entails_mod on both sides of the cap, kept for a second ask
+        monkeypatch.setattr(semantics_module, "_BRANCH_CAP", cap)
         clear_cache()
-        test = query_test(var("a"), TRUE, system)
-        for text in ("a & b", "a | (b & c)"):
-            for _ in range(2):  # no verdict was kept
-                with pytest.raises(ValueError, match="is no literal"):
-                    test(parse(text))
-        assert test(parse("a | c")) is False
-        assert test(parse("a")) is True
+        assert query_test(parse("a"), TRUE, system)(parse("a & b")) is True
+        assert query_test(parse("a"), TRUE, system)(
+            parse("a | (b & c)")) is False
+        rng = random.Random(17)
+        asked = []
+        while len(asked) < 150:
+            premise = rand_formula(rng)
+            if is_clause(nnf(premise)):
+                continue
+            y, q = rand_prop(rng), rand_clause(rng)
+            test = query_test(q, y, system)
+            verdict = test(premise)
+            assert verdict == entails_mod(premise, box(y), q, system), (
+                premise, y, q)
+            asked.append((test, premise, verdict))
+        assert 0 < sum(v for _, _, v in asked) < len(asked)
+        kept = [getattr(t, "__self__", None) for t, _, _ in asked]
+        assert any(type(t) is (semantics_module._WholeClauseTest if cap == 0
+                               else semantics_module._ClauseTest)
+                   for t in kept)
+        calls = []
+        for name in ("_branches", "_solve", "_solve_root"):
+            real = getattr(semantics_module, name)
+
+            def spy(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(semantics_module, name, spy)
+        assert [t(p) for t, p, _ in asked] == [v for _, _, v in asked]
+        assert calls == []
         clear_cache()
 
     def test_budgets_never_share(self, golden_k):
@@ -456,6 +484,37 @@ class TestQueryTests:
             assert verdict == entails_mod(parse(text), box(y),
                                           parse("a | <>b | []~c"), system)
         assert verdicts["~c"] is (system is System.T)
+        # the test starts from the verdicts its preparation proved: a
+        # cold false answer resumes no branch with omega's own []y ...
+        comp = compile_kb(parse("(a | c) & <>b"), y, system)
+        assert box(y) in comp.omega()
+        todos = []
+        real_branches = semantics_module._branches
+
+        def branches(todo, *args):
+            todos.append(list(todo))
+            return real_branches(todo, *args)
+
+        monkeypatch.setattr(semantics_module, "_branches", branches)
+        clear_cache()
+        assert answer_query(comp, parse("<>~b | []a")).answer is False
+        assert todos and [box(y)] not in todos
+        # ... and past the cap true, false and []y cost no tableau call
+        monkeypatch.setattr(semantics_module, "_BRANCH_CAP", 0)
+        clear_cache()
+        test = query_test(parse("a | <>b | []~c"), y, system)
+        assert type(test.__self__) is semantics_module._WholeClauseTest
+        calls = []
+        real_solve = semantics_module._solve_root
+
+        def solve(*args):
+            calls.append(args)
+            return real_solve(*args)
+
+        monkeypatch.setattr(semantics_module, "_solve_root", solve)
+        assert [test(f) for f in (TRUE, FALSE, box(y))] == [
+            False, True, False]
+        assert calls == []
         clear_cache()
 
     @pytest.mark.parametrize("system, query, literal, budget", [
@@ -1041,6 +1100,22 @@ class TestCli:
         comp = load_compilation(out)
         assert comp.x == parse("(p1 | p2) & <>[]~p3")
         assert comp.y == parse("p1 | p2")
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--kb", "{bad}", "--out", "{out}"],
+        ["compile", "--kb", "{kb}", "--theory", "{bad}", "--out", "{out}"],
+        ["query", "--compilation", "{bad}", "--query", "p1"]])
+    def test_non_utf8_input_names_its_file(self, argv, golden_kb, tmp_path,
+                                           capsys):
+        bad = tmp_path / "bin.txt"
+        bad.write_bytes(b"p1\n\xc3\xa9 \xff\n")
+        names = dict(bad=str(bad), kb=golden_kb, out=str(tmp_path / "c.json"))
+        assert main([a.format(**names) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}")
+        if argv[0] == "compile":  # a KB file's position is in characters
+            assert err == (f"error: {bad}, line 2, column 3: byte 0xff is "
+                           "no UTF-8 text (invalid start byte)\n")
 
     def test_theory_file_with_only_a_theory_section(self, tmp_path, capsys):
         kb = tmp_path / "kb.txt"
