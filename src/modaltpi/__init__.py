@@ -11,7 +11,7 @@ from .errors import (
     NonClausalQueryError, PreconditionError, SchemaError,
 )
 from .formula import (
-    Formula, TRUE, FALSE, parse, nnf, var, land, lor, lnot, box, dia,
+    Formula, TRUE, FALSE, parse, var, land, lor, lnot, box, dia,
 )
 from .semantics import (
     System, KripkeModel, evaluate, is_satisfiable, find_model,

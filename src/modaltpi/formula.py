@@ -1,16 +1,18 @@
-"""Modal formula trees with a canonical form.
+"""Modal formula trees with a canonical form, in negation normal form.
 
 Every formula is built through the smart constructors (`land`, `lor`,
 `lnot`, `box`, `dia`, `var`), which flatten nested conjunctions and
 disjunctions, drop duplicates, apply the constant rules
 (x & true = x, x | false = x, <>false = false, []true = true) and sort
-children by printed form (shortest first, then lexicographic).  Two
-formulas are structurally equal iff their canonical printed forms are
-equal, so formulas can be used in sets, dicts and sorted containers.
+children by printed form (shortest first, then lexicographic).  `lnot`
+pushes a negation down to the atoms, so every formula is in negation
+normal form: `Not` only ever wraps a `Var`.  Two formulas are
+structurally equal iff their canonical printed forms are equal, so
+formulas can be used in sets, dicts and sorted containers.
 
 The constructors return shared nodes: building a formula that already
 exists returns the node built for it, looked up by its printed form,
-`nnf` pushes each negation down once, and `parse` reads each distinct
+`lnot` pushes each negation down once, and `parse` reads each distinct
 text once.  `clear_cache()` empties these three tables and every other
 one made by `_table`, after which a formula is built or parsed anew;
 equality and hashing stay by printed form, so the twins built either
@@ -27,26 +29,22 @@ __all__ = [
     "Formula", "Var", "TrueF", "FalseF", "Not", "And", "Or", "Box", "Dia",
     "TRUE", "FALSE",
     "var", "land", "lor", "lnot", "box", "dia",
-    "parse", "nnf", "is_clause", "contradictory",
+    "parse", "is_clause", "contradictory",
     "variables", "modal_depth", "canonical_key", "sort_formulas",
     "conjuncts", "disjuncts", "MAX_NESTING", "MAX_EXPANSION", "clear_cache",
 ]
 
 
 class Formula:
-    """Immutable formula node, equal to another iff their canonical
-    printed forms are.
+    """Immutable formula node in negation normal form, equal to another
+    iff their canonical printed forms are.
 
-    `in_nnf` tells whether the node is in negation normal form (negation
-    only on variables).  Variables and constants are; every other node
-    sets it from its children when it is built, so `nnf` returns a node
-    already in that form itself, in O(1).  A node is built from its
-    printed form `key`, which the constructor that looked it up in the
-    intern table has already made, and its name, child or children.
+    A node is built from its printed form `key`, which the constructor
+    that looked it up in the intern table has already made, and its
+    name, child or children.
     """
 
     __slots__ = ("key", "_hash")
-    in_nnf = True
 
     def __init__(self, key: str):
         self.key = key
@@ -91,49 +89,45 @@ class FalseF(Formula):
         super().__init__("false")
 
 
-class Not(Formula):
-    __slots__ = ("child", "in_nnf")
+class _Unary(Formula):
+    """A node with one child: `Box`, `Dia`, or `Not`, whose child is a
+    `Var`."""
+
+    __slots__ = ("child",)
 
     def __init__(self, key: str, child: Formula):
         self.child = child
-        self.in_nnf = isinstance(child, Var)
         super().__init__(key)
 
 
-class And(Formula):
-    __slots__ = ("children", "in_nnf")
+class _Nary(Formula):
+    """A node with two or more children: `And` or `Or`."""
+
+    __slots__ = ("children",)
 
     def __init__(self, key: str, children: tuple):
         self.children = children
-        self.in_nnf = all([c.in_nnf for c in children])
         super().__init__(key)
 
 
-class Or(Formula):
-    __slots__ = ("children", "in_nnf")
-
-    def __init__(self, key: str, children: tuple):
-        self.children = children
-        self.in_nnf = all([c.in_nnf for c in children])
-        super().__init__(key)
+class Not(_Unary):
+    __slots__ = ()
 
 
-class Box(Formula):
-    __slots__ = ("child", "in_nnf")
-
-    def __init__(self, key: str, child: Formula):
-        self.child = child
-        self.in_nnf = child.in_nnf
-        super().__init__(key)
+class And(_Nary):
+    __slots__ = ()
 
 
-class Dia(Formula):
-    __slots__ = ("child", "in_nnf")
+class Or(_Nary):
+    __slots__ = ()
 
-    def __init__(self, key: str, child: Formula):
-        self.child = child
-        self.in_nnf = child.in_nnf
-        super().__init__(key)
+
+class Box(_Unary):
+    __slots__ = ()
+
+
+class Dia(_Unary):
+    __slots__ = ()
 
 
 TRUE = TrueF()
@@ -158,8 +152,7 @@ def _ordered(keys) -> list:
 # Hash-consing (Filliatre & Conchon, 2006).  `_interned` maps each node's
 # printed form, the node's own `key` string, to the one node built for
 # it, so a constructor looks a node up by the form it prints before it
-# builds it; `_nnf_of` maps each node not in negation normal form to its
-# `nnf`;
+# builds it; `_negations` maps each node's printed form to its `lnot`;
 # `_parsed` maps each text `parse` has read without error to its result.
 # All three, and the tables `semantics` (sat cache, query tests, query
 # halves) and `pi` (candidate sets) keep, are made by `_table`, which
@@ -179,13 +172,14 @@ def _table() -> dict:
 
 
 _interned = _table()
-_nnf_of = _table()
+_negations = _table()
 _parsed = _table()
 
 
 def clear_cache():
-    """Empty every memo table: the intern table, the NNF and parse memos,
-    the sat cache, the query tests and halves, and the candidate sets."""
+    """Empty every memo table: the intern table, the negation and parse
+    memos, the sat cache, the query tests and halves, and the candidate
+    sets."""
     for table in _TABLES:
         table.clear()
 
@@ -222,7 +216,7 @@ def _flat(items, cls, zero, unit):
     of them is a `zero`.  `zero` and `unit` are the constant classes."""
     seen = {}
     for f in items:
-        # node classes have no subclasses
+        # concrete node classes have no subclasses
         for c in (f.children if type(f) is cls else (f,)):
             t = type(c)
             if t is zero:
@@ -272,14 +266,29 @@ def lor(*items) -> Formula:
 
 
 def lnot(f: Formula) -> Formula:
-    if isinstance(f, TrueF):
-        return FALSE
-    if isinstance(f, FalseF):
-        return TRUE
-    if isinstance(f, Not):
+    """The negation of f pushed down to the atoms: ~p for an atom p, p
+    for ~p, and for anything else its dual, by De Morgan and []~/<>~
+    duality; kept in `_negations`."""
+    return _memo(_negations, f.key, _negated, f)
+
+
+def _negated(f: Formula) -> Formula:
+    """lnot(f), for an f missing from `_negations`."""
+    cls = type(f)  # concrete node classes have no subclasses
+    if cls is Var:
+        key = "~" + f.key
+        return _interned.get(key) or _shared(Not, key, f)
+    if cls is Not:
         return f.child
-    key = "~" + f.key
-    return _interned.get(key) or _shared(Not, key, f)
+    if cls is And:
+        return lor(map(lnot, f.children))
+    if cls is Or:
+        return land(map(lnot, f.children))
+    if cls is Box:
+        return dia(lnot(f.child))
+    if cls is Dia:
+        return box(lnot(f.child))
+    return FALSE if cls is TrueF else TRUE
 
 
 def box(f: Formula) -> Formula:
@@ -433,10 +442,11 @@ class _Parser:
 def parse(text: str, source=None) -> Formula:
     """Parse formula text into a canonical Formula.
 
-    `->` and `<->` are expanded away at parse time; the tree only ever
-    contains the primitive connectives.  A text parsed before returns the
-    node kept for it in `_parsed`; a text that fails is never kept, so it
-    fails again on every call, with that call's `source`.
+    `->` and `<->` are expanded away at parse time, and each `~` is
+    pushed down to the atoms; the tree only ever contains the primitive
+    connectives, in negation normal form.  A text parsed before returns
+    the node kept for it in `_parsed`; a text that fails is never kept,
+    so it fails again on every call, with that call's `source`.
     """
     return _memo(_parsed, text, _read, text, source)
 
@@ -446,66 +456,16 @@ def _read(text: str, source) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form, the literal and clause tests
+# The literal and clause tests, measures
 # ---------------------------------------------------------------------------
 
-def nnf(f: Formula) -> Formula:
-    """Push negations down to variables using De Morgan and []~/<>~ duality.
-
-    A formula already in negation normal form is returned itself; the
-    result for any other is kept in `_nnf_of`.
-    """
-    return f if f.in_nnf else _memo(_nnf_of, f, _pushed, f)
-
-
-def _pushed(f: Formula) -> Formula:
-    """nnf(f) for a node f not in negation normal form."""
-    if isinstance(f, And):
-        return land(nnf(c) for c in f.children)
-    if isinstance(f, Or):
-        return lor(nnf(c) for c in f.children)
-    if isinstance(f, Box):
-        return box(nnf(f.child))
-    if isinstance(f, Dia):
-        return dia(nnf(f.child))
-    return _negated(f.child)  # Not of anything but a variable
-
-
-def _negated(g: Formula) -> Formula:
-    """nnf(~g), pushed down without building the negated nodes."""
-    if isinstance(g, Var):
-        key = "~" + g.key
-        return _interned.get(key) or _shared(Not, key, g)
-    if isinstance(g, TrueF):
-        return FALSE
-    if isinstance(g, FalseF):
-        return TRUE
-    if isinstance(g, Not):
-        return nnf(g.child)
-    if isinstance(g, And):
-        return lor(_negated(c) for c in g.children)
-    if isinstance(g, Or):
-        return land(_negated(c) for c in g.children)
-    if isinstance(g, Box):
-        return dia(_negated(g.child))
-    if isinstance(g, Dia):
-        return box(_negated(g.child))
-    raise TypeError(f"unknown node {g!r}")
-
-
 def is_literal(f: Formula) -> bool:
-    if isinstance(f, Var):
-        return True
-    if isinstance(f, Not):
-        return isinstance(f.child, Var)
-    if isinstance(f, (Box, Dia)):
-        return f.child.in_nnf
-    return False
+    return isinstance(f, (Var, Not, Box, Dia))
 
 
 def is_clause(f: Formula) -> bool:
-    """Whether the NNF f is a clause: true, false, or a disjunction of
-    literals (a single literal included)."""
+    """Whether f is a clause: true, false, or a disjunction of literals
+    (a single literal included)."""
     return (isinstance(f, (TrueF, FalseF))
             or all(map(is_literal, disjuncts(f))))
 
@@ -534,10 +494,8 @@ def variables(f: Formula) -> frozenset:
 
 def modal_depth(f: Formula) -> int:
     """Maximum nesting of [] and <>."""
-    if isinstance(f, (Var, TrueF, FalseF)):
+    if isinstance(f, (Var, Not, TrueF, FalseF)):
         return 0
     if isinstance(f, (And, Or)):
         return max(modal_depth(c) for c in f.children)
-    if isinstance(f, Not):
-        return modal_depth(f.child)
     return 1 + modal_depth(f.child)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError
 from .formula import (
-    And, Formula, Or, FALSE, TRUE, contradictory, land, lor, nnf,
-    sort_formulas,
+    And, Formula, Or, FALSE, TRUE, contradictory, land, lor, sort_formulas,
 )
 
 __all__ = ["Cnf", "Dnf", "to_cnf", "to_dnf", "distribute", "DEFAULT_SIZE_CAP"]
@@ -60,7 +59,7 @@ _DNF = (Or, And, FALSE, land, "outer DNF")
 
 
 def _outer(g: Formula, form, cap) -> set:
-    """The clauses (form `_CNF`) or terms (form `_DNF`) of an NNF formula.
+    """The clauses (form `_CNF`) or terms (form `_DNF`) of a formula.
 
     An inner node none of whose children is an outer node has literals
     for children, so it is its own one clause or term and nothing is
@@ -84,7 +83,7 @@ def _outer(g: Formula, form, cap) -> set:
 def to_cnf(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> Cnf:
     """Clausal form of the outer boolean level, preserving equivalence;
     a disjunction of literals is its own one clause."""
-    return Cnf(sort_formulas(_outer(nnf(f), _CNF, max_clauses)))
+    return Cnf(sort_formulas(_outer(f, _CNF, max_clauses)))
 
 
 def to_dnf(f: Formula, max_terms: int = DEFAULT_SIZE_CAP) -> Dnf:
@@ -95,7 +94,7 @@ def to_dnf(f: Formula, max_terms: int = DEFAULT_SIZE_CAP) -> Dnf:
     contain false or a complementary pair (a cheap syntactic test;
     deeper pruning is the business of the minimization stage).
     """
-    terms = _outer(nnf(f), _DNF, max_terms)
+    terms = _outer(f, _DNF, max_terms)
     return Dnf(sort_formulas(
         t for t in terms
         if not contradictory(t.children if isinstance(t, And) else (t,))))

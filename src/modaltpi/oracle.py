@@ -16,7 +16,7 @@ import itertools
 
 from .formula import (
     And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var, FALSE,
-    box, dia, lnot, lor, land, nnf, modal_depth, sort_formulas, var, variables,
+    box, dia, lnot, lor, land, modal_depth, sort_formulas, var, variables,
 )
 from .semantics import (
     System, _Budget, _Witness, entails_mod, evaluate, tree_model,
@@ -31,7 +31,7 @@ DEFAULT_ENUM_BUDGET = 200_000
 
 
 def _closure(g: Formula):
-    """(order, index, bounds) for an NNF formula: its distinct subformulas
+    """(order, index, bounds) for a formula: its distinct subformulas
     in dependency order (children first, g last), the position of each
     key, and the (modal depth, distinct diamonds, variables) within which
     a satisfiable g has a tree model (the bounded tree-model property of
@@ -127,16 +127,15 @@ def sat_by_enumeration(f: Formula, system: System,
                        budget: int = DEFAULT_ENUM_BUDGET):
     """(model, world) satisfying f, or None when f is unsatisfiable, as
     `semantics.find_model` returns; the search covers every tree within
-    the bounds `_closure` reads off nnf(f), where a satisfiable f always
-    has a model.
+    the bounds `_closure` reads off f, where a satisfiable f always has a
+    model.
 
     Every world evaluated, under each valuation of f's variables and each
     aggregate of children, costs one tick of `budget`, and so does every
     candidate aggregate `_child_combos` builds; depth 0 draws the
     valuations one tick at a time and the deeper passes reuse them.
     """
-    g = nnf(f)
-    order, index, (max_depth, max_branching, names) = _closure(g)
+    order, index, (max_depth, max_branching, names) = _closure(f)
     reflexive = system.reflexive
     drawn = (frozenset(itertools.compress(names, mask)) for mask
              in itertools.product((False, True), repeat=len(names)))
@@ -158,9 +157,9 @@ def sat_by_enumeration(f: Formula, system: System,
                 if vec not in types:
                     node = _Witness(val, trees)
                     types[vec] = (size + 1, node)
-                    if vec[-1]:  # g is last in its closure
+                    if vec[-1]:  # f is last in its closure
                         model, root = tree_model(node, system)
-                        if not evaluate(model, root, g):
+                        if not evaluate(model, root, f):
                             raise AssertionError(
                                 "oracle witness failed evaluation")
                         return model, root

@@ -28,7 +28,7 @@ from .errors import CapacityError, PreconditionError
 from .formula import (
     And, Box, Dia, Formula, TrueF, Var, FALSE, TRUE,
     _memo, _ordered, _table, box, conjuncts, dia, disjuncts, is_clause,
-    land, lor, modal_depth, nnf, sort_formulas,
+    land, lor, modal_depth, sort_formulas,
 )
 from .normal_forms import DEFAULT_SIZE_CAP, distribute, to_cnf, to_dnf
 from .semantics import (
@@ -47,7 +47,7 @@ __all__ = [
 class CompilationResult:
     """Everything the query answerer needs, plus bookkeeping counters.
     The theory y must be propositional and theta a non-empty tuple of
-    clauses after NNF (`is_clause`), or construction raises
+    clauses (`is_clause`), or construction raises
     `ValueError`.  Omega is built on the first `omega()` call, not
     here."""
 
@@ -63,7 +63,7 @@ class CompilationResult:
         if not self.theta:
             raise ValueError("theta holds no clause")
         for c in self.theta:
-            if not is_clause(nnf(c)):
+            if not is_clause(c):
                 raise ValueError(f"theta member {c} is not a clause")
 
     @property

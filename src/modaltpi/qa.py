@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .errors import FormulaSyntaxError, SchemaError
 from .formula import (
-    Formula, box, land, lnot, nnf, parse, sort_formulas,
+    Formula, box, land, lnot, parse, sort_formulas,
 )
 from .pi import CompilationResult
 from .semantics import (
@@ -43,13 +43,13 @@ def answer_query(comp: CompilationResult, q: Formula,
 
     The query is a literal, a clause, `false` (the empty clause) or
     `true` (the valid clause); any other raises `NonClausalQueryError`.
-    The entailment test is `semantics.query_test` of the query's NNF,
-    which checks the query's clausality once per query, until
-    `clear_cache()`, so spellings with one NNF share it, and keeps each
-    clause's verdict for the later queries and compiles: a repeated
-    query costs one lookup per compiled clause.
+    The entailment test is `semantics.query_test` of the query, which
+    checks the query's clausality once per query, until `clear_cache()`
+    (`~(a & b)` and `~a | ~b` parse to one query, and share it), and
+    keeps each clause's verdict for the later queries and compiles: a
+    repeated query costs one lookup per compiled clause.
     """
-    entails = query_test(nnf(q), comp.y, comp.system, node_budget)
+    entails = query_test(q, comp.y, comp.system, node_budget)
     for pi in comp.omega():
         if entails(pi):
             return QueryVerdict(q, True, pi, "compiled")

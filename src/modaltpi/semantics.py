@@ -16,7 +16,6 @@ from .errors import BudgetExceededError, NonClausalQueryError
 from .formula import (
     And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var, FALSE, TRUE,
     _memo, _ordered, _table, box, conjuncts, disjuncts, is_clause, lnot,
-    nnf,
     clear_cache,  # not called here; re-exported
 )
 
@@ -156,7 +155,7 @@ _sat_cache = _table()
 # predicate `_prepare` makes, kept by `formula._memo` for
 # `answer_query` and `pi._minimize`
 _query_tests = _table()
-# query halves: NNF query key -> what `_half` makes, the part of a query
+# query halves: query key -> what `_half` makes, the part of a query
 # test that no theory, system or budget changes
 _query_halves = _table()
 # kept open root branches past which a clause test decides each literal
@@ -167,7 +166,7 @@ _BRANCH_CAP = 64
 def _branches(todo, system, budget, state=None):
     """Clash-free saturated branches of one world, produced lazily.
 
-    `todo` is a list of NNF formulas, expanded from its end.  A branch is
+    `todo` is a list of formulas, expanded from its end.  A branch is
     the state (todo, seen keys, positive atoms, negated atoms, dia bodies,
     box bodies, waiting disjunctions), kept on an explicit stack.  Each
     branch first expands every formula but `Or`, spending one node per
@@ -278,7 +277,7 @@ def _by_key(bodies) -> dict:
 def _solve(world, system: System, budget: _Budget):
     """Witness for a world satisfying all its formulas, or None.
 
-    A world is a dict from printed form to NNF formula, a root's from
+    A world is a dict from printed form to formula, a root's from
     `conjuncts` and a successor's from `_successors`; the tableau
     expands it in canonical order, last to first, and caches it under
     the tuple of its keys in that order.  So verdicts, witnesses and the
@@ -342,11 +341,13 @@ def tree_model(tree, system: System):
 def _solve_root(f, system: System, node_budget: int):
     """Witness for f, a formula or an iterable of formulas read
     conjunctively, or None when f is unsatisfiable.  The root world is
-    the NNF conjuncts `land` would join, by printed form."""
-    root = conjuncts(nnf(g) for g in ((f,) if isinstance(f, Formula) else f))
-    if root is None:
-        return None
-    return _solve(root, system, _Budget(node_budget))
+    the conjuncts `land` would join, by printed form, or `false` alone
+    when one of them is false, which spends its one node as `_prepare`'s
+    expansion of `false` does: so the direct and compiled answers to
+    `true` need the same budget."""
+    root = conjuncts((f,) if isinstance(f, Formula) else f)
+    return _solve({FALSE.key: FALSE} if root is None else root, system,
+                  _Budget(node_budget))
 
 
 def is_satisfiable(f, system: System,
@@ -389,22 +390,21 @@ def equivalent_mod(f: Formula, g: Formula, theory: Formula, system: System,
 
 
 def _half(q: Formula):
-    """The query's own half of its tests, for q an NNF query: its
-    negated literals in NNF, and its literals' keys.  A query that is no
-    clause raises `NonClausalQueryError`."""
+    """The query's own half of its tests: its negated literals, and its
+    literals' keys.  A query that is no clause raises
+    `NonClausalQueryError`."""
     if not is_clause(q):
         raise NonClausalQueryError(f"not a clausal query: {q}")
     lits = disjuncts(q)  # false is the empty clause, and its own disjunct
-    return tuple(nnf(lnot(l)) for l in lits), tuple(l.key for l in lits)
+    return tuple(map(lnot, lits)), tuple(l.key for l in lits)
 
 
 def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
     """The test `query_test` keeps for q, y, system and node_budget: the
     query's half, kept in `_query_halves` for every theory, system and
     budget, joined with the open root branches of []y & ~q."""
-    q = nnf(q)
     negs, keys = _memo(_query_halves, q.key, _half, q)
-    by = box(nnf(y))
+    by = box(y)
     budget = _Budget(node_budget)
     branches = []
     # a fresh list, since _branches pops from it
@@ -458,7 +458,7 @@ class _ClauseTest:
         v = known.get(pi.key)
         if v is None:
             v = True
-            for l in disjuncts(nnf(pi)):
+            for l in disjuncts(pi):
                 w = known.get(l.key)
                 if w is None:
                     w = known[l.key] = self.literal(l)
@@ -509,14 +509,14 @@ def query_test(q: Formula, y: Formula, system: System,
     until `clear_cache()`.  Its verdicts depend on nothing else, so the
     queries and the minimizations of every compilation with the same
     theory share it.  The query's own half, its clausality check and
-    its negated literals, is made once per NNF query and kept in
-    `_query_halves` for every theory, system and budget.  A query whose
-    NNF is no clause (`is_clause`) raises `NonClausalQueryError` on every
+    its negated literals, is made once per query and kept in
+    `_query_halves` for every theory, system and budget.  A query that
+    is no clause (`is_clause`) raises `NonClausalQueryError` on every
     ask; a preparation that runs out of budget, or of a non-clausal
     query, keeps nothing.
 
     One design serves K and T.  The preparation expands []y & ~q once,
-    in NNF and under one budget, and keeps its open root branches: those
+    under one budget, and keeps its open root branches: those
     whose every <>-body has a successor world with the branch's
     []-bodies.  With none left q is valid modulo []y, and every clause
     entails it.  Otherwise the test starts from the verdicts this

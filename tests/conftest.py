@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from modaltpi.formula import MAX_NESTING, TRUE, box, dia, land, lnot, lor, var
+from modaltpi.formula import (
+    MAX_NESTING, TRUE, And, Box, Dia, Not, Or, Var, box, dia, land, lnot,
+    lor, var,
+)
 
 
 NAMES = ("a", "b", "c")
@@ -100,6 +103,36 @@ def rand_instance(rng, names=NAMES, max_clauses=4):
     x = land(props + modal)
     y = land(props) if props else TRUE
     return x, y
+
+
+def spelled_outside_nnf(rng, f):
+    """Text that parses to the formula f, written at random with `~(...)`,
+    `->`, `<->`, `~[]`, `~<>` and `~~`, so that most of it is outside
+    negation normal form."""
+    def go(g):
+        k = rng.randrange(4)
+        if k == 0:
+            return f"~~{go(g)}"
+        if k == 1:
+            return f"({go(g)} <-> true)"
+        if isinstance(g, Not):
+            return f"~{go(g.child)}"
+        if isinstance(g, (And, Or)):
+            if k == 2:  # De Morgan
+                op = " | " if isinstance(g, And) else " & "
+                return "~(" + op.join(go(lnot(c)) for c in g.children) + ")"
+            if isinstance(g, And):
+                return "(" + " & ".join(map(go, g.children)) + ")"
+            head, *rest = g.children
+            return f"({go(lnot(head))} -> ({' | '.join(map(go, rest))}))"
+        if isinstance(g, (Box, Dia)):
+            if k == 2:  # duality
+                return ("~<>" if isinstance(g, Box) else "~[]") + go(
+                    lnot(g.child))
+            return ("[]" if isinstance(g, Box) else "<>") + go(g.child)
+        return str(g)  # an atom or a constant
+
+    return go(f)
 
 
 @pytest.fixture

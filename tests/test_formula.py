@@ -10,19 +10,18 @@ from modaltpi.errors import FormulaSyntaxError
 from modaltpi.formula import (
     MAX_EXPANSION, MAX_NESTING, And, Box, Dia, Not, Or, Var, TRUE,
     FALSE, box, dia, is_clause, is_literal,
-    land, lnot, lor, modal_depth, nnf, parse, sort_formulas, var, variables,
-    _negated,
+    land, lnot, lor, modal_depth, parse, sort_formulas, var, variables,
 )
 from modaltpi.errors import CapacityError
 from modaltpi.pi import compile_kb
 from modaltpi.qa import answer_query, answer_query_direct
 from modaltpi.semantics import (
-    System, clear_cache, equivalent, evaluate, find_model, is_satisfiable,
+    System, clear_cache, evaluate, find_model, is_satisfiable,
 )
 
 from conftest import (
     AT_NESTING_LIMIT, IFF_CHAIN, IFF_CHAINS, TOO_DEEP, rand_formula,
-    rand_instance,
+    rand_instance, spelled_outside_nnf,
 )
 
 # (text, message, line, column): lines are counted at "\n" only, every
@@ -123,13 +122,12 @@ class TestParse:
     def test_at_nesting_limit(self):
         for text in AT_NESTING_LIMIT:
             f = parse(text)
-            g = nnf(f)
-            assert variables(g) <= {"p", "q"}
-            assert is_satisfiable(g, System.T) == is_satisfiable(f, System.T)
+            assert variables(f) <= {"p", "q"}
             # `evaluate` on the T model of `~[]` * 50 + `p`, reflexive at
             # every world, takes time exponential in its modal depth
             found = find_model(f, System.K)
-            assert is_satisfiable(g, System.K) == (found is not None)
+            assert is_satisfiable(f, System.K) == (found is not None)
+            assert found is not None or not is_satisfiable(f, System.T)
             if found is not None:
                 assert evaluate(found[0], found[1], f)
 
@@ -228,7 +226,7 @@ class TestCanonicalization:
 
         for _ in range(200):
             f = parse(str(rand_formula(rng, depth=3, size=14)))
-            for g in (f, nnf(f), nnf(lnot(f)), _negated(f), parse(
+            for g in (f, lnot(f), parse(
                     f"{f} <-> ~{rand_formula(rng, depth=2, size=6)}")):
                 check(g)
 
@@ -245,7 +243,7 @@ class TestSharing:
             f = rand_formula(rng, depth=3, size=14)
             assert parse(str(f)) is f
             assert parse(str(f)) is parse(str(f))
-            assert nnf(lnot(f)) is nnf(lnot(f))
+            assert lnot(f) is lnot(f)
 
     def test_twin_after_reset(self, rng):
         before = [rand_formula(rng, depth=3, size=14) for _ in range(100)]
@@ -268,10 +266,10 @@ class TestSharing:
     def test_negation_memo_matches_cold(self, rng):
         fs = [rand_formula(rng, depth=3, size=12) for _ in range(200)]
         clear_cache()
-        cold = [nnf(lnot(f)).key for f in fs]
-        warm = [nnf(lnot(f)).key for f in fs]
+        cold = [lnot(f).key for f in fs]
+        warm = [lnot(f).key for f in fs]
         clear_cache()
-        assert warm == cold == [nnf(lnot(f)).key for f in fs]
+        assert warm == cold == [lnot(f).key for f in fs]
 
 
 class TestInternTable:
@@ -283,7 +281,7 @@ class TestInternTable:
         clear_cache()
         for _ in range(150):
             f = parse(str(rand_formula(rng, depth=3, size=14)))
-            nnf(lnot(f))
+            lnot(f)
         for _ in range(20):
             x, y = rand_instance(rng, names=("a", "b", "c", "d"),
                                  max_clauses=6)
@@ -368,7 +366,7 @@ class TestParseMemo:
     def test_clear_cache_empties_memo(self):
         clear_cache()
         x, y = parse("p & q & <>r"), parse("p | q")
-        nnf(parse("~(p & []q)"))
+        parse("~(p & []q)")
         for system in (System.K, System.T):
             comp = compile_kb(x, y, system)
         answer_query(comp, parse("p | s"))
@@ -382,27 +380,24 @@ class TestParseMemo:
 
 
 class TestNnf:
+    """`lnot` pushes a negation down to the atoms, so every node built,
+    from text outside negation normal form too, is in it."""
+
     def test_box_duality(self):
-        assert nnf(lnot(box(var("p")))) == dia(lnot(var("p")))
+        assert lnot(box(var("p"))) == dia(lnot(var("p")))
+        assert parse("~[]p") is parse("<>~p")
 
     def test_de_morgan(self):
-        assert nnf(lnot(land(var("p"), var("q")))) == \
+        assert lnot(land(var("p"), var("q"))) == \
             lor(lnot(var("p")), lnot(var("q")))
+        assert parse("~(p & q)") is parse("~p | ~q")
 
     def test_nested_push(self):
         f = lnot(dia(lor(var("p"), box(var("q")))))
-        assert nnf(f) == box(land(lnot(var("p")), dia(lnot(var("q")))))
+        assert f == box(land(lnot(var("p")), dia(lnot(var("q")))))
+        assert str(parse("~<>(p | []q)")) == "[](~p & <>~q)"
 
-    def test_idempotent_random(self, rng):
-        for _ in range(200):
-            f = rand_formula(rng, depth=3, size=12)
-            g = nnf(f)
-            assert nnf(g) == g
-            assert nnf(g) is g
-            h = nnf(lnot(land(f, lnot(rand_formula(rng, depth=2, size=6)))))
-            assert nnf(h) is h
-
-    def test_flag_matches_grammar(self, rng):
+    def test_negation_only_on_atoms(self, rng):
         def negation_on_atoms_only(f):
             if isinstance(f, Not):
                 return isinstance(f.child, Var)
@@ -414,14 +409,29 @@ class TestNnf:
 
         for _ in range(200):
             f = rand_formula(rng, depth=3, size=12)
-            for g in (f, lnot(f), box(lnot(f)), lor(f, lnot(dia(f)))):
-                assert g.in_nnf == negation_on_atoms_only(g)
+            text = spelled_outside_nnf(rng, f)
+            g = parse(text)
+            assert g is f, text
+            for h in (g, lnot(g), box(lnot(g)), lor(g, lnot(dia(g)))):
+                assert negation_on_atoms_only(h), text
 
-    def test_equivalence_random(self, rng):
+    def test_double_negation_is_identity(self, rng):
+        for _ in range(200):
+            f = parse(spelled_outside_nnf(
+                rng, rand_formula(rng, depth=3, size=12)))
+            assert lnot(lnot(f)) is f
+            assert lnot(f) != f
+
+    def test_negation_flips_truth(self, rng):
         for _ in range(60):
-            f = rand_formula(rng, depth=2, size=8)
+            f = parse(spelled_outside_nnf(
+                rng, rand_formula(rng, depth=2, size=8)))
             for system in (System.K, System.T):
-                assert equivalent(f, nnf(f), system)
+                for g in (f, lnot(f)):
+                    found = find_model(g, system)
+                    if found is not None:
+                        m, w = found
+                        assert evaluate(m, w, lnot(f)) != evaluate(m, w, f)
 
 
 def _grammar_class(f):
@@ -476,7 +486,7 @@ class TestClassify:
 
     def test_agrees_with_independent_acceptor(self, rng):
         for _ in range(300):
-            f = nnf(rand_formula(rng, depth=2, size=8))
+            f = rand_formula(rng, depth=2, size=8)
             assert is_clause(f) == (_grammar_class(f) in ("literal", "clause")
                                     or f in (TRUE, FALSE))
 

@@ -4,7 +4,7 @@ import modaltpi.normal_forms as normal_forms_module
 from modaltpi.errors import CapacityError
 from modaltpi.formula import (
     And, Formula, box, contradictory, dia, is_clause, is_literal, land,
-    lnot, lor, nnf, parse, sort_formulas, var,
+    lnot, lor, parse, sort_formulas, var,
 )
 from modaltpi.normal_forms import (
     _CNF, _DNF, Cnf, Dnf, distribute, to_cnf, to_dnf,
@@ -56,7 +56,7 @@ class TestToCnf:
         atoms = [parse(f"a{i}") for i in range(20)]
         for build, f, layer in ((to_dnf, pairs, "outer DNF"),
                                 (to_dnf, lor(atoms), "outer DNF"),
-                                (to_cnf, nnf(lnot(pairs)), "outer CNF"),
+                                (to_cnf, lnot(pairs), "outer CNF"),
                                 (to_cnf, land(atoms), "outer CNF")):
             with pytest.raises(CapacityError) as info:
                 build(f, 10)
@@ -140,12 +140,12 @@ def _reference_outer(g: Formula, form, cap) -> set:
 
 
 def _reference_cnf(f, cap):
-    return sort_formulas(_reference_outer(nnf(f), _CNF, cap))
+    return sort_formulas(_reference_outer(f, _CNF, cap))
 
 
 def _reference_dnf(f, cap):
     return sort_formulas(
-        t for t in _reference_outer(nnf(f), _DNF, cap)
+        t for t in _reference_outer(f, _DNF, cap)
         if not contradictory(t.children if isinstance(t, And) else (t,)))
 
 

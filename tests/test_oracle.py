@@ -5,7 +5,7 @@ import pytest
 from modaltpi import oracle
 from modaltpi.errors import BudgetExceededError
 from modaltpi.formula import (
-    TRUE, box, dia, land, lnot, lor, nnf, parse, var,
+    TRUE, box, dia, land, lnot, lor, parse, var,
 )
 from modaltpi.oracle import (
     _child_combos, _closure, check_decomposition, clause_vocabulary,
@@ -31,9 +31,9 @@ class TestSatByEnumeration:
 
     def test_bounds_cover_formula(self):
         _, _, (depth, branching, names) = _closure(
-            nnf(parse("<>a | <>(b & <>c) | []a")))
+            parse("<>a | <>(b & <>c) | []a"))
         assert depth == 2
-        assert branching == 3  # distinct diamonds after nnf
+        assert branching == 3  # distinct diamonds
         assert names == ("a", "b", "c")
 
     def test_deterministic_witness(self):

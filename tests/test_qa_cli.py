@@ -21,7 +21,7 @@ from modaltpi.errors import (
     NonClausalQueryError, SchemaError,
 )
 from modaltpi.formula import (
-    FALSE, TRUE, box, disjuncts, is_clause, land, lnot, nnf, parse, var,
+    FALSE, TRUE, box, disjuncts, is_clause, land, lnot, parse, var,
 )
 from modaltpi.pi import compile_kb, default_theory, prime_implicates
 from modaltpi.qa import (
@@ -35,7 +35,7 @@ from modaltpi.semantics import (
 
 from conftest import (
     AT_NESTING_LIMIT, IFF_CHAIN, IFF_CHAINS, TOO_DEEP, rand_clause,
-    rand_formula, rand_instance, rand_prop,
+    rand_formula, rand_instance, rand_prop, spelled_outside_nnf,
 )
 
 
@@ -138,6 +138,22 @@ class TestAnswerQuery:
             assert verdict.witness == witness, text
 
     @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_true_costs_one_node_on_both_paths(self, system):
+        # the direct root x & []y & false, which `conjuncts` closes,
+        # spends its one node as the compiled expansion of false does
+        x, y = parse("a & <>b"), parse("a")
+        comp = compile_kb(x, y, system)
+        for answer in (
+                lambda budget: answer_query(comp, TRUE, budget),
+                lambda budget: answer_query_direct(x, y, TRUE, system,
+                                                   budget)):
+            clear_cache()
+            with pytest.raises(BudgetExceededError):
+                answer(0)
+            clear_cache()
+            assert answer(1).answer is True
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
     def test_empty_compilation_is_the_clause_true(self, system):
         comp = compile_kb(TRUE, TRUE, system)
         assert comp.omega() == (TRUE,)
@@ -169,7 +185,7 @@ class TestClauseTest:
             comp = compile_kb(x, y, system)
             pool = comp.omega()
             for clause in clause_vocabulary(names):
-                for q in (clause, lnot(nnf(lnot(clause)))):
+                for q in (clause, parse(f"~({lnot(clause)})")):
                     holds = [entails_mod(pi, comp.box_y, q, system)
                              for pi in pool]
                     found = answer_query(comp, q)
@@ -233,7 +249,7 @@ class TestClauseTest:
             assert found.answer == any(holds), q
             assert found.witness == (pool[holds.index(True)]
                                      if any(holds) else None)
-            test = getattr(query_test(nnf(q), y, System.T), "__self__", None)
+            test = getattr(query_test(q, y, System.T), "__self__", None)
             whole += type(test) is semantics_module._WholeClauseTest
         assert whole >= 4
         # verdicts are kept per literal, the query's own seeded: neither
@@ -274,9 +290,8 @@ class TestClauseTest:
     @pytest.mark.parametrize("system", [System.K, System.T])
     @pytest.mark.parametrize("theory", ["(a & b) -> c", "~(a & b)"])
     def test_theory_outside_nnf(self, system, theory, tmp_path, capsys):
-        # parse keeps a theory as written, so clause tests put []y in NNF
-        # themselves, whether the theory comes from Python, a KB's
-        # [theory] section or a saved compilation
+        # parse puts a theory in NNF, whether it comes from Python, a
+        # KB's [theory] section or a saved compilation
         y = parse(theory)
         x = land(y, parse("<>(a | c) & [](a | b)"))
         comp = compile_kb(x, y, system)
@@ -414,7 +429,7 @@ class TestQueryTests:
         asked = []
         while len(asked) < 150:
             premise = rand_formula(rng)
-            if is_clause(nnf(premise)):
+            if is_clause(premise):
                 continue
             y, q = rand_prop(rng), rand_clause(rng)
             test = query_test(q, y, system)
@@ -566,6 +581,28 @@ class TestQueryTests:
             for _ in range(2):  # cold, then warm
                 assert answer_query(comp, q).answer == direct, (x, y, q)
 
+    def test_compiled_equals_direct_outside_nnf_in_k(self):
+        # KBs, theories and queries read from text outside NNF
+        rng = random.Random(29)
+        asked = 0
+        for _ in range(40):
+            x, y = rand_instance(rng)
+            texts = [spelled_outside_nnf(rng, f) for f in (x, y)]
+            queries = [spelled_outside_nnf(rng, q) for q in
+                       [rand_clause(rng) for _ in range(8)] + [FALSE, TRUE]]
+            clear_cache()
+            x, y = map(parse, texts)
+            try:
+                comp = compile_kb(x, y, System.K)
+            except CapacityError:
+                continue
+            for text in queries:
+                q = parse(text)
+                direct = answer_query_direct(x, y, q, System.K).answer
+                assert answer_query(comp, q).answer == direct, (*texts, text)
+                asked += 1
+        assert asked >= 300
+
     @settings(max_examples=40, deadline=None)
     @given(rng=st.randoms(use_true_random=False))
     # distribution passes its size cap on this KB
@@ -588,7 +625,7 @@ class TestQueryTests:
 
 class TestQueryHalves:
     """`semantics._query_halves`: the query's own half of its clause
-    tests, made once per NNF query and shared by every theory, system and
+    tests, made once per query and shared by every theory, system and
     budget that tests it."""
 
     @pytest.fixture(scope="class")
@@ -611,8 +648,8 @@ class TestQueryHalves:
             for system in (System.K, System.T):
                 for budget in (10 ** 5, 10 ** 6):
                     query_test(q, y, system, budget)
-        assert made == [nnf(q)]
-        assert list(semantics_module._query_halves) == [nnf(q).key]
+        assert made == [q]
+        assert list(semantics_module._query_halves) == [q.key]
         assert len(semantics_module._query_tests) == 8
         clear_cache()
         assert not semantics_module._query_halves
@@ -707,7 +744,7 @@ class TestAnswerQueryDirect:
             for system in (System.K, System.T):
                 for q in queries:
                     verdict = answer_query_direct(x, y, q, system)
-                    built = land(x, box(y), nnf(lnot(q)))
+                    built = land(x, box(y), lnot(q))
                     assert verdict.answer == (not is_satisfiable(built, system))
                     if verdict.answer:
                         assert verdict.witness is None

@@ -16,7 +16,7 @@ import modaltpi.formula as formula_module
 import modaltpi.semantics as semantics_module
 from modaltpi.errors import BudgetExceededError
 from modaltpi.formula import (
-    FALSE, TRUE, box, dia, land, lnot, lor, nnf, parse, var,
+    FALSE, TRUE, box, dia, land, lnot, lor, parse, var,
 )
 from modaltpi.semantics import (
     KripkeModel, System, clear_cache, entails, entails_mod, equivalent,
@@ -177,7 +177,7 @@ class TestFindModel:
                 got = find_model(f, system)
                 if got is not None:
                     m, w = got
-                    assert evaluate(m, w, nnf(f))
+                    assert evaluate(m, w, f)
 
 
 class TestFormulaSets:
@@ -222,7 +222,7 @@ class TestFormulaSets:
         for _ in range(100):
             p, t, c = (rand_formula(rng, depth=2, size=5) for _ in range(3))
             for system in (System.K, System.T):
-                built = not is_satisfiable(land(land(p, t), nnf(lnot(c))),
+                built = not is_satisfiable(land(land(p, t), lnot(c)),
                                            system)
                 assert entails_mod(p, t, c, system) == built
 
@@ -252,7 +252,7 @@ class TestEntailment:
         d = parse("<>([]~p3 & <>p2 & (p1 | p2))")
         by = parse("[](p1 | p2)")
         assert not entails_mod(lor(d, var("p2")), by, d, System.T)
-        counter = land(lor(d, var("p2")), by, nnf(lnot(d)))
+        counter = land(lor(d, var("p2")), by, lnot(d))
         assert sat_by_enumeration(counter, System.T) is not None
 
     def test_theory_does_not_decide_disjunct(self):
@@ -262,8 +262,8 @@ class TestEntailment:
 
 class TestEquivalence:
     def test_nnf_equivalent(self):
-        f = parse("~<>(p | []q)")
-        assert equivalent(f, nnf(f), System.K)
+        assert equivalent(parse("~<>(p | []q)"), parse("[](~p & <>~q)"),
+                          System.K)
 
     def test_box_distributes_over_and(self):
         assert equivalent(parse("[](a & b)"), parse("[]a & []b"), System.K)
@@ -287,12 +287,12 @@ class TestSystemRelationship:
 
 
 def _answers(fs, instances):
-    """NNF keys of the negations, K and T verdicts of the formulas, and
+    """Keys of the negations, K and T verdicts of the formulas, and
     each instance's literal-wise clause test over the clauses and its
     compiled K answers to them."""
     out = []
     for f in fs:
-        out.append(nnf(lnot(f)).key)
+        out.append(lnot(f).key)
         out += [is_satisfiable(lnot(f), system) for system in System]
     for x, y, clauses in instances:
         for q in clauses:
@@ -338,12 +338,12 @@ class TestSharedTables:
         assert _answers(fs, instances) == want
         assert max(sizes) <= 40
         assert any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied
-        assert 0 < len(formula_module._nnf_of) <= 40
+        assert 0 < len(formula_module._negations) <= 40
         tests.append(len(semantics_module._query_tests))
         assert max(tests) <= 40
         assert any(b < a for a, b in zip(tests, tests[1:]))  # emptied
         clear_cache()
-        assert not formula_module._interned and not formula_module._nnf_of
+        assert not formula_module._interned and not formula_module._negations
         assert not semantics_module._query_tests
 
     def test_limit_empties_sat_cache(self, rng, monkeypatch):
@@ -395,7 +395,7 @@ class TestSharedTables:
 
         def work(text):
             f = parse(text)
-            g = nnf(lnot(f))
+            g = lnot(f)
             return (f, g, land(f, box(g)), is_satisfiable(g, System.K))
 
         want = [work(t) for t in texts]
