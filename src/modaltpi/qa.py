@@ -76,7 +76,7 @@ class KnowledgeBaseFile:
 
 def _read_sections(path: str):
     """(formulas, theory) of a KB file: the lines before and after its
-    `[theory]` header."""
+    `[theory]` header, each read up to its first `#`."""
     # utf-8-sig drops the byte-order mark some editors write first
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -93,8 +93,11 @@ def _read_sections(path: str):
     formulas, theory = [], []
     section = formulas
     for line_no, raw in enumerate(text.split("\n"), start=1):
+        # `#` is no token of the grammar, so a comment runs from the
+        # first one to the end of the line, and columns before it stay
+        raw = raw.partition("#")[0]
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line:
             continue
         if line.lower() == "[theory]":
             section = theory

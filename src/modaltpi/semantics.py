@@ -64,6 +64,9 @@ class KripkeModel:
         for a, b in self.relation:
             if a not in ws or b not in ws:
                 raise ValueError(f"relation references unknown world ({a}, {b})")
+        for w in self.valuation:
+            if w not in ws:
+                raise ValueError(f"valuation references unknown world {w!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -164,7 +167,7 @@ _BRANCH_CAP = 64
 
 
 def _branches(todo, system, budget, state=None):
-    """Clash-free saturated branches of one world, produced lazily.
+    """Open branches of one world, produced lazily.
 
     `todo` is a list of formulas, expanded from its end.  A branch is
     the state (todo, seen keys, positive atoms, negated atoms, dia bodies,
@@ -178,10 +181,14 @@ def _branches(todo, system, budget, state=None):
     disjunct as a unit; the two steps repeat until no unit is left.  Only
     then does the branch split, on its first waiting tuple, one branch
     per open disjunct in canonical order, and only there are its sets
-    copied.  Each branch yielded is its state (seen keys, positive atoms,
-    negated atoms, dia bodies, box bodies), three sets and two dicts
-    from printed form to body that no other branch shares.  Given
-    `state`, a branch's state as iterables, its bodies as formulas, the
+    copied.  A saturated branch then takes the modal step: one successor
+    world per dia body, holding that body and the box bodies, decided by
+    `_solve` in canonical order; the branch closes at the first world
+    with no witness.  Each branch yielded is open: its state (seen keys,
+    positive atoms, negated atoms, dia bodies, box bodies), three sets
+    and two dicts from printed form to body that no other branch shares,
+    and the list of its successor worlds' witnesses.  Given `state`, a
+    branch's first five parts as iterables, its bodies as formulas, the
     root starts from a copy of it: so a kept branch resumes with `todo`
     and stays as it is, as a clause test's check of a []-literal needs.
     """
@@ -259,7 +266,16 @@ def _branches(todo, system, budget, state=None):
         if closed:
             continue
         if not ors:
-            yield seen, pos, neg, dias, boxes
+            # the modal step, inline: a helper would add a frame per
+            # modal level, and cut the <> chains the tableau can decide
+            children = []
+            for key in _ordered(dias):
+                sub = _solve({**boxes, key: dias[key]}, system, budget)
+                if sub is None:
+                    break
+                children.append(sub)
+            else:
+                yield seen, pos, neg, dias, boxes, children
             continue
         first, rest = ors[0], ors[1:]
         # the last disjunct, explored last, takes the branch's own sets
@@ -278,10 +294,10 @@ def _solve(world, system: System, budget: _Budget):
     """Witness for a world satisfying all its formulas, or None.
 
     A world is a dict from printed form to formula, a root's from
-    `conjuncts` and a successor's from `_successors`; the tableau
-    expands it in canonical order, last to first, and caches it under
-    the tuple of its keys in that order.  So verdicts, witnesses and the
-    nodes a cold cache spends do not depend on the hash seed.
+    `conjuncts` and a successor's from the modal step of `_branches`;
+    the tableau expands it in canonical order, last to first, and caches
+    it under the tuple of its keys in that order.  So verdicts, witnesses
+    and the nodes a cold cache spends do not depend on the hash seed.
     """
     keys = tuple(_ordered(world))
     return _memo(_sat_cache, (keys, system),
@@ -290,27 +306,11 @@ def _solve(world, system: System, budget: _Budget):
 
 def _expand(keys, world, system: System, budget: _Budget):
     """`_solve` of a world missing from the cache, its keys in canonical
-    order."""
-    for _, pos, _, dias, boxes in _branches(
+    order: the atoms and successor witnesses of its first open branch."""
+    for _, pos, _, _, _, children in _branches(
             list(map(world.__getitem__, keys)), system, budget):
-        children = _successors(dias, boxes, system, budget)
-        if children is not None:
-            return _Witness(frozenset(pos), children)
+        return _Witness(frozenset(pos), children)
     return None
-
-
-def _successors(dias, boxes, system: System, budget: _Budget):
-    """The modal step of an open branch, given its dia and box bodies as
-    dicts from printed form to body: the witnesses of one successor world
-    per dia body, holding that body and the box bodies, tried in
-    canonical order; None as soon as one world has none."""
-    children = []
-    for key in _ordered(dias):
-        sub = _solve({**boxes, key: dias[key]}, system, budget)
-        if sub is None:
-            return None
-        children.append(sub)
-    return children
 
 
 def tree_model(tree, system: System):
@@ -402,16 +402,15 @@ def _half(q: Formula):
 def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
     """The test `query_test` keeps for q, y, system and node_budget: the
     query's half, kept in `_query_halves` for every theory, system and
-    budget, joined with the open root branches of []y & ~q."""
+    budget, joined with every open root branch of []y & ~q that
+    `_branches` yields, up to `_BRANCH_CAP` of them."""
     negs, keys = _memo(_query_halves, q.key, _half, q)
     by = box(y)
     budget = _Budget(node_budget)
     branches = []
     # a fresh list, since _branches pops from it
-    for seen, pos, neg, dias, boxes in _branches(
+    for seen, pos, neg, dias, boxes, _ in _branches(
             [by, *negs], system, budget):
-        if _successors(dias, boxes, system, budget) is None:
-            continue
         if len(branches) == _BRANCH_CAP:
             # in T each clause of y can double the branches, so a wide
             # theory is tested one tableau call per literal instead
@@ -437,11 +436,12 @@ def _valid(pi):
 
 class _ClauseTest:
     """A prepared `query_test`: `branches` are the open root branches of
-    []y & ~q, each the state `_branches` yields, held in tuples, which a
-    check resumes as `state`; `known` keeps each verdict reached, under
-    a clause's or a disjunct's key, and starts from those the
-    preparation proved, for `by`, []y, and `keys`, q's disjuncts.  One
-    object with slots, so that a kept test holds few objects."""
+    []y & ~q, each the state `_branches` yields but its witnesses, held
+    in tuples, which a check resumes as `state`; `known` keeps each
+    verdict reached, under a clause's or a disjunct's key, and starts
+    from those the preparation proved, for `by`, []y, and `keys`, q's
+    disjuncts.  One object with slots, so that a kept test holds few
+    objects."""
 
     __slots__ = ("system", "node_budget", "branches", "known")
 
@@ -482,11 +482,10 @@ class _ClauseTest:
             return all(_solve({**_by_key(boxes), **body}, system, budget)
                        is None for _, _, _, _, boxes in branches)
         # any other disjunct joins each branch, where []psi joins the
-        # []-bodies, and in T asserts psi at the root too
-        return not any(_successors(dias, boxes, system, budget) is not None
-                       for b in branches
-                       for _, _, _, dias, boxes in _branches(
-                           [l], system, budget, b))
+        # []-bodies, and in T asserts psi at the root too; it entails q
+        # iff no branch resumed with it has an open branch left
+        return all(next(_branches([l], system, budget, b), None) is None
+                   for b in branches)
 
 
 class _WholeClauseTest(_ClauseTest):

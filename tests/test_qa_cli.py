@@ -764,8 +764,8 @@ class TestKbFiles:
     def test_comments_blanks_and_theory_section(self, tmp_path):
         path = tmp_path / "kb.txt"
         path.write_text(
-            "# a knowledge base\n\np1 | p2\n<>[]~p3\n[]<>p2\n"
-            "[theory]\np1 | p2\n")
+            "# a knowledge base\n\np1 | p2  # note\n<>[]~p3#x\n[]<>p2\n"
+            "[theory]  # y\np1 | p2\n")
         kb = load_kb(str(path))
         assert len(kb.formulas) == 3
         assert land(kb.theory) == parse("p1 | p2")
@@ -783,6 +783,8 @@ class TestKbFiles:
         ("p1 | p2\n    p3 & )\n", 2, 10),
         # a form feed is whitespace, not a line break
         ("p1\x0c\n  p & )\n", 2, 7),
+        # a comment after the error moves no column
+        ("p1\np & )  # x\n", 2, 5),
     ])
     def test_malformed_line_position(self, tmp_path, text, line, column):
         path = tmp_path / "kb.txt"
@@ -1127,6 +1129,21 @@ class TestCli:
             assert main(["check", "--kb", str(kb_path), "--system", system]
                         + flags) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_inline_comments(self, tmp_path, capsys):
+        kb = tmp_path / "note.txt"
+        kb.write_text("p1 | p2  # note\n[theory]  # y\np1 | p2\n")
+        out = str(tmp_path / "note.json")
+        assert main(["compile", "--kb", str(kb), "--system", "K",
+                     "--out", out]) == 0
+        assert "  theory              (p1 | p2)\n" in capsys.readouterr().out
+        comp = load_compilation(out)
+        assert (comp.x, comp.y) == (parse("p1 | p2"), parse("p1 | p2"))
+        kb.write_text("p & )  # x\n")
+        assert main(["compile", "--kb", str(kb), "--system", "K",
+                     "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {kb}, line 1, column 5: unexpected ')'\n")
 
     def test_byte_order_mark_ignored(self, tmp_path):
         kb = tmp_path / "bom.txt"

@@ -39,6 +39,11 @@ class TestKripkeModel:
         with pytest.raises(ValueError):
             model([0], {(0, 1)}, {0: set()})
 
+    def test_rejects_valuation_of_an_unlisted_world(self):
+        # world 1 would be true of q for `evaluate` and dropped by `to_dict`
+        with pytest.raises(ValueError, match="unknown world 1"):
+            model([0], set(), {0: {"p"}, 1: {"q"}})
+
 
 class TestEvaluate:
     def test_atom(self):
@@ -96,6 +101,45 @@ class TestSatisfiability:
         is_satisfiable(f, System.K)
         with pytest.raises(BudgetExceededError):
             is_satisfiable(f, System.K, node_budget=8)
+
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_deep_diamond_chain_at_default_recursion_limit(self, system):
+        # the README's depth: each modal level costs the tableau four
+        # frames, so one more per level would fail well below 200
+        assert sys.getrecursionlimit() == 1000
+        f = var("p")
+        for _ in range(200):
+            f = dia(f)
+        clear_cache()
+        assert is_satisfiable(f, system)
+        clear_cache()
+        m, w = find_model(f, system)
+        assert len(m.worlds) == 201
+        clear_cache()
+
+
+class TestBranches:
+    """`_branches` yields only open branches: clash-free, saturated, and
+    with a witness for the successor world of each <>-body."""
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_modal_clash_closes_every_branch(self, system):
+        clear_cache()
+        todo = [parse("(a | b) & <>c & []~c")]
+        budget = semantics_module._Budget(10 ** 6)
+        assert list(semantics_module._branches(todo, system, budget)) == []
+
+    @pytest.mark.parametrize("system", [System.K, System.T])
+    def test_each_branch_carries_its_successor_witnesses(self, system):
+        clear_cache()
+        todo = [parse("(a | b) & <>c")]
+        budget = semantics_module._Budget(10 ** 6)
+        found = list(semantics_module._branches(todo, system, budget))
+        assert [sorted(pos) for _, pos, _, _, _, _ in found] == [["a"], ["b"]]
+        for _, _, _, dias, boxes, children in found:
+            assert list(dias) == ["c"] and boxes == {}
+            assert len(children) == 1 and "c" in children[0].atoms
 
 
 class TestPropagation:
