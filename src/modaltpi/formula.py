@@ -206,8 +206,20 @@ def _shared(cls, key, arg):
     return _memo(_interned, key, cls, key, arg)
 
 
+_NAME = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+
+
 def var(name: str) -> Var:
-    return _interned.get(name) or _shared(Var, name, name)
+    """The atom `name`, which must spell an atom of the grammar
+    (`[a-zA-Z][a-zA-Z0-9_]*`, neither `true` nor `false`), or else
+    ValueError: a printed form is a node's identity, so `~p` or `(a & b)`
+    named as an atom would be mistaken for the node it spells."""
+    f = _interned.get(name)
+    if type(f) is Var:
+        return f
+    if not _NAME.fullmatch(name) or name in ("true", "false"):
+        raise ValueError(f"not an atom name: {name!r}")
+    return _shared(Var, name, name)
 
 
 def _flat(items, cls, zero, unit):
@@ -330,7 +342,7 @@ _BINARY = (("|", lor), ("&", land))  # loosest first
 # Scans stop where trailing whitespace begins: at each position of such a
 # run `\s*` would take the rest of it and fail, quadratic in its length.
 _TOKEN = re.compile(
-    r"\s*(?:(<->|->|\[\]|<>|[()&|~]|[a-zA-Z][a-zA-Z0-9_]*)|(\S))")
+    r"\s*(?:(<->|->|\[\]|<>|[()&|~]|" + _NAME.pattern + r")|(\S))")
 
 
 class _Parser:
@@ -472,10 +484,10 @@ def is_clause(f: Formula) -> bool:
 
 def contradictory(literals) -> bool:
     """Whether the literals include false or a complementary pair of
-    propositional literals."""
-    pos = {l.name for l in literals if isinstance(l, Var)}
-    neg = {l.child.name for l in literals if isinstance(l, Not)}
-    return bool(pos & neg) or FALSE in literals
+    propositional literals, read off their printed forms: p and ~p are
+    the only keys that differ by one leading `~`."""
+    keys = {l.key for l in literals}
+    return FALSE.key in keys or any("~" + k in keys for k in keys)
 
 
 def variables(f: Formula) -> frozenset:

@@ -3,8 +3,9 @@
 Distribution happens only at the outermost boolean level; bodies under
 [] and <> are opaque literals here and are never rewritten.  `distribute`
 picks one member of each group in every way.  It has two callers: the
-normal forms use it on the clauses or terms of subformulas, and
-`pi._picks` on the printed forms of the candidates of the terms.
+normal forms use it on the terms of subformulas, and `pi._picks` on the
+printed forms of the candidates of the terms.  The clauses of f are the
+negations of the terms of ~f.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError
 from .formula import (
-    And, Formula, Or, FALSE, TRUE, contradictory, land, lor, sort_formulas,
+    And, Formula, Or, FALSE, contradictory, land, lnot, sort_formulas,
 )
 
 __all__ = ["Cnf", "Dnf", "to_cnf", "to_dnf", "distribute", "DEFAULT_SIZE_CAP"]
@@ -38,8 +39,8 @@ class Dnf:
 def distribute(groups, cap, layer) -> set:
     """Every distinct pick of one member from each group, each a
     frozenset of members; raises CapacityError, naming `layer`, when more
-    than `cap` picks are distinct.  `_outer` joins each pick into a
-    clause or term, and `pi._picks` keeps the picks as they are."""
+    than `cap` picks are distinct.  `_terms` joins each pick into a term,
+    and `pi._picks` keeps the picks as they are."""
     acc = {frozenset()}
     for group in groups:
         nxt = set()
@@ -52,28 +53,22 @@ def distribute(groups, cap, layer) -> set:
     return acc
 
 
-# (outer node, inner node, unit of the outer node, combine for the inner,
-# the layer a CapacityError names)
-_CNF = (And, Or, TRUE, lor, "outer CNF")
-_DNF = (Or, And, FALSE, land, "outer DNF")
+def _terms(g: Formula, cap, layer) -> set:
+    """The terms of a formula's outer DNF; raises CapacityError, naming
+    `layer`, when a subformula has more than `cap` terms.
 
-
-def _outer(g: Formula, form, cap) -> set:
-    """The clauses (form `_CNF`) or terms (form `_DNF`) of a formula.
-
-    An inner node none of whose children is an outer node has literals
-    for children, so it is its own one clause or term and nothing is
-    distributed; every other inner node distributes over the clauses or
-    terms of its children."""
-    outer, inner, unit, combine, layer = form
-    if g == unit:
+    A conjunction none of whose children is a disjunction has literals
+    for children, so it is its own one term and nothing is distributed;
+    every other conjunction distributes over the terms of its
+    children."""
+    if g == FALSE:
         out = set()
-    elif isinstance(g, outer):
-        out = set().union(*[_outer(c, form, cap) for c in g.children])
-    elif isinstance(g, inner) and any(type(c) is outer for c in g.children):
-        out = set(map(combine, distribute(
-            [_outer(c, form, cap) for c in g.children], cap, layer)))
-    else:  # a literal, the other constant or an inner node of literals
+    elif isinstance(g, Or):
+        out = set().union(*[_terms(c, cap, layer) for c in g.children])
+    elif isinstance(g, And) and any(type(c) is Or for c in g.children):
+        out = set(map(land, distribute(
+            [_terms(c, cap, layer) for c in g.children], cap, layer)))
+    else:  # a literal, true or a conjunction of literals
         out = {g}
     if len(out) > cap:
         raise CapacityError(cap, layer)
@@ -81,9 +76,12 @@ def _outer(g: Formula, form, cap) -> set:
 
 
 def to_cnf(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> Cnf:
-    """Clausal form of the outer boolean level, preserving equivalence;
-    a disjunction of literals is its own one clause."""
-    return Cnf(sort_formulas(_outer(f, _CNF, max_clauses)))
+    """Clausal form of the outer boolean level, preserving equivalence:
+    the dual of `to_dnf` under `lnot`, the negations of the terms of ~f,
+    with no term dropped.  A disjunction of literals is its own one
+    clause."""
+    return Cnf(sort_formulas(
+        map(lnot, _terms(lnot(f), max_clauses, "outer CNF"))))
 
 
 def to_dnf(f: Formula, max_terms: int = DEFAULT_SIZE_CAP) -> Dnf:
@@ -94,7 +92,7 @@ def to_dnf(f: Formula, max_terms: int = DEFAULT_SIZE_CAP) -> Dnf:
     contain false or a complementary pair (a cheap syntactic test;
     deeper pruning is the business of the minimization stage).
     """
-    terms = _outer(f, _DNF, max_terms)
+    terms = _terms(f, max_terms, "outer DNF")
     return Dnf(sort_formulas(
         t for t in terms
         if not contradictory(t.children if isinstance(t, And) else (t,))))

@@ -61,6 +61,8 @@ class KripkeModel:
 
     def __post_init__(self):
         ws = set(self.worlds)
+        if len(ws) < len(self.worlds):
+            raise ValueError(f"worlds {self.worlds!r} repeat a world")
         for a, b in self.relation:
             if a not in ws or b not in ws:
                 raise ValueError(f"relation references unknown world ({a}, {b})")
@@ -82,7 +84,7 @@ def evaluate(model: KripkeModel, world, f: Formula) -> bool:
     Each (world, subformula) pair is evaluated once per call, so the time
     is bounded by subformulas times (worlds + edges), even where many
     paths of the relation reach the same world."""
-    if world not in model.valuation and world not in model.worlds:
+    if world not in model.worlds:
         raise ValueError(f"unknown world {world!r}")
     successors = {}
     for a, b in model.relation:
@@ -170,38 +172,36 @@ def _branches(todo, system, budget, state=None):
     """Open branches of one world, produced lazily.
 
     `todo` is a list of formulas, expanded from its end.  A branch is
-    the state (todo, seen keys, positive atoms, negated atoms, dia bodies,
-    box bodies, waiting disjunctions), kept on an explicit stack.  Each
-    branch first expands every formula but `Or`, spending one node per
-    formula it has not seen and, for T, applying the reflexivity rule; it
-    sets each `Or` aside as the tuple of its disjuncts.  Then one pass
-    over the waiting tuples drops those with a disjunct already seen,
-    closes the branch when none is left open (every disjunct a
-    propositional literal that clashes), and expands a lone open
-    disjunct as a unit; the two steps repeat until no unit is left.  Only
-    then does the branch split, on its first waiting tuple, one branch
-    per open disjunct in canonical order, and only there are its sets
-    copied.  A saturated branch then takes the modal step: one successor
-    world per dia body, holding that body and the box bodies, decided by
-    `_solve` in canonical order; the branch closes at the first world
-    with no witness.  Each branch yielded is open: its state (seen keys,
-    positive atoms, negated atoms, dia bodies, box bodies), three sets
-    and two dicts from printed form to body that no other branch shares,
-    and the list of its successor worlds' witnesses.  Given `state`, a
-    branch's first five parts as iterables, its bodies as formulas, the
-    root starts from a copy of it: so a kept branch resumes with `todo`
-    and stays as it is, as a clause test's check of a []-literal needs.
+    the state (todo, seen keys, atoms, dia bodies, box bodies, waiting
+    disjunctions), kept on an explicit stack.  Each branch first expands
+    every formula but `Or`, spending one node per formula it has not
+    seen and, for T, applying the reflexivity rule; it sets each `Or`
+    aside as the tuple of its disjuncts.  A propositional literal
+    clashes when its complement's key, `~p` for `p` and `p` for `~p`, is
+    seen.  Then one pass over the waiting tuples drops those with a
+    disjunct already seen, closes the branch when every disjunct clashes,
+    and expands a lone open disjunct as a unit; the two steps repeat
+    until no unit is left.  Only then does the branch split, on its
+    first waiting tuple, one branch per open disjunct in canonical
+    order, and only there is its state copied.  A saturated branch then
+    takes the modal step: one successor world per dia body, holding that
+    body and the box bodies, decided by `_solve` in canonical order; the
+    branch closes at the first world with no witness.  Each branch
+    yielded is open: its seen keys and atoms, its dia and box bodies by
+    printed form, none shared, and its successor worlds' witnesses.
+    Given `state`, a branch's (seen keys, dia bodies, box bodies), the
+    root starts from a copy of it with no atoms, which only a witness
+    reads: so a kept branch resumes with `todo` and stays as it is.
     """
     reflexive = system.reflexive
     tick = budget.tick
     if state:
-        seen, pos, neg, dias, boxes = state
-        stack = [(todo, set(seen), set(pos), set(neg), _by_key(dias),
-                  _by_key(boxes), [])]
+        seen, dias, boxes = state
+        stack = [(todo, set(seen), set(), _by_key(dias), _by_key(boxes), [])]
     else:
-        stack = [(todo, set(), set(), set(), {}, {}, [])]
+        stack = [(todo, set(), set(), {}, {}, [])]
     while stack:
-        todo, seen, pos, neg, dias, boxes, ors = stack.pop()
+        todo, seen, pos, dias, boxes, ors = stack.pop()
         closed = False
         while todo:
             while todo:  # expand everything but Or
@@ -213,15 +213,14 @@ def _branches(todo, system, budget, state=None):
                 seen.add(key)
                 cls = type(f)  # node classes have no subclasses
                 if cls is Var:
-                    if f.name in neg:
+                    if "~" + key in seen:
                         closed = True
                         break
                     pos.add(f.name)
                 elif cls is Not:
-                    if f.child.name in pos:
+                    if f.child.key in seen:
                         closed = True
                         break
-                    neg.add(f.child.name)
                 elif cls is And:
                     todo.extend(f.children)
                 elif cls is Or:
@@ -248,8 +247,8 @@ def _branches(todo, system, budget, state=None):
                     if c.key in seen:
                         break
                     cls = type(c)
-                    if not ((cls is Var and c.name in neg)
-                            or (cls is Not and c.child.name in pos)):
+                    if not ((cls is Var and "~" + c.key in seen)
+                            or (cls is Not and c.child.key in seen)):
                         left.append(c)
                 else:
                     if not left:
@@ -275,14 +274,14 @@ def _branches(todo, system, budget, state=None):
                     break
                 children.append(sub)
             else:
-                yield seen, pos, neg, dias, boxes, children
+                yield seen, pos, dias, boxes, children
             continue
         first, rest = ors[0], ors[1:]
         # the last disjunct, explored last, takes the branch's own sets
-        stack.append(([first[-1]], seen, pos, neg, dias, boxes, rest))
+        stack.append(([first[-1]], seen, pos, dias, boxes, rest))
         for c in reversed(first[:-1]):
-            stack.append(([c], set(seen), set(pos), set(neg), dict(dias),
-                          dict(boxes), list(rest)))
+            stack.append(([c], set(seen), set(pos), dict(dias), dict(boxes),
+                          list(rest)))
 
 
 def _by_key(bodies) -> dict:
@@ -307,7 +306,7 @@ def _solve(world, system: System, budget: _Budget):
 def _expand(keys, world, system: System, budget: _Budget):
     """`_solve` of a world missing from the cache, its keys in canonical
     order: the atoms and successor witnesses of its first open branch."""
-    for _, pos, _, _, _, children in _branches(
+    for _, pos, _, _, children in _branches(
             list(map(world.__getitem__, keys)), system, budget):
         return _Witness(frozenset(pos), children)
     return None
@@ -403,13 +402,14 @@ def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
     """The test `query_test` keeps for q, y, system and node_budget: the
     query's half, kept in `_query_halves` for every theory, system and
     budget, joined with every open root branch of []y & ~q that
-    `_branches` yields, up to `_BRANCH_CAP` of them."""
+    `_branches` yields, up to `_BRANCH_CAP` of them, each kept as its
+    seen keys, dia bodies and box bodies."""
     negs, keys = _memo(_query_halves, q.key, _half, q)
     by = box(y)
     budget = _Budget(node_budget)
     branches = []
     # a fresh list, since _branches pops from it
-    for seen, pos, neg, dias, boxes, _ in _branches(
+    for seen, _, dias, boxes, _ in _branches(
             [by, *negs], system, budget):
         if len(branches) == _BRANCH_CAP:
             # in T each clause of y can double the branches, so a wide
@@ -418,8 +418,8 @@ def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
                                     by, keys).clause
         # tuples, which hold a kept branch in less memory than sets and
         # dicts; a literal check keys the bodies again
-        branches.append((tuple(seen), tuple(pos), tuple(neg),
-                         tuple(dias.values()), tuple(boxes.values())))
+        branches.append((tuple(seen), tuple(dias.values()),
+                         tuple(boxes.values())))
     if not branches:
         # kept apart from _ClauseTest, whose seeded verdicts need q not
         # valid: about half the tests a stream of distinct queries
@@ -436,8 +436,8 @@ def _valid(pi):
 
 class _ClauseTest:
     """A prepared `query_test`: `branches` are the open root branches of
-    []y & ~q, each the state `_branches` yields but its witnesses, held
-    in tuples, which a check resumes as `state`; `known` keeps each
+    []y & ~q, each its seen keys, dia bodies and box bodies held in
+    tuples, which a check resumes as `state`; `known` keeps each
     verdict reached, under a clause's or a disjunct's key, and starts
     from those the preparation proved, for `by`, []y, and `keys`, q's
     disjuncts.  One object with slots, so that a kept test holds few
@@ -472,15 +472,14 @@ class _ClauseTest:
         """l & []y |= q: the disjunct l closes every kept branch."""
         branches, system = self.branches, self.system
         cls = type(l)
-        if cls is Var:
-            return all(l.name in neg for _, _, neg, _, _ in branches)
-        if cls is Not:
-            return all(l.child.name in pos for _, pos, _, _, _ in branches)
+        if cls is Var or cls is Not:
+            k = lnot(l).key
+            return all(k in seen for seen, _, _ in branches)
         budget = _Budget(self.node_budget)
         if cls is Dia:  # one more successor world, with the []-bodies
             body = {l.child.key: l.child}
             return all(_solve({**_by_key(boxes), **body}, system, budget)
-                       is None for _, _, _, _, boxes in branches)
+                       is None for _, _, boxes in branches)
         # any other disjunct joins each branch, where []psi joins the
         # []-bodies, and in T asserts psi at the root too; it entails q
         # iff no branch resumed with it has an open branch left
@@ -527,7 +526,7 @@ def query_test(q: Formula, y: Formula, system: System,
     iff l & []y & ~q is unsatisfiable.  Otherwise a disjunct entails q
     iff it closes every kept branch, checked under a budget of its own
     that all the worlds it tries share:
-    - p iff ~p is on every branch, and ~p iff p is, with no tableau step;
+    - a propositional literal iff its complement's key is on every branch;
     - <>phi iff on every branch phi has no successor world with the
       []-bodies;
     - any other disjunct iff each branch resumed with it closes, so a

@@ -9,7 +9,7 @@ import modaltpi.semantics as semantics_module
 from modaltpi.errors import FormulaSyntaxError
 from modaltpi.formula import (
     MAX_EXPANSION, MAX_NESTING, And, Box, Dia, Not, Or, Var, TRUE,
-    FALSE, box, dia, is_clause, is_literal,
+    FALSE, box, contradictory, dia, is_clause, is_literal,
     land, lnot, lor, modal_depth, parse, sort_formulas, var, variables,
 )
 from modaltpi.errors import CapacityError
@@ -322,6 +322,61 @@ class TestInternTable:
                 assert built is make(g)
                 if built not in (TRUE, FALSE):
                     assert formula_module._interned[built.key] is built
+
+
+class TestVar:
+    """`var` makes only atoms the grammar spells, so no atom shares its
+    printed form, its identity, with another node."""
+
+    def test_valid_names(self):
+        for name in ("p", "P1", "x_2", "a_", "trueish", "False_"):
+            f = var(name)
+            assert type(f) is Var and f.name == f.key == name
+            assert parse(name) is f
+
+    @pytest.mark.parametrize("name", [
+        "", "1p", "_p", "p q", "p\n", "p-q", "~p", "(a & b)", "[]p", "<>p",
+        "true", "false",
+    ])
+    def test_rejects_what_is_no_atom(self, name):
+        with pytest.raises(ValueError, match="not an atom name"):
+            var(name)
+
+    def test_interned_negation_is_not_returned(self):
+        assert type(lnot(var("p"))) is Not
+        with pytest.raises(ValueError):
+            var("~p")
+
+    def test_no_atom_poses_as_a_negation_after_reset(self):
+        clear_cache()
+        with pytest.raises(ValueError):
+            var("~q")
+        q = var("q")
+        assert type(lnot(q)) is Not and lnot(q).child is q
+        assert not is_satisfiable(land(q, lnot(q)), System.K)
+
+    def test_no_atom_poses_as_a_conjunction_or_constant(self):
+        clear_cache()
+        with pytest.raises(ValueError):
+            var("(a & b)")
+        assert type(parse("a & b")) is And
+        with pytest.raises(ValueError):
+            var("true")
+        assert parse("true") is TRUE
+
+
+class TestContradictory:
+    @pytest.mark.parametrize("text", ["p & ~p & []q", "false"])
+    def test_contradictory(self, text):
+        f = parse(text)
+        assert contradictory(f.children if isinstance(f, And) else (f,))
+
+    @pytest.mark.parametrize("text", [
+        "p & []~p", "<>p & ~p", "p & ~q", "[]p & <>~p", "true",
+    ])
+    def test_not_contradictory(self, text):
+        f = parse(text)
+        assert not contradictory(f.children if isinstance(f, And) else (f,))
 
 
 class TestParseMemo:

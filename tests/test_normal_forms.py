@@ -3,12 +3,10 @@ import pytest
 import modaltpi.normal_forms as normal_forms_module
 from modaltpi.errors import CapacityError
 from modaltpi.formula import (
-    And, Formula, box, contradictory, dia, is_clause, is_literal, land,
-    lnot, lor, parse, sort_formulas, var,
+    And, Formula, Or, FALSE, TRUE, box, contradictory, dia, is_clause,
+    is_literal, land, lnot, lor, parse, sort_formulas, var,
 )
-from modaltpi.normal_forms import (
-    _CNF, _DNF, Cnf, Dnf, distribute, to_cnf, to_dnf,
-)
+from modaltpi.normal_forms import Cnf, Dnf, distribute, to_cnf, to_dnf
 from modaltpi.semantics import System, entails, equivalent
 
 from conftest import rand_formula
@@ -119,9 +117,17 @@ class TestNbCl:
         assert len(Cnf(()).clauses) == 0
 
 
+# (outer node, inner node, unit of the outer node, combine for the inner,
+# the layer a CapacityError names): the reference builds clauses and
+# terms each directly, not one as the other's dual
+_CNF = (And, Or, TRUE, lor, "outer CNF")
+_DNF = (Or, And, FALSE, land, "outer DNF")
+
+
 def _reference_outer(g: Formula, form, cap) -> set:
-    """`_outer` as it was before inner nodes of literals were returned
-    whole: every inner node distributes over its children's clauses or
+    """The clauses (form `_CNF`) or terms (form `_DNF`) of a formula, as
+    they were built before inner nodes of literals were returned whole:
+    every inner node distributes over its children's clauses or
     terms."""
     outer, inner, unit, combine, layer = form
     if g == unit:

@@ -44,6 +44,11 @@ class TestKripkeModel:
         with pytest.raises(ValueError, match="unknown world 1"):
             model([0], set(), {0: {"p"}, 1: {"q"}})
 
+    def test_rejects_a_repeated_world(self):
+        # `to_dict` would list world 0 twice
+        with pytest.raises(ValueError, match="repeat a world"):
+            KripkeModel((0, 0), frozenset(), {0: frozenset("p")})
+
 
 class TestEvaluate:
     def test_atom(self):
@@ -136,8 +141,8 @@ class TestBranches:
         todo = [parse("(a | b) & <>c")]
         budget = semantics_module._Budget(10 ** 6)
         found = list(semantics_module._branches(todo, system, budget))
-        assert [sorted(pos) for _, pos, _, _, _, _ in found] == [["a"], ["b"]]
-        for _, _, _, dias, boxes, children in found:
+        assert [sorted(pos) for _, pos, _, _, _ in found] == [["a"], ["b"]]
+        for _, _, dias, boxes, children in found:
             assert list(dias) == ["c"] and boxes == {}
             assert len(children) == 1 and "c" in children[0].atoms
 
