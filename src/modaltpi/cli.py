@@ -1,13 +1,15 @@
 """Command line surface: tpi compile / query / check / oracle.
 
-Exit codes: 0 success or true answer, 1 false answer or failed check,
-2 input error, 3 resource or size cap exceeded.
+Exit codes: 0 success or true answer, 1 false answer, failed check or
+a standard output closed by its reader (nothing is printed then), 2 input
+error, 3 resource or size cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -183,7 +185,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone, as in `tpi oracle ... | true`; stdout
+        # points at devnull so that the flush at exit cannot fail again
+        # (Python's "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FALSE
     except (BudgetExceededError, CapacityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE

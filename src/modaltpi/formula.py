@@ -30,7 +30,7 @@ __all__ = [
     "TRUE", "FALSE",
     "var", "land", "lor", "lnot", "box", "dia",
     "parse", "is_clause", "contradictory",
-    "variables", "modal_depth", "canonical_key", "sort_formulas",
+    "modal_depth", "canonical_key", "sort_formulas",
     "conjuncts", "disjuncts", "MAX_NESTING", "MAX_EXPANSION", "clear_cache",
 ]
 
@@ -488,20 +488,6 @@ def contradictory(literals) -> bool:
     the only keys that differ by one leading `~`."""
     keys = {l.key for l in literals}
     return FALSE.key in keys or any("~" + k in keys for k in keys)
-
-
-def variables(f: Formula) -> frozenset:
-    """All variable names occurring in the formula."""
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    if isinstance(f, (TrueF, FalseF)):
-        return frozenset()
-    if isinstance(f, (And, Or)):
-        out = set()
-        for c in f.children:
-            out |= variables(c)
-        return frozenset(out)
-    return variables(f.child)
 
 
 def modal_depth(f: Formula) -> int:

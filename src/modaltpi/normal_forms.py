@@ -17,16 +17,9 @@ from .formula import (
     And, Formula, Or, FALSE, contradictory, land, lnot, sort_formulas,
 )
 
-__all__ = ["Cnf", "Dnf", "to_cnf", "to_dnf", "distribute", "DEFAULT_SIZE_CAP"]
+__all__ = ["Dnf", "to_cnf", "to_dnf", "distribute", "DEFAULT_SIZE_CAP"]
 
 DEFAULT_SIZE_CAP = 10_000
-
-
-@dataclass(frozen=True)
-class Cnf:
-    """Conjunction of clauses; an empty tuple is the constant true."""
-
-    clauses: tuple
 
 
 @dataclass(frozen=True)
@@ -75,13 +68,13 @@ def _terms(g: Formula, cap, layer) -> set:
     return out
 
 
-def to_cnf(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> Cnf:
-    """Clausal form of the outer boolean level, preserving equivalence:
-    the dual of `to_dnf` under `lnot`, the negations of the terms of ~f,
-    with no term dropped.  A disjunction of literals is its own one
-    clause."""
-    return Cnf(sort_formulas(
-        map(lnot, _terms(lnot(f), max_clauses, "outer CNF"))))
+def to_cnf(f: Formula, max_clauses: int = DEFAULT_SIZE_CAP) -> tuple:
+    """The sorted clauses of the outer boolean level, whose conjunction
+    is equivalent to f (none for the constant true): the dual of
+    `to_dnf` under `lnot`, the negations of the terms of ~f, with no
+    term dropped.  A disjunction of literals is its own one clause."""
+    return sort_formulas(
+        map(lnot, _terms(lnot(f), max_clauses, "outer CNF")))
 
 
 def to_dnf(f: Formula, max_terms: int = DEFAULT_SIZE_CAP) -> Dnf:

@@ -14,18 +14,10 @@ from __future__ import annotations
 
 import itertools
 
-from .formula import (
-    And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var, FALSE,
-    box, dia, lnot, lor, land, modal_depth, sort_formulas, var, variables,
-)
-from .semantics import (
-    System, _Budget, _Witness, entails_mod, evaluate, tree_model,
-)
+from .formula import And, Box, Dia, FalseF, Formula, Not, Or, TrueF, Var
+from .semantics import System, _Budget, _Witness, evaluate, tree_model
 
-__all__ = [
-    "sat_by_enumeration", "enumerate_implicates", "check_decomposition",
-    "DEFAULT_ENUM_BUDGET",
-]
+__all__ = ["sat_by_enumeration", "DEFAULT_ENUM_BUDGET"]
 
 DEFAULT_ENUM_BUDGET = 200_000
 
@@ -125,8 +117,8 @@ def _child_combos(types, max_branching, tick):
 
 def sat_by_enumeration(f: Formula, system: System,
                        budget: int = DEFAULT_ENUM_BUDGET):
-    """(model, world) satisfying f, or None when f is unsatisfiable, as
-    `semantics.find_model` returns; the search covers every tree within
+    """(model, world) satisfying f, built by `semantics.tree_model`, or
+    None when f is unsatisfiable; the search covers every tree within
     the bounds `_closure` reads off f, where a satisfiable f always has a
     model.
 
@@ -166,86 +158,3 @@ def sat_by_enumeration(f: Formula, system: System,
         if len(types) == known or not max_branching:
             break  # fixpoint, or no children: deeper trees add no types
     return None
-
-
-# ---------------------------------------------------------------------------
-# Clause-vocabulary enumeration
-# ---------------------------------------------------------------------------
-
-def clause_vocabulary(names, max_disjuncts: int = 2,
-                      max_modal_depth: int = 1):
-    """All clauses over the variables within the shape bounds, canonical."""
-    lits = []
-    for n in sorted(names):
-        lits.append(var(n))
-        lits.append(lnot(var(n)))
-    bodies = lits + [lor(a, b) for a, b in itertools.combinations(lits, 2)]
-    pool = list(lits)
-    if max_modal_depth >= 1:
-        for b in bodies:
-            pool.append(box(b))
-            pool.append(dia(b))
-    pool = sort_formulas(set(pool))
-    clauses = set(pool)
-    for k in range(2, max_disjuncts + 1):
-        for combo in itertools.combinations(pool, k):
-            clauses.add(lor(combo))
-    return sort_formulas(clauses)
-
-
-def enumerate_implicates(x: Formula, theory: Formula, system: System,
-                         names=None, max_disjuncts: int = 2,
-                         max_modal_depth: int = 1) -> tuple:
-    """Clauses within the vocabulary bounds entailed by x modulo the theory."""
-    if names is None:
-        names = sorted(variables(x) | variables(theory))
-    vocab = clause_vocabulary(names, max_disjuncts, max_modal_depth)
-    return tuple(c for c in vocab if entails_mod(x, theory, c, system))
-
-
-# ---------------------------------------------------------------------------
-# Seven-way unsatisfiability split
-# ---------------------------------------------------------------------------
-
-def check_decomposition(alpha, beta, gamma, psi, phi, xi, y: Formula,
-                        system: System = System.K) -> bool:
-    """Check the unsat split for shaped conjunctions against a []-theory.
-
-    The left side conjoins the three literal groups (propositional alphas,
-    <>betas, []gammas), their pairwise and triple disjunctions, and the
-    psi / []phi / <>xi extras; it is unsat modulo []y iff one of seven
-    ground conditions holds modulo y.  Returns True when both sides agree;
-    empty groups read as empty disjunctions (false).
-    """
-    for name, group in (("alpha", alpha), ("psi", psi)):
-        for g in group:
-            if modal_depth(g) != 0:
-                raise ValueError(f"{name} formulas must be propositional")
-    if modal_depth(y) != 0:
-        raise ValueError("y must be propositional")
-
-    a = lor(alpha)
-    bd = lor([dia(b) for b in beta])
-    gb = lor([box(g) for g in gamma])
-    lhs = land([a, bd, gb, lor([a, bd]), lor([a, gb]), lor([bd, gb]),
-                lor([a, bd, gb])]
-               + list(psi)
-               + [box(p) for p in phi]
-               + [dia(q) for q in xi])
-    lhs_unsat = entails_mod(lhs, box(y), FALSE, system)
-
-    phis = list(phi)
-
-    def unsat(parts) -> bool:
-        return entails_mod(land(parts), y, FALSE, system)
-
-    conds = [
-        unsat([a] + list(psi)),
-        unsat([lor(beta)] + phis),
-        any(unsat([lor(gamma), u] + phis) for u in xi),
-        unsat([lor(list(alpha) + list(beta))] + phis),
-        any(unsat([lor(list(alpha) + list(gamma)), u] + phis) for u in xi),
-        unsat([lor(list(beta) + list(gamma))] + phis),
-        unsat([lor(list(alpha) + list(beta) + list(gamma))] + phis),
-    ]
-    return lhs_unsat == any(conds)

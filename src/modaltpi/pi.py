@@ -234,7 +234,7 @@ def is_horn(y: Formula) -> bool:
     if modal_depth(y) != 0:
         raise ValueError("horn check expects a propositional formula")
     try:
-        clauses = to_cnf(y).clauses
+        clauses = to_cnf(y)
     except CapacityError:
         return False
     return all(sum(isinstance(l, Var) for l in disjuncts(c)) <= 1
@@ -244,7 +244,7 @@ def is_horn(y: Formula) -> bool:
 def default_theory(x: Formula) -> Formula:
     """The propositional clauses of the outer CNF of x, conjoined; the
     CNF is equivalent to x, so x entails each of them."""
-    return land(c for c in to_cnf(x).clauses if modal_depth(c) == 0)
+    return land(c for c in to_cnf(x) if modal_depth(c) == 0)
 
 
 def compile_kb(x: Formula, y: Formula, system: System = System.T,

@@ -10,7 +10,7 @@ models it produces carry a self-loop at every world.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, NonClausalQueryError
 from .formula import (
@@ -53,11 +53,15 @@ class System(enum.Enum):
 
 @dataclass(frozen=True)
 class KripkeModel:
-    """Finite pointed-model backbone: worlds, relation, per-world valuation."""
+    """Finite pointed-model backbone: worlds, relation, per-world valuation.
+
+    Each valuation value is the frozenset of atoms true at its world.
+    The hash reads the worlds and the relation alone, so a model can be a
+    set member or a dict key; equality still compares valuations."""
 
     worlds: tuple
     relation: frozenset
-    valuation: dict
+    valuation: dict = field(hash=False)
 
     def __post_init__(self):
         ws = set(self.worlds)
@@ -66,9 +70,12 @@ class KripkeModel:
         for a, b in self.relation:
             if a not in ws or b not in ws:
                 raise ValueError(f"relation references unknown world ({a}, {b})")
-        for w in self.valuation:
+        for w, atoms in self.valuation.items():
             if w not in ws:
                 raise ValueError(f"valuation references unknown world {w!r}")
+            if type(atoms) is not frozenset:
+                raise ValueError(
+                    f"valuation of world {w!r} is not a frozenset of atoms")
 
     def to_dict(self) -> dict:
         return {

@@ -1,13 +1,22 @@
-"""Shared generators and fixtures for the test suite."""
+"""Shared generators, checkers and fixtures for the test suite.
 
+Besides the random generators this holds the query vocabulary
+(`clause_vocabulary`), the implicate enumeration (`enumerate_implicates`)
+and the seven-way unsat split checker (`check_decomposition`).  The last
+two decide entailment with the tableau, so they live here and not in
+`modaltpi.oracle`, which checks the tableau.
+"""
+
+import itertools
 import random
 
 import pytest
 
 from modaltpi.formula import (
-    MAX_NESTING, TRUE, And, Box, Dia, Not, Or, Var, box, dia, land, lnot,
-    lor, var,
+    FALSE, MAX_NESTING, TRUE, And, Box, Dia, FalseF, Formula, Not, Or,
+    TrueF, Var, box, dia, land, lnot, lor, modal_depth, sort_formulas, var,
 )
+from modaltpi.semantics import System, entails_mod
 
 
 NAMES = ("a", "b", "c")
@@ -133,6 +142,95 @@ def spelled_outside_nnf(rng, f):
         return str(g)  # an atom or a constant
 
     return go(f)
+
+
+def variables(f: Formula) -> frozenset:
+    """All variable names occurring in the formula."""
+    if isinstance(f, Var):
+        return frozenset((f.name,))
+    if isinstance(f, (TrueF, FalseF)):
+        return frozenset()
+    if isinstance(f, (And, Or)):
+        out = set()
+        for c in f.children:
+            out |= variables(c)
+        return frozenset(out)
+    return variables(f.child)
+
+
+def clause_vocabulary(names, max_disjuncts: int = 2,
+                      max_modal_depth: int = 1):
+    """All clauses over the variables within the shape bounds, canonical."""
+    lits = []
+    for n in sorted(names):
+        lits.append(var(n))
+        lits.append(lnot(var(n)))
+    bodies = lits + [lor(a, b) for a, b in itertools.combinations(lits, 2)]
+    pool = list(lits)
+    if max_modal_depth >= 1:
+        for b in bodies:
+            pool.append(box(b))
+            pool.append(dia(b))
+    pool = sort_formulas(set(pool))
+    clauses = set(pool)
+    for k in range(2, max_disjuncts + 1):
+        for combo in itertools.combinations(pool, k):
+            clauses.add(lor(combo))
+    return sort_formulas(clauses)
+
+
+def enumerate_implicates(x: Formula, theory: Formula, system: System,
+                         names=None, max_disjuncts: int = 2,
+                         max_modal_depth: int = 1) -> tuple:
+    """Clauses within the vocabulary bounds entailed by x modulo the theory."""
+    if names is None:
+        names = sorted(variables(x) | variables(theory))
+    vocab = clause_vocabulary(names, max_disjuncts, max_modal_depth)
+    return tuple(c for c in vocab if entails_mod(x, theory, c, system))
+
+
+def check_decomposition(alpha, beta, gamma, psi, phi, xi, y: Formula,
+                        system: System = System.K) -> bool:
+    """Check the unsat split for shaped conjunctions against a []-theory.
+
+    The left side conjoins the three literal groups (propositional alphas,
+    <>betas, []gammas), their pairwise and triple disjunctions, and the
+    psi / []phi / <>xi extras; it is unsat modulo []y iff one of seven
+    ground conditions holds modulo y.  Returns True when both sides agree;
+    empty groups read as empty disjunctions (false).
+    """
+    for name, group in (("alpha", alpha), ("psi", psi)):
+        for g in group:
+            if modal_depth(g) != 0:
+                raise ValueError(f"{name} formulas must be propositional")
+    if modal_depth(y) != 0:
+        raise ValueError("y must be propositional")
+
+    a = lor(alpha)
+    bd = lor([dia(b) for b in beta])
+    gb = lor([box(g) for g in gamma])
+    lhs = land([a, bd, gb, lor([a, bd]), lor([a, gb]), lor([bd, gb]),
+                lor([a, bd, gb])]
+               + list(psi)
+               + [box(p) for p in phi]
+               + [dia(q) for q in xi])
+    lhs_unsat = entails_mod(lhs, box(y), FALSE, system)
+
+    phis = list(phi)
+
+    def unsat(parts) -> bool:
+        return entails_mod(land(parts), y, FALSE, system)
+
+    conds = [
+        unsat([a] + list(psi)),
+        unsat([lor(beta)] + phis),
+        any(unsat([lor(gamma), u] + phis) for u in xi),
+        unsat([lor(list(alpha) + list(beta))] + phis),
+        any(unsat([lor(list(alpha) + list(gamma)), u] + phis) for u in xi),
+        unsat([lor(list(beta) + list(gamma))] + phis),
+        unsat([lor(list(alpha) + list(beta) + list(gamma))] + phis),
+    ]
+    return lhs_unsat == any(conds)
 
 
 @pytest.fixture

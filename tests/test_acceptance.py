@@ -14,11 +14,9 @@ import pytest
 from modaltpi.cli import main
 from modaltpi.errors import CapacityError
 from modaltpi.formula import (
-    TRUE, box, dia, land, lnot, lor, parse, var, variables,
+    TRUE, box, dia, land, lnot, lor, parse, var,
 )
-from modaltpi.oracle import (
-    check_decomposition, clause_vocabulary, sat_by_enumeration,
-)
+from modaltpi.oracle import sat_by_enumeration
 from modaltpi.pi import compile_kb, prime_implicates
 from modaltpi.qa import answer_query, answer_query_direct, load_compilation
 from modaltpi.semantics import (
@@ -26,7 +24,10 @@ from modaltpi.semantics import (
     is_satisfiable,
 )
 
-from conftest import rand_clause, rand_formula, rand_instance, rand_prop
+from conftest import (
+    check_decomposition, clause_vocabulary, rand_clause, rand_formula,
+    rand_instance, rand_prop, variables,
+)
 
 
 X_GOLDEN = "(p1 | p2) & <>[]~p3 & []<>p2"

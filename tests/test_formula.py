@@ -10,7 +10,7 @@ from modaltpi.errors import FormulaSyntaxError
 from modaltpi.formula import (
     MAX_EXPANSION, MAX_NESTING, And, Box, Dia, Not, Or, Var, TRUE,
     FALSE, box, contradictory, dia, is_clause, is_literal,
-    land, lnot, lor, modal_depth, parse, sort_formulas, var, variables,
+    land, lnot, lor, modal_depth, parse, sort_formulas, var,
 )
 from modaltpi.errors import CapacityError
 from modaltpi.pi import compile_kb
@@ -21,7 +21,7 @@ from modaltpi.semantics import (
 
 from conftest import (
     AT_NESTING_LIMIT, IFF_CHAIN, IFF_CHAINS, TOO_DEEP, rand_formula,
-    rand_instance, spelled_outside_nnf,
+    rand_instance, spelled_outside_nnf, variables,
 )
 
 # (text, message, line, column): lines are counted at "\n" only, every

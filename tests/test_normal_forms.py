@@ -6,7 +6,7 @@ from modaltpi.formula import (
     And, Formula, Or, FALSE, TRUE, box, contradictory, dia, is_clause,
     is_literal, land, lnot, lor, parse, sort_formulas, var,
 )
-from modaltpi.normal_forms import Cnf, Dnf, distribute, to_cnf, to_dnf
+from modaltpi.normal_forms import Dnf, distribute, to_cnf, to_dnf
 from modaltpi.semantics import System, entails, equivalent
 
 from conftest import rand_formula
@@ -18,23 +18,23 @@ GOLDEN = "(p1 | p2) & <>[]~p3 & []<>p2 & [](p1 | p2)"
 class TestToCnf:
     def test_distributes_or_over_and(self):
         cnf = to_cnf(parse("p | (q & r)"))
-        assert set(cnf.clauses) == {parse("p | q"), parse("p | r")}
+        assert set(cnf) == {parse("p | q"), parse("p | r")}
 
     def test_already_clausal(self):
         cnf = to_cnf(parse("<>a & (p | []b)"))
-        assert set(cnf.clauses) == {parse("<>a"), parse("p | []b")}
+        assert set(cnf) == {parse("<>a"), parse("p | []b")}
 
     def test_golden_four_clauses_untouched(self):
         cnf = to_cnf(parse(GOLDEN))
-        assert len(cnf.clauses) == 4
-        assert set(cnf.clauses) == {
+        assert len(cnf) == 4
+        assert set(cnf) == {
             parse("p1 | p2"), parse("<>[]~p3"), parse("[]<>p2"),
             parse("[](p1 | p2)"),
         }
 
     def test_modal_bodies_left_intact(self):
         cnf = to_cnf(parse("[](p | (q & r))"))
-        assert cnf.clauses == (parse("[](p | (q & r))"),)
+        assert cnf == (parse("[](p | (q & r))"),)
 
     def test_cap(self):
         f = land(lor(parse(f"a{i}"), parse(f"b{i}")) for i in range(8))
@@ -85,14 +85,14 @@ class TestToDnf:
             for t in to_dnf(f).terms:
                 assert all(map(is_literal,
                                t.children if isinstance(t, And) else (t,)))
-            for c in to_cnf(f).clauses:
+            for c in to_cnf(f):
                 assert is_clause(c)
 
     def test_equivalence_random(self, rng):
         for _ in range(50):
             f = rand_formula(rng, depth=2, size=8)
             for system in (System.K, System.T):
-                assert equivalent(f, land(to_cnf(f).clauses), system)
+                assert equivalent(f, land(to_cnf(f)), system)
                 assert equivalent(f, lor(to_dnf(f).terms), system)
 
     def test_fixpoint_on_term_sets(self, rng):
@@ -105,7 +105,7 @@ class TestToDnf:
 
 class TestNbCl:
     def test_two_clauses(self):
-        assert len(to_cnf(parse("(p | q) & (p | r)")).clauses) == 2
+        assert len(to_cnf(parse("(p | q) & (p | r)"))) == 2
 
     def test_golden_theta_size(self):
         theta = [parse("p1 | p2"), parse("[](<>p2 & (p1 | p2))"),
@@ -113,8 +113,7 @@ class TestNbCl:
         assert len(theta) == 3
 
     def test_empty_cnf_is_zero(self):
-        assert len(to_cnf(parse("true")).clauses) == 0
-        assert len(Cnf(()).clauses) == 0
+        assert len(to_cnf(parse("true"))) == 0
 
 
 # (outer node, inner node, unit of the outer node, combine for the inner,
@@ -180,8 +179,7 @@ class TestAgainstReference:
                                 f, cap) == want, (f, cap)
                 capped += want[:1] == ("capacity",)
                 want = _outcome(_reference_cnf, f, cap)
-                assert _outcome(lambda g, n: to_cnf(g, n).clauses,
-                                f, cap) == want, (f, cap)
+                assert _outcome(to_cnf, f, cap) == want, (f, cap)
             single += len(to_dnf(f).terms) == 1
         # both the capped and the one-term cases are exercised
         assert capped > 100 and single > 100
@@ -195,10 +193,10 @@ class TestAgainstReference:
                     dia(parse("c & d"))]
         term, clause = land(literals), lor(literals)
         assert to_dnf(term).terms == (term,)
-        assert to_cnf(clause).clauses == (clause,)
+        assert to_cnf(clause) == (clause,)
         for cap in (1, 2):
             assert to_dnf(term, cap).terms == (term,)
-            assert to_cnf(clause, cap).clauses == (clause,)
+            assert to_cnf(clause, cap) == (clause,)
         # a contradictory term of literals is still dropped
         contradictory_term = land(var("p"), lnot(var("p")), box(var("q")))
         assert to_dnf(contradictory_term).terms == ()

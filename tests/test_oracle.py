@@ -7,14 +7,14 @@ from modaltpi.errors import BudgetExceededError
 from modaltpi.formula import (
     TRUE, box, dia, land, lnot, lor, parse, var,
 )
-from modaltpi.oracle import (
-    _child_combos, _closure, check_decomposition, clause_vocabulary,
-    enumerate_implicates, sat_by_enumeration,
-)
+from modaltpi.oracle import _child_combos, _closure, sat_by_enumeration
 from modaltpi.pi import prime_implicates
 from modaltpi.semantics import System, entails, evaluate, is_satisfiable
 
-from conftest import rand_formula, rand_prop
+from conftest import (
+    check_decomposition, clause_vocabulary, enumerate_implicates,
+    rand_formula, rand_prop,
+)
 
 
 class TestSatByEnumeration:
@@ -28,6 +28,14 @@ class TestSatByEnumeration:
 
     def test_reflexive_root_refutes_at_depth_zero(self):
         assert sat_by_enumeration(parse("[]p & ~p"), System.T) is None
+
+    def test_independent_of_the_tableau(self):
+        # the oracle validates the tableau, so it binds none of its
+        # decision procedures
+        procedures = {"is_satisfiable", "find_model", "entails",
+                      "entails_mod", "equivalent", "equivalent_mod",
+                      "query_test"}
+        assert procedures.isdisjoint(vars(oracle))
 
     def test_bounds_cover_formula(self):
         _, _, (depth, branching, names) = _closure(

@@ -13,7 +13,6 @@ from modaltpi.formula import (
     lor, modal_depth, parse, sort_formulas, var,
 )
 from modaltpi.normal_forms import to_dnf
-from modaltpi.oracle import clause_vocabulary, enumerate_implicates
 from modaltpi.pi import (
     _minimize, candidates, compile_kb, default_theory, is_horn,
     prime_implicates, term_candidates,
@@ -24,7 +23,10 @@ from modaltpi.semantics import (
     is_satisfiable, query_test,
 )
 
-from conftest import rand_clause, rand_formula, rand_instance, rand_prop
+from conftest import (
+    clause_vocabulary, enumerate_implicates, rand_clause, rand_formula,
+    rand_instance, rand_prop,
+)
 
 
 X_GOLDEN = "(p1 | p2) & <>[]~p3 & []<>p2"

@@ -28,14 +28,13 @@ from modaltpi.qa import (
     KnowledgeBaseFile, QueryVerdict, answer_query, answer_query_direct,
     load_compilation, load_kb, save_compilation,
 )
-from modaltpi.oracle import clause_vocabulary
 from modaltpi.semantics import (
     System, clear_cache, entails_mod, evaluate, is_satisfiable, query_test,
 )
 
 from conftest import (
-    AT_NESTING_LIMIT, IFF_CHAIN, IFF_CHAINS, TOO_DEEP, rand_clause,
-    rand_formula, rand_instance, rand_prop, spelled_outside_nnf,
+    AT_NESTING_LIMIT, IFF_CHAIN, IFF_CHAINS, TOO_DEEP, clause_vocabulary,
+    rand_clause, rand_formula, rand_instance, rand_prop, spelled_outside_nnf,
 )
 
 
@@ -1250,16 +1249,33 @@ class TestCli:
         assert captured.err == ""
 
     @staticmethod
-    def _oracle_subprocess(formula, budget, **kwargs):
+    def _oracle_subprocess(formula, budget, stdout=subprocess.PIPE,
+                           env=(), **kwargs):
         """`python -m modaltpi.cli oracle` on formula in K, in a fresh
-        interpreter that imports this checkout's package."""
+        interpreter that imports this checkout's package, with `env`
+        added to its environment."""
         src = str(Path(modaltpi.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ, **dict(env), PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         return subprocess.run(
             [sys.executable, "-m", "modaltpi.cli", "oracle",
              "--formula", formula, "--system", "K", "--budget", budget],
-            env=env, capture_output=True, text=True, timeout=120, **kwargs)
+            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+            timeout=120, **kwargs)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_oracle_into_a_closed_pipe(self, unbuffered):
+        # as in `tpi oracle ... | true`: a reader that has gone is no
+        # input error, whether the write or the flush at exit meets it
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = self._oracle_subprocess(
+                "[]p & ~p", "5000", stdout=write,
+                env={"PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, "")
 
     def test_oracle_budget_bounds_valuations(self):
         # 2^24 valuations would not fit in the address space allowed;

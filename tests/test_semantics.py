@@ -49,6 +49,23 @@ class TestKripkeModel:
         with pytest.raises(ValueError, match="repeat a world"):
             KripkeModel((0, 0), frozenset(), {0: frozenset("p")})
 
+    def test_rejects_a_valuation_that_is_not_a_frozenset(self):
+        # `evaluate` would read p, q and pq as true of "pq", by substring
+        for atoms in ("pq", {"p"}, ["p"]):
+            with pytest.raises(ValueError, match="world 0 is not a frozenset"):
+                KripkeModel((0,), frozenset(), {0: atoms})
+
+    def test_hashable(self):
+        # a countermodel can be a set member or a dict key
+        found, _ = find_model(parse("<>p & []q"), System.K)
+        assert hash(found) == hash(find_model(parse("<>p & []q"),
+                                              System.K)[0])
+        same = {model([0, 1], {(0, 1)}, {0: set(), 1: {"p"}}),
+                model([0, 1], {(0, 1)}, {0: set(), 1: {"p"}})}
+        assert len(same) == 1
+        # the hash skips valuations, equality does not
+        assert model([0, 1], {(0, 1)}, {0: set(), 1: {"q"}}) not in same
+
 
 class TestEvaluate:
     def test_atom(self):
@@ -492,7 +509,7 @@ _SEED_PROBE = """
 import json, sys
 from modaltpi.errors import BudgetExceededError
 from modaltpi.formula import parse
-from modaltpi.oracle import clause_vocabulary
+from conftest import clause_vocabulary
 from modaltpi.pi import compile_kb
 from modaltpi.qa import answer_query
 from modaltpi.semantics import (
@@ -557,8 +574,9 @@ class TestHashSeed:
                  for u, v, w in itertools.permutations("abcde", 3)]
         cases = {"sets": sets, "kbs": kbs, "tests": tests}
         src = str(Path(modaltpi.__file__).resolve().parent.parent)
+        here = str(Path(__file__).resolve().parent)
         path = os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))
+            filter(None, [src, here, os.environ.get("PYTHONPATH")]))
         outputs = []
         for seed in range(4):
             env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
