@@ -12,10 +12,10 @@ makes it once per pair, kept in `_candidate_sets`, and the K and T
 compiles of one knowledge base and every `candidates` read share it.
 Each check `a & []y |= b` is made by `semantics.query_test(b, ...)`, the
 test compiled answers use, kept in the same table: in K and in T it goes
-literal by literal, against the open branches of `[]y & ~b` or, past 64
-of them, by one tableau call each, and the verdicts it reaches are shared
-with every later compile and query with the same theory, system and
-budget.
+literal by literal, against the first 64 open branches of `[]y & ~b`,
+and past them a literal that closes all 64 is confirmed by one tableau
+call; the verdicts it reaches are shared with every later compile and
+query with the same theory, system and budget.
 """
 
 from __future__ import annotations

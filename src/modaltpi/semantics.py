@@ -64,6 +64,10 @@ class KripkeModel:
     valuation: dict = field(hash=False)
 
     def __post_init__(self):
+        if type(self.worlds) is not tuple:
+            raise ValueError("worlds is not a tuple")
+        if type(self.relation) is not frozenset:
+            raise ValueError("relation is not a frozenset")
         ws = set(self.worlds)
         if len(ws) < len(self.worlds):
             raise ValueError(f"worlds {self.worlds!r} repeat a world")
@@ -170,8 +174,7 @@ _query_tests = _table()
 # query halves: query key -> what `_half` makes, the part of a query
 # test that no theory, system or budget changes
 _query_halves = _table()
-# kept open root branches past which a clause test decides each literal
-# by one tableau call
+# open root branches a clause test keeps; past them a tableau call confirms
 _BRANCH_CAP = 64
 
 
@@ -344,7 +347,7 @@ def tree_model(tree, system: System):
                        valuation), root
 
 
-def _solve_root(f, system: System, node_budget: int):
+def _solve_root(f, system: System, budget: _Budget):
     """Witness for f, a formula or an iterable of formulas read
     conjunctively, or None when f is unsatisfiable.  The root world is
     the conjuncts `land` would join, by printed form, or `false` alone
@@ -352,22 +355,21 @@ def _solve_root(f, system: System, node_budget: int):
     expansion of `false` does: so the direct and compiled answers to
     `true` need the same budget."""
     root = conjuncts((f,) if isinstance(f, Formula) else f)
-    return _solve({FALSE.key: FALSE} if root is None else root, system,
-                  _Budget(node_budget))
+    return _solve({FALSE.key: FALSE} if root is None else root, system, budget)
 
 
 def is_satisfiable(f, system: System,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Decide satisfiability of a formula, or of an iterable of formulas
     read conjunctively; raises BudgetExceededError when out of nodes."""
-    return _solve_root(f, system, node_budget) is not None
+    return _solve_root(f, system, _Budget(node_budget)) is not None
 
 
 def find_model(f, system: System,
                node_budget: int = DEFAULT_NODE_BUDGET):
     """(model, world) satisfying f, or None when f is unsatisfiable; f is
     a formula or an iterable of formulas read conjunctively."""
-    witness = _solve_root(f, system, node_budget)
+    witness = _solve_root(f, system, _Budget(node_budget))
     return None if witness is None else tree_model(witness, system)
 
 
@@ -408,32 +410,33 @@ def _half(q: Formula):
 def _prepare(q: Formula, y: Formula, system: System, node_budget: int):
     """The test `query_test` keeps for q, y, system and node_budget: the
     query's half, kept in `_query_halves` for every theory, system and
-    budget, joined with every open root branch of []y & ~q that
-    `_branches` yields, up to `_BRANCH_CAP` of them, each kept as its
-    seen keys, dia bodies and box bodies."""
+    budget, joined with the first `_BRANCH_CAP` open root branches of
+    []y & ~q that `_branches` yields, each kept as its seen keys, dia
+    bodies and box bodies, and, if more are left, with its conjuncts."""
     negs, keys = _memo(_query_halves, q.key, _half, q)
     by = box(y)
     budget = _Budget(node_budget)
     branches = []
+    root = None
     # a fresh list, since _branches pops from it
     for seen, _, dias, boxes, _ in _branches(
             [by, *negs], system, budget):
         if len(branches) == _BRANCH_CAP:
-            # in T each clause of y can double the branches, so a wide
-            # theory is tested one tableau call per literal instead
-            return _WholeClauseTest(system, node_budget, (by, *negs),
-                                    by, keys).clause
+            # past the cap kept branches refute a literal, never confirm it
+            root = (by, *negs)
+            break
         # tuples, which hold a kept branch in less memory than sets and
         # dicts; a literal check keys the bodies again
         branches.append((tuple(seen), tuple(dias.values()),
                          tuple(boxes.values())))
-    if not branches:
+    if root is None and not branches:
         # kept apart from _ClauseTest, whose seeded verdicts need q not
         # valid: about half the tests a stream of distinct queries
         # prepares are valid ones, and sending them through _ClauseTest
         # made compiled answers 7-14% slower
         return _valid
-    return _ClauseTest(system, node_budget, tuple(branches), by, keys).clause
+    return _ClauseTest(system, node_budget, tuple(branches), root, by,
+                       keys).clause
 
 
 def _valid(pi):
@@ -442,19 +445,20 @@ def _valid(pi):
 
 
 class _ClauseTest:
-    """A prepared `query_test`: `branches` are the open root branches of
+    """A prepared `query_test`: `branches` are open root branches of
     []y & ~q, each its seen keys, dia bodies and box bodies held in
-    tuples, which a check resumes as `state`; `known` keeps each
-    verdict reached, under a clause's or a disjunct's key, and starts
-    from those the preparation proved, for `by`, []y, and `keys`, q's
-    disjuncts.  One object with slots, so that a kept test holds few
-    objects."""
+    tuples, which a check resumes as `state`; `root` is None when they
+    are all of them, and otherwise the conjuncts of []y & ~q, which
+    confirm a disjunct that closes them all; `known` keeps each verdict
+    reached, under a clause's or a disjunct's key, and starts from those
+    the preparation proved, for `by`, []y, and `keys`, q's disjuncts.
+    One object with slots, so that a kept test holds few objects."""
 
-    __slots__ = ("system", "node_budget", "branches", "known")
+    __slots__ = ("system", "node_budget", "branches", "root", "known")
 
-    def __init__(self, system, node_budget, branches, by, keys):
-        self.system, self.node_budget, self.branches = (
-            system, node_budget, branches)
+    def __init__(self, system, node_budget, branches, root, by, keys):
+        self.system, self.node_budget, self.branches, self.root = (
+            system, node_budget, branches, root)
         # q is not valid modulo []y, so neither true nor []y entails it
         self.known = {FALSE.key: True, TRUE.key: False, by.key: False,
                       **dict.fromkeys(keys, True)}
@@ -476,35 +480,30 @@ class _ClauseTest:
         return v
 
     def literal(self, l):
-        """l & []y |= q: the disjunct l closes every kept branch."""
-        branches, system = self.branches, self.system
+        """l & []y |= q: the disjunct l closes every open root branch."""
+        branches, system, root = self.branches, self.system, self.root
         cls = type(l)
         if cls is Var or cls is Not:
             k = lnot(l).key
-            return all(k in seen for seen, _, _ in branches)
-        budget = _Budget(self.node_budget)
-        if cls is Dia:  # one more successor world, with the []-bodies
-            body = {l.child.key: l.child}
-            return all(_solve({**_by_key(boxes), **body}, system, budget)
-                       is None for _, _, boxes in branches)
-        # any other disjunct joins each branch, where []psi joins the
-        # []-bodies, and in T asserts psi at the root too; it entails q
-        # iff no branch resumed with it has an open branch left
-        return all(next(_branches([l], system, budget, b), None) is None
-                   for b in branches)
-
-
-class _WholeClauseTest(_ClauseTest):
-    """A prepared `query_test` past `_BRANCH_CAP` open root branches:
-    `branches` holds the conjuncts of []y & ~q instead of kept branches,
-    and a disjunct entails q iff it is unsatisfiable with them."""
-
-    __slots__ = ()
-
-    def literal(self, l):
-        """l & []y |= q: one tableau call under a budget of its own."""
-        return _solve_root((l, *self.branches), self.system,
-                           self.node_budget) is None
+            v = all(k in seen for seen, _, _ in branches)
+            if root is None or not v:
+                return v
+            budget = _Budget(self.node_budget)
+        else:
+            budget = _Budget(self.node_budget)
+            if cls is Dia:  # one more successor world, with the []-bodies
+                body = {l.child.key: l.child}
+                if not all(_solve({**_by_key(boxes), **body}, system, budget)
+                           is None for _, _, boxes in branches):
+                    return False
+            # any other disjunct joins each branch, where []psi joins the
+            # []-bodies, and in T asserts psi at the root too; it entails
+            # q iff no branch resumed with it has an open branch left
+            elif not all(next(_branches([l], system, budget, b), None)
+                         is None for b in branches):
+                return False
+        # past the cap the whole tableau confirms, under the same budget
+        return root is None or _solve_root((l, *root), system, budget) is None
 
 
 def query_test(q: Formula, y: Formula, system: System,
@@ -527,19 +526,19 @@ def query_test(q: Formula, y: Formula, system: System,
     entails it.  Otherwise the test starts from the verdicts this
     proved: false and each disjunct of q entail q, true and []y do not.
     A clause entails q iff each of its disjuncts does (Bienvenu, JAIR
-    36, 2009).  Past `_BRANCH_CAP` kept branches (in T each clause of y
-    can double them) the preparation stops, and each disjunct l is
-    decided by one tableau call under a budget of its own: it entails q
-    iff l & []y & ~q is unsatisfiable.  Otherwise a disjunct entails q
-    iff it closes every kept branch, checked under a budget of its own
-    that all the worlds it tries share:
-    - a propositional literal iff its complement's key is on every branch;
-    - <>phi iff on every branch phi has no successor world with the
-      []-bodies;
-    - any other disjunct iff each branch resumed with it closes, so a
-      premise that is no clause is decided on both sides of the cap;
-      []psi so in K and T alike: psi joins the []-bodies, and in T is
-      asserted at the root too.
+    36, 2009).  A disjunct entails q iff it closes every open root
+    branch, checked under a budget of its own that all the worlds it
+    tries share.  Against each kept branch:
+    - a propositional literal closes it iff its complement's key is on it;
+    - <>phi iff phi has no successor world with its []-bodies;
+    - any other disjunct iff the branch resumed with it closes, so a
+      premise that is no clause is decided too; []psi so in K and T
+      alike: psi joins the []-bodies, and in T is asserted at the root.
+    The preparation keeps the first `_BRANCH_CAP` branches (in T each
+    clause of y can double them).  A disjunct that leaves a kept branch
+    open is refuted on either side of the cap.  Past it, one that closes
+    every kept branch is confirmed by one tableau call under the same
+    budget: it entails q iff l & []y & ~q is unsatisfiable.
     Each clause's and each disjunct's verdict is kept, so a clause
     already judged costs one lookup; a check that raises keeps neither.
     """

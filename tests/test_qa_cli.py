@@ -165,9 +165,10 @@ class TestAnswerQuery:
 class TestClauseTest:
     """Compiled answers equal one tableau entailment check per clause."""
 
-    # at a cap of 0 every test with an open root branch is a
-    # _WholeClauseTest, which decides each literal by one tableau call
-    @pytest.mark.parametrize("cap", [64, 0])
+    # at a cap of 0 every test with an open root branch is past the cap,
+    # and confirms each literal by one tableau call; at a cap of 1 some T
+    # tests keep a branch that refutes literals and are past the cap too
+    @pytest.mark.parametrize("cap", [64, 1, 0])
     @pytest.mark.parametrize("system", [System.K, System.T])
     def test_matches_per_clause_entailment(self, system, cap, monkeypatch):
         monkeypatch.setattr(semantics_module, "_BRANCH_CAP", cap)
@@ -191,10 +192,15 @@ class TestClauseTest:
                     assert found.answer == any(holds), (x, y, q)
                     assert found.witness == (pool[holds.index(True)]
                                              if any(holds) else None)
-        whole = sum(type(getattr(test, "__self__", None))
-                    is semantics_module._WholeClauseTest
-                    for test in semantics_module._query_tests.values())
-        assert bool(whole) == (cap == 0)
+        kept = [getattr(test, "__self__", None)
+                for test in semantics_module._query_tests.values()]
+        past = [t.branches for t in kept
+                if t is not None and t.root is not None]
+        # in K, []y & ~q has one open root branch at most, so no test
+        # passes a cap of 1
+        mixed = cap == 1 and system is System.T
+        assert bool(past) == (cap == 0 or mixed)
+        assert any(past) == mixed
         clear_cache()
 
     def test_t_branches_match_per_clause_entailment(self):
@@ -231,8 +237,8 @@ class TestClauseTest:
 
     def test_wide_theory_past_the_branch_cap(self, monkeypatch):
         # in T each clause of y doubles the open root branches of
-        # []y & ~q: 4,096 here, so past the cap each literal is decided by
-        # one tableau call
+        # []y & ~q: 4,096 here, so past the cap a literal that closes
+        # the 64 kept ones is confirmed by one tableau call
         y = land(parse(f"a{i} | b{i}") for i in range(12))
         x = land(box(y), parse("<>c & [](c -> d)"))
         comp = compile_kb(x, y, System.T)
@@ -241,7 +247,7 @@ class TestClauseTest:
             "a0 | e", "<>e", "<>d | e", "a0 | b0", "[](a0 | b0) | e",
             "<>c", "[]e | ~a1", "false", "true")]
         clear_cache()
-        whole = 0
+        past = 0
         for q in queries:
             holds = [entails_mod(pi, comp.box_y, q, System.T) for pi in pool]
             found = answer_query(comp, q)
@@ -249,12 +255,14 @@ class TestClauseTest:
             assert found.witness == (pool[holds.index(True)]
                                      if any(holds) else None)
             test = getattr(query_test(q, y, System.T), "__self__", None)
-            whole += type(test) is semantics_module._WholeClauseTest
-        assert whole >= 4
+            past += test is not None and test.root is not None
+        assert past >= 4
         # verdicts are kept per literal, the query's own seeded: neither
-        # the query itself nor a clause of two decided literals calls
+        # the query itself nor a clause of two decided literals calls,
+        # and a kept branch refutes b1 with no call
         test = query_test(queries[0], y, System.T)
-        assert type(test.__self__) is semantics_module._WholeClauseTest
+        assert len(test.__self__.branches) == 64
+        assert test.__self__.root is not None
         calls = []
         real_solve = semantics_module._solve_root
 
@@ -266,8 +274,12 @@ class TestClauseTest:
         assert test(queries[0]) is True
         assert calls == []
         assert test(parse("b1")) is False
-        assert len(calls) == 1
+        assert calls == []
         assert test(parse("e | b1")) is False
+        assert calls == []
+        # []a0 asserts a0 at the reflexive root, so it closes every kept
+        # branch, and one tableau call confirms it
+        assert test(parse("[]a0")) is True
         assert len(calls) == 1
         # past the cap the literal checks spend the node budget a query is
         # given
@@ -284,6 +296,11 @@ class TestClauseTest:
         assert [answer_query(comp, q, node_budget=654_321).answer
                 for q in queries[:2]] == [False, False]
         assert budgets and set(budgets) == {654_321}
+        # the kept branches and the confirming call share one budget
+        test = query_test(queries[0], y, System.T, 654_321)
+        budgets.clear()
+        assert test(parse("[]a0")) is True
+        assert budgets == [654_321]
         clear_cache()
 
     @pytest.mark.parametrize("system", [System.K, System.T])
@@ -412,12 +429,12 @@ class TestQueryTests:
         assert calls == {}
         clear_cache()
 
-    @pytest.mark.parametrize("cap", [64, 0])
+    @pytest.mark.parametrize("cap", [64, 1, 0])
     @pytest.mark.parametrize("system", [System.K, System.T])
     def test_any_premise_decided_at_both_caps(self, system, cap,
                                               monkeypatch):
-        # a disjunct that is no literal is resumed like any other, or
-        # past the cap decided by its tableau call: the same verdict as
+        # a disjunct that is no literal is resumed like any other, and
+        # past the cap confirmed by its tableau call: the same verdict as
         # entails_mod on both sides of the cap, kept for a second ask
         monkeypatch.setattr(semantics_module, "_BRANCH_CAP", cap)
         clear_cache()
@@ -437,10 +454,13 @@ class TestQueryTests:
                 premise, y, q)
             asked.append((test, premise, verdict))
         assert 0 < sum(v for _, _, v in asked) < len(asked)
-        kept = [getattr(t, "__self__", None) for t, _, _ in asked]
-        assert any(type(t) is (semantics_module._WholeClauseTest if cap == 0
-                               else semantics_module._ClauseTest)
-                   for t in kept)
+        kept = [t.__self__ for t, _, _ in asked
+                if t is not semantics_module._valid]
+        past = [t.branches for t in kept if t.root is not None]
+        mixed = cap == 1 and system is System.T
+        assert any(t.root is None for t in kept) == (cap != 0)
+        assert bool(past) == (cap == 0 or mixed)
+        assert any(past) == mixed
         calls = []
         for name in ("_branches", "_solve", "_solve_root"):
             real = getattr(semantics_module, name)
@@ -517,7 +537,7 @@ class TestQueryTests:
         monkeypatch.setattr(semantics_module, "_BRANCH_CAP", 0)
         clear_cache()
         test = query_test(parse("a | <>b | []~c"), y, system)
-        assert type(test.__self__) is semantics_module._WholeClauseTest
+        assert test.__self__.root is not None
         calls = []
         real_solve = semantics_module._solve_root
 

@@ -55,6 +55,16 @@ class TestKripkeModel:
             with pytest.raises(ValueError, match="world 0 is not a frozenset"):
                 KripkeModel((0,), frozenset(), {0: atoms})
 
+    def test_rejects_worlds_that_are_not_a_tuple(self):
+        # a list of worlds would make the model unhashable
+        with pytest.raises(ValueError, match="worlds is not a tuple"):
+            KripkeModel([0], frozenset(), {0: frozenset()})
+
+    def test_rejects_a_relation_that_is_not_a_frozenset(self):
+        # a set relation would make the model unhashable
+        with pytest.raises(ValueError, match="relation is not a frozenset"):
+            KripkeModel((0,), {(0, 0)}, {0: frozenset()})
+
     def test_hashable(self):
         # a countermodel can be a set member or a dict key
         found, _ = find_model(parse("<>p & []q"), System.K)
